@@ -80,13 +80,20 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _read_json_object(path: Path, what: str) -> dict:
+    try:
+        loaded = json.loads(path.read_text())
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ValidationError(f"{what} {path} is not JSON: {e}") from None
+    if not isinstance(loaded, dict):
+        raise ValidationError(f"{what} must hold a JSON object")
+    return loaded
+
+
 def _train_config(args) -> TrainConfig:
     values = {}
     if getattr(args, "config", None):
-        loaded = json.loads(Path(args.config).read_text())
-        if not isinstance(loaded, dict):
-            raise ValidationError("config file must hold a JSON object")
-        values.update(loaded)
+        values.update(_read_json_object(Path(args.config), "config file"))
     for f in dataclass_fields(TrainConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
@@ -302,13 +309,24 @@ def _read_manifest(path: str):
     manifest_path = Path(path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _read_json_object(manifest_path, "manifest")
+    entries = manifest.get("scenes")
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict)
+        and isinstance(e.get("file"), str)
+        and isinstance(e.get("split", "train"), str)
+        for e in entries
+    ):
+        raise ValidationError('manifest "scenes" must be a list of {"file", "split"} objects')
+    crf_spec = manifest.get("crf", "gamma:2.2")
+    if not isinstance(crf_spec, str):
+        raise ValidationError(f'manifest "crf" must be a string, got {crf_spec!r}')
     base = manifest_path.parent
     scenes = {"train": [], "val": [], "test": []}
-    for entry in manifest["scenes"]:
+    for entry in entries:
         split = entry.get("split", "train")
         scenes.setdefault(split, []).append(load_radiance(base / entry["file"]))
-    crf = _resolve_crf(manifest.get("crf", "gamma:2.2"))
+    crf = _resolve_crf(crf_spec)
     ladder = manifest.get("ladder", "fixed")
     return scenes, crf, ladder
 

@@ -52,20 +52,6 @@ class LabImage:
             raise ValidationError("L plane contains non-finite values")
 
 
-@dataclass
-class Histogram:
-    """256-bin count histogram with its total sample count."""
-
-    bins: np.ndarray  # (256,) int64
-    total: int
-
-    def validate(self) -> None:
-        if self.bins.shape != (256,):
-            raise ValidationError(f"histogram must have 256 bins, got {self.bins.shape}")
-        if int(self.bins.sum()) != self.total:
-            raise ValidationError("histogram bins do not sum to total")
-
-
 def round_half_up(x: np.ndarray | float) -> np.ndarray:
     """Round half-way cases up, elementwise (np.round rounds half to even)."""
     return np.floor(np.asarray(x, dtype=np.float64) + 0.5)
@@ -165,17 +151,16 @@ def lab_to_rgb(
 # ---------------------------------------------------------------------------
 
 
-def luma_histogram(img: LdrImage) -> Histogram:
-    """256-bin histogram of integer luma (round-half-up of Rec.709 luma)."""
+def luma_histogram(img: LdrImage) -> np.ndarray:
+    """(256,) int64 bin counts of integer luma (round-half-up of Rec.709 luma)."""
     luma = round_half_up(luminance(img.data.astype(np.float64))).astype(np.int64)
-    bins = np.bincount(luma.ravel(), minlength=256)
-    return Histogram(bins=bins, total=int(bins.sum()))
+    return np.bincount(luma.ravel(), minlength=256)
 
 
 def entropy(img: LdrImage) -> float:
     """Shannon entropy of the luma histogram, in bits (0..8)."""
-    hist = luma_histogram(img)
-    p = hist.bins[hist.bins > 0] / hist.total
+    bins = luma_histogram(img)
+    p = bins[bins > 0] / bins.sum()
     return float(-(p * np.log2(p)).sum())
 
 

@@ -1,9 +1,13 @@
 """End-to-end machinery: dataset construction, patching, training, inference.
 
-Training regresses 64x64 patches with mini-batch SGD.  The data-parallel
-step keeps identical parameter replicas on every worker, computes shard
+Training regresses 64x64 patches with mini-batch SGD along a single path:
+``train`` (and ``hyperparam_search`` through it) runs ``train_epoch`` once
+per epoch, and ``train_epoch`` sends every mini-batch through
+``ParallelTrainer.step``, the only SGD step.  That data-parallel step keeps
+identical parameter replicas on ``cfg.workers`` workers, computes shard
 gradients independently, sums them in ascending worker order scaled to the
-whole-batch mean, updates worker 0, and broadcasts the result.
+whole-batch mean, updates worker 0, and broadcasts the result; with one
+worker it is the plain serial step.
 """
 
 from __future__ import annotations
@@ -73,18 +77,18 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
+        fields = cls.__dataclass_fields__
+        unknown = set(d) - set(fields)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in d.items():
+            kind = type(fields[key].default)
+            allowed = (int, float) if kind is float else kind  # "lr": 0 is a float
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValidationError(
+                    f"config key {key!r} must be {kind.__name__}, got {value!r}"
+                )
         return cls(**d)
-
-
-@dataclass
-class Sample:
-    """One training pair: (C, p, p) input against a (1, p, p) target."""
-
-    input: np.ndarray
-    target: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +377,9 @@ def build_tonemap_samples(
 
 @dataclass
 class TrainState:
-    """Optimizer and curve state carried across epochs."""
+    """Trainer and curve state carried across epochs."""
 
-    velocity: list | None = None
-    step: int = 0
+    trainer: ParallelTrainer | None = None
     epoch: int = 0
     curve: list[tuple] = field(default_factory=list)
 
@@ -387,11 +390,7 @@ def dropout_stream(seed: int, step: int, worker: int) -> np.random.Generator:
 
 
 def _as_arrays(samples, dtype) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(samples, tuple):
-        x, y = samples
-    else:
-        x = np.stack([s.input for s in samples])
-        y = np.stack([s.target for s in samples])
+    x, y = samples
     return x.astype(dtype, copy=False), y.astype(dtype, copy=False)
 
 
@@ -411,30 +410,23 @@ def train_epoch(
 ) -> float:
     """One shuffled pass of mini-batch SGD; returns the sample-weighted loss.
 
-    Pass the same ``state`` across epochs to keep momentum, the global step
-    counter, and the loss curve.
+    Every mini-batch goes through ``state.trainer``, which is built from
+    ``cfg.workers`` on first use.  Pass the same ``state`` across epochs to
+    keep momentum, the global step counter, and the loss curve.
     """
     if state is None:
         state = TrainState()
+    if state.trainer is None:
+        state.trainer = ParallelTrainer(net, cfg.workers, cfg)
     x_all, y_all = _as_arrays(samples, net.dtype)
     n = x_all.shape[0]
     if n < 1:
         raise ParameterError("need at least one sample")
-    params = net.params()
     order = rng.permutation(n)
     total = 0.0
     for start in range(0, n, cfg.batch_size):
         idx = order[start : start + cfg.batch_size]
-        xb, yb = x_all[idx], y_all[idx]
-        drop_rng = dropout_stream(cfg.seed, state.step, 0)
-        pred = net.forward(xb, train=True, rng=drop_rng)
-        loss, dpred = mse_loss(pred, yb)
-        if not math.isfinite(loss):
-            raise _diverged(net, xb)
-        net.backward(dpred)
-        state.velocity = sgd_step(params, net.grads(), cfg.lr, cfg.momentum, state.velocity)
-        total += loss * len(idx)
-        state.step += 1
+        total += state.trainer.step(x_all[idx], y_all[idx]) * len(idx)
     mean = total / n
     state.epoch += 1
     state.curve.append((state.epoch, mean))
@@ -543,43 +535,20 @@ def train(
 ) -> TrainState:
     """Full training run; returns the state with one curve row per epoch.
 
-    With cfg.workers > 1, every mini-batch goes through the data-parallel
-    step; batch contents and order match the single-worker schedule.
+    Each row is ``(epoch, mean_loss)``, plus the eval-mode validation MSE
+    when ``val_samples`` is given.
     """
     epochs = cfg.epochs if epochs is None else epochs
     state = TrainState()
     shuffle_rng = np.random.default_rng(cfg.seed)
-    x_all, y_all = _as_arrays(samples, net.dtype)
-    n = x_all.shape[0]
-    trainer = ParallelTrainer(net, cfg.workers, cfg) if cfg.workers > 1 else None
-
     for _ in range(epochs):
-        order = shuffle_rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xb, yb = x_all[idx], y_all[idx]
-            if trainer is not None:
-                loss = trainer.step(xb, yb)
-                state.step = trainer.step_index
-            else:
-                drop_rng = dropout_stream(cfg.seed, state.step, 0)
-                pred = net.forward(xb, train=True, rng=drop_rng)
-                loss, dpred = mse_loss(pred, yb)
-                if not math.isfinite(loss):
-                    raise _diverged(net, xb)
-                net.backward(dpred)
-                state.velocity = sgd_step(
-                    net.params(), net.grads(), cfg.lr, cfg.momentum, state.velocity
-                )
-                state.step += 1
-            total += loss * len(idx)
-        state.epoch += 1
-        mean = total / n
+        train_epoch(net, samples, cfg, shuffle_rng, state)
         if val_samples is not None:
-            state.curve.append((state.epoch, mean, eval_mse(net, val_samples, cfg.batch_size)))
-        else:
-            state.curve.append((state.epoch, mean))
+            state.curve[-1] += (eval_mse(net, val_samples, cfg.batch_size),)
+    # A finished run frees its trainer: the replicas and the activations that
+    # every worker caches for backward would otherwise live as long as the
+    # returned state.
+    state.trainer = None
     return state
 
 
@@ -607,12 +576,9 @@ def hyperparam_search(
     results = []
     for i, (spec, cfg) in enumerate(configs):
         net = Network(spec, dtype=cfg.numpy_dtype())
-        state = TrainState()
-        rng = np.random.default_rng(cfg.seed)
-        for _ in range(2):
-            train_epoch(net, train_samples, cfg, rng, state)
+        state = train(net, train_samples, cfg, epochs=2)
         err = eval_mse(net, val_samples, cfg.batch_size)
-        results.append(SearchResult(config_id=i, val_error=err, curve=list(state.curve)))
+        results.append(SearchResult(config_id=i, val_error=err, curve=state.curve))
     return sorted(results, key=lambda r: r.val_error)
 
 

@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as beta_dist
-from scipy.stats import norm as norm_dist
+from scipy.special import ndtr
 
 from .camera import Crf, ExposureStack, fixed_stack, gamma_crf
 from .errors import ParameterError, ValidationError
@@ -228,8 +227,8 @@ def structural_fidelity(
     csf = 100.0 * 2.6 * (0.0192 + 0.114 * sf) * math.exp(-((0.114 * sf) ** 1.1))
     thresh = 128.0 / (1.4 * csf)
     spread = thresh / 3.0
-    sig_x_p = norm_dist.cdf(sig_x, loc=thresh, scale=spread)
-    sig_y_p = norm_dist.cdf(sig_y, loc=thresh, scale=spread)
+    sig_x_p = ndtr((sig_x - thresh) / spread)
+    sig_y_p = ndtr((sig_y - thresh) / spread)
 
     c1, c2 = constants.c1, constants.c2
     s_map = ((2.0 * sig_x_p * sig_y_p + c1) / (sig_x_p**2 + sig_y_p**2 + c1)) * (
@@ -244,8 +243,10 @@ def statistical_naturalness(
     """Brightness/contrast naturalness of a tone-mapped luminance (0..255 scale).
 
     Gaussian prior on the global mean, Beta prior on the average local
-    (11x11 block) standard deviation; both normalized by their modes so the
-    product lies in [0, 1].
+    (11x11 block) standard deviation (Yeganeh & Wang, IEEE TIP 2013); both
+    normalized by their modes so the product lies in [0, 1].  Dividing each
+    density by its value at the mode cancels its normalizing constant, which
+    leaves the closed forms below.
     """
     c = constants
     u = float(np.mean(lum_tm_255))
@@ -258,12 +259,15 @@ def statistical_naturalness(
     else:
         sig = float(lum_tm_255.std())
 
-    p_mean = norm_dist.pdf(u, loc=c.nat_mean_mu, scale=c.nat_mean_sigma)
-    p_mean_max = norm_dist.pdf(c.nat_mean_mu, loc=c.nat_mean_mu, scale=c.nat_mean_sigma)
-    mode = (c.nat_std_shape1 - 1.0) / (c.nat_std_shape1 + c.nat_std_shape2 - 2.0)
-    p_std = beta_dist.pdf(sig / c.nat_std_scale, c.nat_std_shape1, c.nat_std_shape2)
-    p_std_max = beta_dist.pdf(mode, c.nat_std_shape1, c.nat_std_shape2)
-    return float(np.clip((p_mean / p_mean_max) * (p_std / p_std_max), 0.0, 1.0))
+    p_mean = math.exp(-0.5 * ((u - c.nat_mean_mu) / c.nat_mean_sigma) ** 2)
+    a, b = c.nat_std_shape1, c.nat_std_shape2
+    mode = (a - 1.0) / (a + b - 2.0)
+    x = sig / c.nat_std_scale
+    if 0.0 < x < 1.0:
+        p_std = (x / mode) ** (a - 1.0) * ((1.0 - x) / (1.0 - mode)) ** (b - 1.0)
+    else:
+        p_std = 0.0  # outside the Beta support
+    return float(np.clip(p_mean * p_std, 0.0, 1.0))
 
 
 def tmqi(

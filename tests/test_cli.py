@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import hdrkit
 from hdrkit.cli import run
 from hdrkit.image_io import load_ldr, load_radiance, read_ppm, save_radiance
 from hdrkit.pipeline import normalize_hdr
@@ -265,3 +271,30 @@ class TestConfigPrecedence:
         code = run(["train-ldr2hdr", "--manifest", str(data), "--out", str(tmp_path / "o"), "--config", str(cfg)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:validation:")
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--manifest", "{not json"),
+        ("--manifest", json.dumps({"crf": "gamma:2.2"})),  # no "scenes"
+        ("--manifest", json.dumps({"scenes": [], "crf": 2.2})),
+        ("--config", "{not json"),
+        ("--config", json.dumps({"batch_size": "4"})),
+    ],
+)
+def test_malformed_json_input_is_validation_error(tmp_path, flag, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    manifest = bad if flag == "--manifest" else tmp_path / "missing.json"
+    argv = ["train-ldr2hdr", "--manifest", str(manifest), "--out", str(tmp_path / "o")]
+    if flag == "--config":
+        argv += ["--config", str(bad)]
+    env = {**os.environ, "PYTHONPATH": str(Path(hdrkit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hdrkit.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:validation:")
+    assert "Traceback" not in proc.stderr

@@ -328,6 +328,16 @@ class TestHyperparamSearch:
         assert len(res.curve) == 2  # exactly two epochs
         assert res.val_error >= 0
 
+    def test_search_honours_workers(self, rng):
+        x, y = tiny_samples(rng, n=8)
+        cfg = TrainConfig(
+            lr=1e-2, momentum=0.9, batch_size=4, dropout_p=0.4, seed=3, workers=2, dtype="f64"
+        )
+        spec = tiny_spec(p=0.4, seed=2)
+        (res,) = hyperparam_search([(spec, cfg)], (x, y), (x, y))
+        state = train(Network(spec, dtype=np.float64), (x, y), cfg, epochs=2)
+        assert res.curve == state.curve
+
 
 class TestInference:
     def test_ldr2hdr_output_dims(self, identity_crf):

@@ -1,7 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import hdrkit
 import numpy as np
 import pytest
+from scipy.stats import beta as beta_dist
+from scipy.stats import norm as norm_dist
 from hdrkit.camera import fixed_stack, gamma_crf
 from hdrkit.errors import ParameterError
 from hdrkit.image_io import LdrImage, RadianceMap
@@ -11,12 +18,14 @@ from hdrkit.synth import synth_scenes
 from tmqi_reference import reference_tmqi
 
 from hdrkit.tmo import (
+    DEFAULT_TMQI,
     ToneMap,
     drago,
     mertens_fuse,
     mertens_weights,
     reinhard_global,
     select_best_tmo,
+    statistical_naturalness,
     structural_fidelity,
     tmqi,
 )
@@ -160,6 +169,40 @@ class TestTmqi:
         mine = tmqi(norm, tm)
         assert mine.N == pytest.approx(n_ref, abs=1e-6)  # same naturalness model
         assert abs(mine.Q - q_ref) < 0.02
+
+
+def _scipy_naturalness(lum, c=DEFAULT_TMQI):
+    """N from the scipy.stats densities, each divided by its value at the mode."""
+    blocks = lum.reshape(lum.shape[0] // 11, 11, lum.shape[1] // 11, 11)
+    u, sig = lum.mean(), blocks.std(axis=(1, 3)).mean()
+    a, b = c.nat_std_shape1, c.nat_std_shape2
+    mode = (a - 1.0) / (a + b - 2.0)
+    p_mean = norm_dist.pdf(u, c.nat_mean_mu, c.nat_mean_sigma) / norm_dist.pdf(
+        c.nat_mean_mu, c.nat_mean_mu, c.nat_mean_sigma
+    )
+    p_std = beta_dist.pdf(sig / c.nat_std_scale, a, b) / beta_dist.pdf(mode, a, b)
+    return float(np.clip(p_mean * p_std, 0.0, 1.0)), sig / c.nat_std_scale
+
+
+class TestNaturalnessPriors:
+    @pytest.mark.parametrize("mean", [0.0, 128.0, 200.0])
+    @pytest.mark.parametrize("x", [0.0, 1e-3, 0.1, 0.3024, 0.5, 0.9, 0.999, 1.0, 1.2, 3.0])
+    def test_matches_scipy_stats(self, mean, x):
+        # four 11x11 blocks, each standardized, so the mean block std is x * scale
+        z = np.random.default_rng(7).standard_normal((22, 22)).reshape(2, 11, 2, 11)
+        z = (z - z.mean(axis=(1, 3), keepdims=True)) / z.std(axis=(1, 3), keepdims=True)
+        lum = mean + x * DEFAULT_TMQI.nat_std_scale * z.reshape(22, 22)
+        expected, x_seen = _scipy_naturalness(lum)
+        got = statistical_naturalness(lum)
+        assert abs(got - expected) <= 1e-12
+        if not 0.0 < x_seen < 1.0:
+            assert got == 0.0
+
+    def test_import_leaves_scipy_stats_out(self):
+        code = "import sys, hdrkit, hdrkit.cli; sys.exit('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(hdrkit.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+        assert proc.returncode == 0
 
 
 class TestSelectBest:
