@@ -128,31 +128,31 @@ def format_crf(crf: Crf) -> str:
 
 
 def invert_crf(crf: Crf, code: int, channel: int) -> float:
-    """Normalized exposure x with forward(x) == code/255 on one channel.
+    """Normalized exposure x with forward(x) == code/255 on one channel."""
+    if not 0 <= code <= 255:
+        raise ParameterError(f"code must be in [0, 255], got {code}")
+    return float(inverse_lut(crf)[code, channel])
+
+
+def inverse_lut(crf: Crf) -> np.ndarray:
+    """(256, 3) normalized exposures x with forward(x) == code/255, per channel.
 
     Piecewise-linear inversion of the lookup table; a flat run containing the
     target value maps to the run's midpoint.
     """
-    if not 0 <= code <= 255:
-        raise ParameterError(f"code must be in [0, 255], got {code}")
-    f = crf.forward[:, channel]
-    v = code / 255.0
-    lo = int(np.searchsorted(f, v, side="left"))
-    hi = int(np.searchsorted(f, v, side="right"))
-    if hi > lo:  # exact hits f[lo..hi-1] == v: midpoint of the flat run
-        return (lo + hi - 1) / 2.0 / 255.0
-    # v falls strictly between f[lo-1] and f[lo]
-    left = lo - 1
-    frac = (v - f[left]) / (f[lo] - f[left])
-    return (left + frac) / 255.0
-
-
-def inverse_lut(crf: Crf) -> np.ndarray:
-    """Tabulated :func:`invert_crf` for all 256 codes, per channel."""
     out = np.empty((256, 3), dtype=np.float64)
     for c in range(3):
-        for z in range(256):
-            out[z, c] = invert_crf(crf, z, c)
+        f = crf.forward[:, c]
+        lo = np.searchsorted(f, _CODE_GRID, side="left")
+        hi = np.searchsorted(f, _CODE_GRID, side="right")
+        # Exact hits f[lo..hi-1] == v take the midpoint of that flat run.
+        out[:, c] = (lo + hi - 1) / 2.0 / 255.0
+        # Elsewhere v lies strictly between f[lo-1] and f[lo]; f[0] == 0 and
+        # f[255] == 1 keep 1 <= lo <= 255 there.
+        between = hi == lo
+        left, right = lo[between] - 1, lo[between]
+        frac = (_CODE_GRID[between] - f[left]) / (f[right] - f[left])
+        out[between, c] = (left + frac) / 255.0
     return out
 
 

@@ -8,9 +8,9 @@ problem, 2 an I/O problem.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +70,11 @@ def _tonemap_to_ldr(tm) -> LdrImage:
 def _resolve_crf(spec: str) -> Crf:
     """A CRF flag is either ``gamma:<value>`` or a path to a 256-line table."""
     if spec.startswith("gamma:"):
-        return gamma_crf(float(spec.split(":", 1)[1]))
+        try:
+            gamma = float(spec.split(":", 1)[1])
+        except ValueError:
+            raise ValidationError(f"CRF spec {spec!r}: gamma is not a number") from None
+        return gamma_crf(gamma)
     return load_crf(Path(spec).read_text(), name=Path(spec).name)
 
 
@@ -94,11 +98,18 @@ def _train_config(args) -> TrainConfig:
     values = {}
     if getattr(args, "config", None):
         values.update(_read_json_object(Path(args.config), "config file"))
-    for f in dataclass_fields(TrainConfig):
+    for f in dataclasses.fields(TrainConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
             values[f.name] = flag
     return TrainConfig.from_dict(values)
+
+
+def _float_list(text: str) -> list[float]:
+    try:
+        return [float(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _add_train_flags(p: _Parser) -> None:
@@ -175,7 +186,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--arch", choices=("ldr2hdr", "tonemap"), default="ldr2hdr")
-    p.add_argument("--lr-grid", default="1e-2,1e-3",
+    p.add_argument("--lr-grid", type=_float_list, default="1e-2,1e-3",
                    help="comma-separated learning rates to try")
     _add_train_flags(p)
 
@@ -225,15 +236,12 @@ def _cmd_synth(args) -> int:
 
 def _load_input_map(path: str, normalize: bool):
     m = load_radiance(path)
-    if normalize:
-        m, scale = normalize_hdr(m)
-        return m, scale
-    return m, 1.0
+    return normalize_hdr(m)[0] if normalize else m
 
 
 def _cmd_expose(args) -> int:
     out = _out_dir(args)
-    m, _ = _load_input_map(args.input, not args.no_normalize)
+    m = _load_input_map(args.input, not args.no_normalize)
     crf = _resolve_crf(args.crf)
     if args.mode == "fixed":
         stack = fixed_stack(m, crf)
@@ -265,7 +273,7 @@ def _cmd_merge(args) -> int:
 
 def _cmd_tmo(args) -> int:
     out = _out_dir(args)
-    m, _ = _load_input_map(args.input, not args.no_normalize)
+    m = _load_input_map(args.input, not args.no_normalize)
     tm = apply_operator(m, args.operator, crf=_resolve_crf(args.crf))
     name = f"{Path(args.input).stem}_{args.operator}.ppm"
     (out / name).write_bytes(write_ppm(_tonemap_to_ldr(tm)))
@@ -278,7 +286,7 @@ def _cmd_select_tmo(args) -> int:
     crf = _resolve_crf(args.crf)
     rows = ["image,operator,S,N,Q"]
     for path in args.inputs:
-        m, _ = _load_input_map(path, not args.no_normalize)
+        m = _load_input_map(path, not args.no_normalize)
         tm, op, _, scores = select_best_tmo(m, crf=crf)
         stem = Path(path).stem
         for name, score in scores:
@@ -290,7 +298,7 @@ def _cmd_select_tmo(args) -> int:
 
 
 def _cmd_tmqi(args) -> int:
-    m, _ = _load_input_map(args.hdr, not args.no_normalize)
+    m = _load_input_map(args.hdr, not args.no_normalize)
     ldr = load_ldr(args.tm)
     from .tmo import ToneMap
 
@@ -381,7 +389,6 @@ def _cmd_search(args) -> int:
     scenes, crf, ladder = _read_manifest(args.manifest)
     if not scenes["train"] or not scenes["val"]:
         raise ValidationError("search needs both train and val scenes in the manifest")
-    lrs = [float(tok) for tok in args.lr_grid.split(",") if tok]
     if args.arch == "ldr2hdr":
         train_sets = build_ldr2hdr_samples(scenes["train"], crf, cfg, mode=ladder)
         val_sets = build_ldr2hdr_samples(scenes["val"], crf, cfg, mode=ladder)
@@ -393,10 +400,7 @@ def _cmd_search(args) -> int:
         channel = TONEMAP_CHANNELS[0]
         spec = build_tonemap_net(channel, cfg.seed, cfg.dropout_p)
 
-    configs = []
-    for lr in lrs:
-        c = TrainConfig.from_dict({**_config_dict(cfg), "lr": lr})
-        configs.append((spec, c))
+    configs = [(spec, dataclasses.replace(cfg, lr=lr)) for lr in args.lr_grid]
     results = hyperparam_search(configs, train_sets[channel], val_sets[channel])
     rows = ["rank,config_id,lr,val_error"]
     for rank, r in enumerate(results):
@@ -405,10 +409,6 @@ def _cmd_search(args) -> int:
     (out / "search.csv").write_text("\n".join(rows) + "\n")
     print("\n".join(rows))
     return 0
-
-
-def _config_dict(cfg: TrainConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in dataclass_fields(TrainConfig)}
 
 
 def _load_channel_nets(directory: str, prefix: str, channels) -> tuple[dict, dict]:
@@ -443,7 +443,7 @@ def _cmd_infer_ldr2hdr(args) -> int:
 def _cmd_infer_tonemap(args) -> int:
     out = _out_dir(args)
     nets, metas = _load_channel_nets(args.checkpoints, "tonemap", TONEMAP_CHANNELS)
-    m, _ = _load_input_map(args.input, not args.no_normalize)
+    m = _load_input_map(args.input, not args.no_normalize)
     meta = metas[TONEMAP_CHANNELS[0]]
     tm = infer_tonemap(nets, m, patch=int(meta.get("patch", 64)))
     (out / args.name).write_bytes(write_ppm(_tonemap_to_ldr(tm)))
@@ -455,17 +455,14 @@ def _cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.arch == "ldr2hdr":
         spec = build_ldr2hdr_net("R", args.seed, dropout_p=0.0)
-        in_depth = 5
     elif args.arch == "tonemap":
         spec = build_tonemap_net("L_base", args.seed, dropout_p=0.0)
-        in_depth = 1
     else:
         from .nn import LayerSpec, NetworkSpec
 
         spec = NetworkSpec(layers=(LayerSpec("output1x1", 3, 1),), seed=args.seed)
-        in_depth = 3
     net = Network(spec, dtype=np.float64)
-    x = rng.normal(size=(2, in_depth, args.size, args.size))
+    x = rng.normal(size=(2, spec.layers[0].in_depth, args.size, args.size))
     target = rng.normal(size=(2, 1, args.size, args.size))
     report = grad_check(net, x, target, tolerance=args.tolerance)
     lines = report.lines()

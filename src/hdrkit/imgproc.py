@@ -91,10 +91,8 @@ def _lab_f(t: np.ndarray) -> np.ndarray:
     return np.where(t > _LAB_DELTA3, np.cbrt(t), (_LAB_KAPPA * t + 16.0) / 116.0)
 
 
-def rgb_to_lab(
-    rgb: np.ndarray | RadianceMap, white: tuple[float, float, float] = D65_WHITE
-) -> LabImage:
-    """Convert linear RGB (white level 1.0) to CIE L*a*b*.
+def rgb_to_lab(rgb: np.ndarray | RadianceMap) -> LabImage:
+    """Convert linear RGB (white level 1.0) to CIE L*a*b* relative to D65.
 
     Negative channel values are clamped to zero; the clamp count is logged.
     """
@@ -107,9 +105,9 @@ def rgb_to_lab(
         arr = np.maximum(arr, 0.0)
 
     xyz = arr @ _RGB_TO_XYZ.T
-    xr = xyz[..., 0] / white[0]
-    yr = xyz[..., 1] / white[1]
-    zr = xyz[..., 2] / white[2]
+    xr = xyz[..., 0] / D65_WHITE[0]
+    yr = xyz[..., 1] / D65_WHITE[1]
+    zr = xyz[..., 2] / D65_WHITE[2]
     fx, fy, fz = _lab_f(xr), _lab_f(yr), _lab_f(zr)
     # Direct two-branch L so that Y == 0 gives exactly L == 0.
     L = np.where(yr > _LAB_DELTA3, 116.0 * np.cbrt(yr) - 16.0, _LAB_KAPPA * yr)
@@ -125,9 +123,7 @@ def rgb_to_lab(
     )
 
 
-def lab_to_rgb(
-    lab: LabImage, white: tuple[float, float, float] = D65_WHITE
-) -> RadianceMap:
+def lab_to_rgb(lab: LabImage) -> RadianceMap:
     """Invert :func:`rgb_to_lab` for in-gamut values."""
     L = lab.L.astype(np.float64)
     a = lab.a.astype(np.float64)
@@ -141,7 +137,8 @@ def lab_to_rgb(
         return np.where(f > delta, f**3, (116.0 * f - 16.0) / _LAB_KAPPA)
 
     yr = np.where(L > _LAB_KAPPA * _LAB_DELTA3, fy**3, L / _LAB_KAPPA)
-    xyz = np.stack([f_inv(fx) * white[0], yr * white[1], f_inv(fz) * white[2]], axis=-1)
+    w = D65_WHITE
+    xyz = np.stack([f_inv(fx) * w[0], yr * w[1], f_inv(fz) * w[2]], axis=-1)
     rgb = xyz @ _XYZ_TO_RGB.T
     return RadianceMap.from_array(np.maximum(rgb, 0.0).astype(np.float32))
 

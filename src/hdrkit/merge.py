@@ -37,30 +37,24 @@ def hat_weight() -> WeightFn:
     return WeightFn(values=np.where(z <= 127, z, 255.0 - z))
 
 
-def debevec_merge(
-    stack: ExposureStack, crf: Crf, weights: WeightFn | None = None
-) -> RadianceMap:
-    """Merge an exposure stack into linear radiance through the inverse CRF."""
-    if weights is None:
-        weights = hat_weight()
+def debevec_merge(stack: ExposureStack, crf: Crf) -> RadianceMap:
+    """Merge an exposure stack into linear radiance through the inverse CRF,
+    with :func:`hat_weight` confidences."""
+    weights = hat_weight().values
     inv = inverse_lut(crf)  # (256, 3)
+    channels = np.arange(3)
     h, w = stack.height, stack.width
+    mid = len(stack.images) // 2
 
     num = np.zeros((h, w, 3), dtype=np.float64)
     den = np.zeros((h, w, 3), dtype=np.float64)
-    for img in stack.images:
-        codes = img.data
-        wgt = weights.values[codes]
-        estimate = np.empty((h, w, 3), dtype=np.float64)
-        for c in range(3):
-            estimate[..., c] = inv[codes[..., c], c] / img.exposure
+    for i, img in enumerate(stack.images):
+        estimate = inv[img.data, channels] / img.exposure
+        wgt = weights[img.data]
         num += wgt * estimate
         den += wgt
-
-    mid = stack.images[len(stack.images) // 2]
-    fallback = np.empty((h, w, 3), dtype=np.float64)
-    for c in range(3):
-        fallback[..., c] = inv[mid.data[..., c], c] / mid.exposure
+        if i == mid:
+            fallback = estimate
 
     out = np.where(den > 0, num / np.where(den > 0, den, 1.0), fallback)
     return RadianceMap(width=w, height=h, data=out.astype(np.float32))

@@ -150,13 +150,14 @@ class Conv:
 class BatchNorm:
     """Spatial batch normalization over (N, H, W) per channel."""
 
-    def __init__(self, channels: int, dtype, eps: float = 1e-5, momentum: float = 0.1) -> None:
+    eps = 1e-5
+    momentum = 0.1  # weight of the batch statistics in the running averages
+
+    def __init__(self, channels: int, dtype) -> None:
         self.gamma = np.ones(channels, dtype=dtype)
         self.beta = np.zeros(channels, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.eps = eps
-        self.momentum = momentum
         self.dgamma = np.zeros_like(self.gamma)
         self.dbeta = np.zeros_like(self.beta)
         self._cache: tuple | None = None
@@ -211,25 +212,39 @@ class BatchNorm:
         return [self.dgamma, self.dbeta]
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, gate: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``x * gate`` with ``gate = x > 0`` unless one is given; returns (y, gate).
+
+    Passing the gate of an earlier pass keeps the network on the same linear
+    piece (the frozen-gate gradient check).  Negative entries become -0.0,
+    not the +0.0 that ``np.maximum(x, 0)`` would give.
+    """
+    if gate is None:
+        gate = x > 0
+    return x * gate, gate
 
 
-def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+def relu_backward(dy: np.ndarray, gate: np.ndarray) -> np.ndarray:
     """Gradient passes only where the forward input was strictly positive."""
-    return dy * (x > 0)
+    return dy * gate
 
 
-def dropout(x: np.ndarray, p: float, train: bool, rng=None) -> np.ndarray:
-    """Inverted dropout: train-time masking with 1/(1-p) survivor scaling."""
+def dropout(x: np.ndarray, p: float, train: bool, rng=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Inverted dropout: train-time masking with 1/(1-p) survivor scaling.
+
+    Returns (y, scale), where ``y = x * scale`` and ``scale`` is the keep
+    mask times 1/(1-p), which is also the backward multiplier; ``scale`` is
+    None when nothing is dropped (eval mode or p == 0).
+    """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout p must be in [0, 1), got {p}")
     if not train or p == 0.0:
-        return x
+        return x, None
     if rng is None:
         raise ParameterError("train-mode dropout needs an rng")
     keep = rng.random(x.shape) >= p
-    return x * keep.astype(x.dtype) * x.dtype.type(1.0 / (1.0 - p))
+    scale = keep.astype(x.dtype) * x.dtype.type(1.0 / (1.0 - p))
+    return x * scale, scale
 
 
 class _Block:
@@ -252,27 +267,17 @@ class _Block:
             return y
         if self.bn is not None:
             y = self.bn.forward(y, train=bn_train)
-        if frozen_gates:
-            if self._gate is None:
-                raise ValidationError("frozen-gate forward before a reference pass")
-        else:
-            self._gate = y > 0
-        y = y * self._gate
-        p = self.spec.dropout_p
-        if train and apply_dropout and p > 0.0:
-            keep = rng.random(y.shape) >= p
-            scale = keep.astype(y.dtype) * y.dtype.type(1.0 / (1.0 - p))
-            self._drop_scale = scale
-            y = y * scale
-        else:
-            self._drop_scale = None
+        if frozen_gates and self._gate is None:
+            raise ValidationError("frozen-gate forward before a reference pass")
+        y, self._gate = relu(y, self._gate if frozen_gates else None)
+        y, self._drop_scale = dropout(y, self.spec.dropout_p, train and apply_dropout, rng)
         return y
 
     def backward(self, dy):
         if not self.is_output:
             if self._drop_scale is not None:
                 dy = dy * self._drop_scale
-            dy = dy * self._gate
+            dy = relu_backward(dy, self._gate)
             if self.bn is not None:
                 dy = self.bn.backward(dy)
         return self.conv.backward(dy)
@@ -353,9 +358,6 @@ class Network:
 
     def copy_state_from(self, other: "Network") -> None:
         self.load_tensors([arr for _, arr in other.tensors()])
-
-    def layer_names(self) -> list[str]:
-        return [blk.name for blk in self.blocks]
 
     def activation_stats(self, x: np.ndarray, train: bool = True) -> list[dict]:
         """Per-block output statistics, for divergence diagnostics."""

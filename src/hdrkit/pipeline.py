@@ -1,5 +1,12 @@
 """End-to-end machinery: dataset construction, patching, training, inference.
 
+Images become network inputs along one path per architecture, shared by the
+sample builders and by inference: ``stack_channel_planes`` for the ldr2hdr
+nets, and for the tone-map nets ``_lab_planes`` (Lab split plus bilateral
+base/detail) followed by ``_scale_plane``, with ``_unscale_plane`` undoing
+the scaling on predictions.  ``extract_patches`` tiles those planes for both
+training and inference.
+
 Training regresses 64x64 patches with mini-batch SGD along a single path:
 ``train`` (and ``hyperparam_search`` through it) runs ``train_epoch`` once
 per epoch, and ``train_epoch`` sends every mini-batch through
@@ -20,7 +27,6 @@ import numpy as np
 
 from .camera import (
     Crf,
-    ExposureLadder,
     ExposureStack,
     adaptive_stack,
     fixed_stack,
@@ -30,7 +36,7 @@ from .errors import ParameterError, ValidationError
 from .image_io import RadianceMap
 from .imgproc import LabImage, bilateral_filter, lab_to_rgb, luminance, rgb_to_lab
 from .nn import LayerSpec, Network, NetworkSpec, mse_loss, sgd_step
-from .tmo import OPERATORS, TmqiScore, ToneMap, select_best_tmo
+from .tmo import TmqiScore, ToneMap, select_best_tmo
 
 LDR2HDR_CHANNELS = ("R", "G", "B")
 TONEMAP_CHANNELS = ("L_base", "L_detail", "a", "b")
@@ -167,16 +173,13 @@ def extract_patches(planes: np.ndarray, patch: int) -> tuple[PatchGrid, np.ndarr
     h, w = planes.shape[-2:]
     rows = max(1, math.ceil(h / patch))
     cols = max(1, math.ceil(w / patch))
-    pad = [(0, 0)] * (planes.ndim - 2) + [(0, rows * patch - h), (0, cols * patch - w)]
+    lead = planes.shape[:-2]
+    pad = [(0, 0)] * len(lead) + [(0, rows * patch - h), (0, cols * patch - w)]
     padded = np.pad(planes, pad, mode="reflect")
     grid = PatchGrid(height=h, width=w, patch=patch, rows=rows, cols=cols)
-    out = np.empty((rows * cols, *planes.shape[:-2], patch, patch), dtype=planes.dtype)
-    for r in range(rows):
-        for c in range(cols):
-            out[r * cols + c] = padded[
-                ..., r * patch : (r + 1) * patch, c * patch : (c + 1) * patch
-            ]
-    return grid, out
+    tiles = padded.reshape(*lead, rows, patch, cols, patch)
+    tiles = np.moveaxis(tiles, (len(lead), len(lead) + 2), (0, 1))
+    return grid, tiles.reshape(rows * cols, *lead, patch, patch)
 
 
 def reassemble(grid: PatchGrid, patches: np.ndarray) -> np.ndarray:
@@ -184,12 +187,10 @@ def reassemble(grid: PatchGrid, patches: np.ndarray) -> np.ndarray:
     if patches.shape[0] != grid.count:
         raise ValidationError(f"expected {grid.count} patches, got {patches.shape[0]}")
     p = grid.patch
-    full = np.empty(
-        (*patches.shape[1:-2], grid.rows * p, grid.cols * p), dtype=patches.dtype
-    )
-    for r in range(grid.rows):
-        for c in range(grid.cols):
-            full[..., r * p : (r + 1) * p, c * p : (c + 1) * p] = patches[r * grid.cols + c]
+    lead = patches.shape[1:-2]
+    tiles = patches.reshape(grid.rows, grid.cols, *lead, p, p)
+    tiles = np.moveaxis(tiles, (0, 1), (len(lead), len(lead) + 2))
+    full = tiles.reshape(*lead, grid.rows * p, grid.cols * p)
     return full[..., : grid.height, : grid.width]
 
 
@@ -209,10 +210,22 @@ class ChannelPlanes:
     divisor: float
 
     def scaled_input(self) -> np.ndarray:
-        return (self.input + self.input.dtype.type(self.offset)) / self.input.dtype.type(self.divisor)
+        return _scale_plane(self.input, self.offset, self.divisor)
 
     def scaled_target(self) -> np.ndarray:
-        return (self.target + self.target.dtype.type(self.offset)) / self.target.dtype.type(self.divisor)
+        return _scale_plane(self.target, self.offset, self.divisor)
+
+
+def _scale_plane(plane: np.ndarray, offset: float, divisor: float) -> np.ndarray:
+    """(plane + offset) / divisor in the plane's own dtype."""
+    t = plane.dtype.type
+    return (plane + t(offset)) / t(divisor)
+
+
+def _unscale_plane(plane: np.ndarray, offset: float, divisor: float) -> np.ndarray:
+    """Invert :func:`_scale_plane`, in the plane's own dtype."""
+    t = plane.dtype.type
+    return plane * t(divisor) - t(offset)
 
 
 def split_base_detail(
@@ -235,6 +248,13 @@ def split_base_detail(
     return base, detail
 
 
+def _lab_planes(rgb: np.ndarray, sigma_s: float, sigma_r: float) -> dict[str, np.ndarray]:
+    """The unscaled L_base, L_detail, a and b planes of a linear RGB array."""
+    lab = rgb_to_lab(rgb)
+    base, detail = split_base_detail(lab.L, sigma_s, sigma_r)
+    return {"L_base": base, "L_detail": detail, "a": lab.a, "b": lab.b}
+
+
 def decompose_tonemap_channels(
     m: RadianceMap,
     tm: ToneMap,
@@ -244,19 +264,11 @@ def decompose_tonemap_channels(
     """Lab-split a (normalized HDR, tone map) pair into four regression channels."""
     if (m.width, m.height) != (tm.width, tm.height):
         raise ValidationError("map and tone map dimensions differ")
-    lab_in = rgb_to_lab(m.data)
-    lab_out = rgb_to_lab(tm.data)
-    in_base, in_detail = split_base_detail(lab_in.L, sigma_s, sigma_r)
-    out_base, out_detail = split_base_detail(lab_out.L, sigma_s, sigma_r)
-    planes = {
-        "L_base": (in_base, out_base),
-        "L_detail": (in_detail, out_detail),
-        "a": (lab_in.a, lab_out.a),
-        "b": (lab_in.b, lab_out.b),
-    }
+    inputs = _lab_planes(m.data, sigma_s, sigma_r)
+    targets = _lab_planes(tm.data, sigma_s, sigma_r)
     return [
-        ChannelPlanes(name, inp, tgt, *CHANNEL_SCALINGS[name])
-        for name, (inp, tgt) in planes.items()
+        ChannelPlanes(name, inputs[name], targets[name], *CHANNEL_SCALINGS[name])
+        for name in TONEMAP_CHANNELS
     ]
 
 
@@ -298,76 +310,66 @@ def invert_target(values: np.ndarray, domain: str) -> np.ndarray:
     return np.expm1(values) if domain == "log1p" else values
 
 
+def _patch_samples(
+    planes, channels: tuple[str, ...], patch: int
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Patch each ``(channel, x planes, y planes)`` triple as float32 and
+    concatenate the (inputs, targets) patch arrays per channel."""
+    per_channel: dict[str, tuple[list, list]] = {ch: ([], []) for ch in channels}
+    for ch, x, y in planes:
+        xs, ys = per_channel[ch]
+        xs.append(extract_patches(x.astype(np.float32, copy=False), patch)[1])
+        ys.append(extract_patches(y.astype(np.float32, copy=False), patch)[1])
+    return {ch: (np.concatenate(xs), np.concatenate(ys)) for ch, (xs, ys) in per_channel.items()}
+
+
 def build_ldr2hdr_samples(
     scenes: list[RadianceMap],
     crf: Crf,
     cfg: TrainConfig,
     mode: str = "fixed",
-    ladder: ExposureLadder | None = None,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per-channel (inputs, targets) patch arrays from synthesized stacks.
 
-    Targets are the normalized radiance channels (optionally log1p).
+    Targets are the normalized radiance channels (optionally log1p).  The
+    adaptive mode picks each stack from :func:`geometric_ladder`.
     """
     if mode not in ("fixed", "adaptive"):
         raise ParameterError(f"mode must be fixed or adaptive, got {mode!r}")
-    per_channel: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {
-        ch: [] for ch in LDR2HDR_CHANNELS
-    }
-    for scene in scenes:
-        norm, _ = normalize_hdr(scene)
-        if mode == "fixed":
-            stack = fixed_stack(norm, crf)
-        else:
-            stack = adaptive_stack(norm, crf, ladder or geometric_ladder())
-        for i, ch in enumerate(LDR2HDR_CHANNELS):
-            planes = stack_channel_planes(stack, i)
-            target = _target_plane(norm.data[..., i], cfg.target_domain)[None]
-            _, x = extract_patches(planes, cfg.patch)
-            _, y = extract_patches(target.astype(np.float32), cfg.patch)
-            per_channel[ch].append((x, y))
-    return {
-        ch: (
-            np.concatenate([x for x, _ in pairs]),
-            np.concatenate([y for _, y in pairs]),
-        )
-        for ch, pairs in per_channel.items()
-    }
+
+    def planes():
+        for scene in scenes:
+            norm, _ = normalize_hdr(scene)
+            if mode == "fixed":
+                stack = fixed_stack(norm, crf)
+            else:
+                stack = adaptive_stack(norm, crf, geometric_ladder())
+            for i, ch in enumerate(LDR2HDR_CHANNELS):
+                target = _target_plane(norm.data[..., i], cfg.target_domain)[None]
+                yield ch, stack_channel_planes(stack, i), target
+
+    return _patch_samples(planes(), LDR2HDR_CHANNELS, cfg.patch)
 
 
 def build_tonemap_samples(
     scenes: list[RadianceMap],
     cfg: TrainConfig,
     crf: Crf | None = None,
-    operators: tuple[str, ...] = OPERATORS,
     sigma_s: float = BILATERAL_SIGMA_S,
     sigma_r: float = BILATERAL_SIGMA_R,
 ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], list[tuple[str, TmqiScore]]]:
     """Per-channel patch arrays targeting each scene's best tone map."""
-    per_channel: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {
-        ch: [] for ch in TONEMAP_CHANNELS
-    }
     selections: list[tuple[str, TmqiScore]] = []
-    for scene in scenes:
-        norm, _ = normalize_hdr(scene)
-        tm, op, score, _ = select_best_tmo(norm, operators=operators, crf=crf)
-        selections.append((op, score))
-        for planes in decompose_tonemap_channels(norm, tm, sigma_s, sigma_r):
-            x = planes.scaled_input().astype(np.float32)[None]
-            y = planes.scaled_target().astype(np.float32)[None]
-            _, xp = extract_patches(x, cfg.patch)
-            _, yp = extract_patches(y, cfg.patch)
-            per_channel[planes.name].append((xp, yp))
-    return (
-        {
-            ch: (
-                np.concatenate([x for x, _ in pairs]),
-                np.concatenate([y for _, y in pairs]),
-            )
-            for ch, pairs in per_channel.items()
-        },
-        selections,
-    )
+
+    def planes():
+        for scene in scenes:
+            norm, _ = normalize_hdr(scene)
+            tm, op, score, _ = select_best_tmo(norm, crf=crf)
+            selections.append((op, score))
+            for channel in decompose_tonemap_channels(norm, tm, sigma_s, sigma_r):
+                yield channel.name, channel.scaled_input()[None], channel.scaled_target()[None]
+
+    return _patch_samples(planes(), TONEMAP_CHANNELS, cfg.patch), selections
 
 
 # ---------------------------------------------------------------------------
@@ -622,15 +624,12 @@ def infer_tonemap(
     sigma_r: float = BILATERAL_SIGMA_R,
 ) -> ToneMap:
     """Predict a tone map from a normalized radiance map with the 4 channel nets."""
-    lab = rgb_to_lab(m.data)
-    base, detail = split_base_detail(lab.L, sigma_s, sigma_r)
-    inputs = {"L_base": base, "L_detail": detail, "a": lab.a, "b": lab.b}
+    inputs = _lab_planes(m.data, sigma_s, sigma_r)
     preds: dict[str, np.ndarray] = {}
     for name in TONEMAP_CHANNELS:
-        offset, divisor = CHANNEL_SCALINGS[name]
-        scaled = (inputs[name].astype(np.float64) + offset) / divisor
-        pred = _forward_tiled(nets[name], scaled[None].astype(np.float32), patch)
-        preds[name] = pred.astype(np.float64) * divisor - offset
+        scaling = CHANNEL_SCALINGS[name]
+        pred = _forward_tiled(nets[name], _scale_plane(inputs[name], *scaling)[None], patch)
+        preds[name] = _unscale_plane(pred.astype(np.float64), *scaling)
     return recompose_tonemap(preds)
 
 

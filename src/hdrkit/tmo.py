@@ -88,18 +88,14 @@ def drago(m: RadianceMap, bias: float = 0.85, l_max: float | None = None) -> Ton
     return ToneMap(m.width, m.height, _scale_colors(m.data.astype(np.float64), lum, display))
 
 
-def mertens_weights(
-    stack: ExposureStack,
-    w_contrast: float = 1.0,
-    w_saturation: float = 1.0,
-    w_exposedness: float = 1.0,
-) -> np.ndarray:
+def mertens_weights(stack: ExposureStack) -> np.ndarray:
     """Normalized per-image fusion weights, shape (len(stack), H, W).
 
     Per image: contrast = |3x3 Laplacian of luma|, saturation = per-pixel RGB
     standard deviation, exposedness = product over channels of a Gaussian
-    around 0.5 (sigma 0.2).  A tiny additive guard keeps the per-pixel
-    normalization well defined, so the maps sum to one everywhere.
+    around 0.5 (sigma 0.2); the weight is their product.  A tiny additive
+    guard keeps the per-pixel normalization well defined, so the maps sum to
+    one everywhere.
     """
     raw = []
     for img in stack.images:
@@ -116,22 +112,14 @@ def mertens_weights(
         contrast = np.abs(lap)
         saturation = rgb.std(axis=2)
         exposedness = np.exp(-((rgb - 0.5) ** 2) / (2.0 * 0.2**2)).prod(axis=2)
-        raw.append(
-            contrast**w_contrast * saturation**w_saturation * exposedness**w_exposedness
-            + WEIGHT_GUARD
-        )
+        raw.append(contrast * saturation * exposedness + WEIGHT_GUARD)
     stacked = np.stack(raw)
     return stacked / stacked.sum(axis=0, keepdims=True)
 
 
-def mertens_fuse(
-    stack: ExposureStack,
-    w_contrast: float = 1.0,
-    w_saturation: float = 1.0,
-    w_exposedness: float = 1.0,
-) -> ToneMap:
+def mertens_fuse(stack: ExposureStack) -> ToneMap:
     """Single-scale exposure fusion: weighted per-pixel average of the stack."""
-    weights = mertens_weights(stack, w_contrast, w_saturation, w_exposedness)
+    weights = mertens_weights(stack)
     fused = np.zeros((stack.height, stack.width, 3), dtype=np.float64)
     for wgt, img in zip(weights, stack.images):
         fused += wgt[..., None] * (img.data.astype(np.float64) / 255.0)
@@ -197,23 +185,22 @@ def _rescale_255(plane: np.ndarray) -> np.ndarray:
     return 255.0 * (plane - lo) / (hi - lo)
 
 
-def structural_fidelity(
-    lum_hdr: np.ndarray, lum_tm: np.ndarray, constants: TmqiConstants = DEFAULT_TMQI
-) -> float:
+def structural_fidelity(lum_hdr: np.ndarray, lum_tm: np.ndarray) -> float:
     """Single-scale structural fidelity between two luminance planes.
 
     Both planes are rescaled to a common [0, 255] range; local standard
     deviations pass through a visual-sensitivity normal CDF before the
     SSIM-style comparison, making the term contrast- and scale-tolerant.
     """
-    k = constants.window_size
+    c = DEFAULT_TMQI
+    k = c.window_size
     if lum_hdr.shape != lum_tm.shape:
         raise ValidationError("luminance planes must share dimensions")
     if min(lum_hdr.shape) < k:
         raise ParameterError(f"images must be at least {k}x{k} for TMQI")
     x = _rescale_255(lum_hdr.astype(np.float64))
     y = _rescale_255(lum_tm.astype(np.float64))
-    window = _gaussian_window(k, constants.window_sigma)
+    window = _gaussian_window(k, c.window_sigma)
 
     mu_x = _filter_valid(x, window)
     mu_y = _filter_valid(y, window)
@@ -223,23 +210,21 @@ def structural_fidelity(
 
     # Contrast sensitivity at the working spatial frequency; local stds are
     # mapped through a normal CDF centered on the modulation threshold.
-    sf = constants.spatial_freq
+    sf = c.spatial_freq
     csf = 100.0 * 2.6 * (0.0192 + 0.114 * sf) * math.exp(-((0.114 * sf) ** 1.1))
     thresh = 128.0 / (1.4 * csf)
     spread = thresh / 3.0
     sig_x_p = ndtr((sig_x - thresh) / spread)
     sig_y_p = ndtr((sig_y - thresh) / spread)
 
-    c1, c2 = constants.c1, constants.c2
+    c1, c2 = c.c1, c.c2
     s_map = ((2.0 * sig_x_p * sig_y_p + c1) / (sig_x_p**2 + sig_y_p**2 + c1)) * (
         (sig_xy + c2) / (sig_x * sig_y + c2)
     )
     return float(np.clip(np.mean(s_map), 0.0, 1.0))
 
 
-def statistical_naturalness(
-    lum_tm_255: np.ndarray, constants: TmqiConstants = DEFAULT_TMQI
-) -> float:
+def statistical_naturalness(lum_tm_255: np.ndarray) -> float:
     """Brightness/contrast naturalness of a tone-mapped luminance (0..255 scale).
 
     Gaussian prior on the global mean, Beta prior on the average local
@@ -248,7 +233,7 @@ def statistical_naturalness(
     density by its value at the mode cancels its normalizing constant, which
     leaves the closed forms below.
     """
-    c = constants
+    c = DEFAULT_TMQI
     u = float(np.mean(lum_tm_255))
     k = c.window_size
     h, w = lum_tm_255.shape
@@ -270,9 +255,7 @@ def statistical_naturalness(
     return float(np.clip(p_mean * p_std, 0.0, 1.0))
 
 
-def tmqi(
-    m: RadianceMap, tm: ToneMap, constants: TmqiConstants = DEFAULT_TMQI
-) -> TmqiScore:
+def tmqi(m: RadianceMap, tm: ToneMap) -> TmqiScore:
     """Score a tone map against its source radiance map."""
     if (m.width, m.height) != (tm.width, tm.height):
         raise ValidationError(
@@ -280,9 +263,10 @@ def tmqi(
         )
     lum_hdr = luminance(m.data).astype(np.float64)
     lum_tm = luminance(tm.data).astype(np.float64) * 255.0
-    s = structural_fidelity(lum_hdr, lum_tm, constants)
-    n = statistical_naturalness(lum_tm, constants)
-    q = constants.a * s**constants.alpha + (1.0 - constants.a) * n**constants.beta
+    s = structural_fidelity(lum_hdr, lum_tm)
+    n = statistical_naturalness(lum_tm)
+    c = DEFAULT_TMQI
+    q = c.a * s**c.alpha + (1.0 - c.a) * n**c.beta
     return TmqiScore(S=s, N=n, Q=float(np.clip(q, 0.0, 1.0)))
 
 
@@ -293,28 +277,24 @@ def tmqi(
 OPERATORS = ("reinhard", "drago", "mertens")
 
 
-def apply_operator(
-    m: RadianceMap, operator: str, params: dict | None = None, crf: Crf | None = None
-) -> ToneMap:
-    """Apply one named operator; mertens runs on a synthesized fixed stack."""
-    params = dict(params or {})
+def apply_operator(m: RadianceMap, operator: str, crf: Crf | None = None) -> ToneMap:
+    """Apply one named operator with its default parameters; mertens runs on
+    a synthesized fixed stack."""
     if operator == "reinhard":
-        return reinhard_global(m, **params)
+        return reinhard_global(m)
     if operator == "drago":
-        return drago(m, **params)
+        return drago(m)
     if operator == "mertens":
         if crf is None:
             crf = gamma_crf(2.2)
-        return mertens_fuse(fixed_stack(m, crf), **params)
+        return mertens_fuse(fixed_stack(m, crf))
     raise ParameterError(f"unknown operator {operator!r}")
 
 
 def select_best_tmo(
     m: RadianceMap,
     operators: tuple[str, ...] = OPERATORS,
-    params: dict[str, dict] | None = None,
     crf: Crf | None = None,
-    constants: TmqiConstants = DEFAULT_TMQI,
 ) -> tuple[ToneMap, str, TmqiScore, list[tuple[str, TmqiScore]]]:
     """Score every operator with TMQI and return the argmax (ties: list order).
 
@@ -322,11 +302,10 @@ def select_best_tmo(
     """
     if not operators:
         raise ParameterError("need at least one operator")
-    params = params or {}
     scored: list[tuple[str, ToneMap, TmqiScore]] = []
     for op in operators:
-        tm = apply_operator(m, op, params.get(op), crf=crf)
-        scored.append((op, tm, tmqi(m, tm, constants)))
+        tm = apply_operator(m, op, crf=crf)
+        scored.append((op, tm, tmqi(m, tm)))
     # max() keeps the first of equal keys, which is the documented tie rule
     op, tm, score = max(scored, key=lambda item: item[2].Q)
     return tm, op, score, [(s[0], s[2]) for s in scored]

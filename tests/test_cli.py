@@ -298,3 +298,23 @@ def test_malformed_json_input_is_validation_error(tmp_path, flag, text):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:validation:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", ["lr-grid", "crf-flag", "crf-manifest"])
+def test_bad_number_is_one_error_line(tmp_path, capsys, case):
+    data = tmp_path / "data"
+    assert run(["synth", "--out", str(data), "--count", "5", "--size", "16", "--seed", "4"]) == 0
+    out = str(tmp_path / "o")
+    if case == "lr-grid":
+        argv = ["search", "--manifest", str(data), "--out", out, "--lr-grid", "abc", "--patch", "16"]
+    elif case == "crf-flag":
+        scene, _ = write_scene(tmp_path)
+        argv = ["expose", "--input", str(scene), "--out", out, "--crf", "gamma:x"]
+    else:
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(json.dumps({**manifest, "crf": "gamma:x"}))
+        argv = ["train-ldr2hdr", "--manifest", str(data), "--out", out]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err

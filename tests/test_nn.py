@@ -140,12 +140,14 @@ class TestBatchNorm:
 class TestRelu:
     def test_idempotent(self, rng):
         x = rng.normal(size=(3, 4))
-        assert np.array_equal(relu(relu(x)), relu(x))
+        y, _ = relu(x)
+        assert np.array_equal(relu(y)[0], y)
 
     def test_all_negative(self, rng):
         x = -np.abs(rng.normal(size=(3, 4))) - 0.1
-        assert np.all(relu(x) == 0)
-        assert np.all(relu_backward(np.ones_like(x), x) == 0)
+        y, gate = relu(x)
+        assert np.all(y == 0)
+        assert np.all(relu_backward(np.ones_like(x), gate) == 0)
 
     def test_fd_away_from_kink(self, rng):
         # |x| > 1e-2, perturbation h smaller than the margin
@@ -153,24 +155,25 @@ class TestRelu:
         x = np.where(np.abs(x) < 1e-2, np.sign(x) * 0.5, x)
         g = np.ones_like(x)
         h = 1e-3
-        numeric = (relu(x + h) - relu(x - h)) / (2 * h)
-        analytic = relu_backward(g, x)
+        numeric = (relu(x + h)[0] - relu(x - h)[0]) / (2 * h)
+        analytic = relu_backward(g, relu(x)[1])
         assert np.abs(numeric - analytic).max() < 1e-12
 
 
 class TestDropout:
     def test_p_zero_identity(self, rng):
         x = rng.normal(size=(4, 4))
-        assert np.array_equal(dropout(x, 0.0, train=True, rng=rng), x)
+        assert np.array_equal(dropout(x, 0.0, train=True, rng=rng)[0], x)
 
     def test_eval_identity(self, rng):
         x = rng.normal(size=(4, 4))
-        assert np.array_equal(dropout(x, 0.7, train=False), x)
+        assert np.array_equal(dropout(x, 0.7, train=False)[0], x)
 
     def test_statistics(self):
         rng = np.random.default_rng(123)
         x = np.ones(1_000_000)
-        y = dropout(x, 0.4, train=True, rng=rng)
+        y, scale = dropout(x, 0.4, train=True, rng=rng)
+        assert np.array_equal(y, x * scale)
         assert abs(y.mean() - 1.0) < 0.01  # within 1% of 1.0
         assert abs((y == 0).mean() - 0.4) < 0.004  # within 1% of 0.4
 

@@ -369,6 +369,36 @@ class TestInference:
         assert (tm.width, tm.height) == (small_scene.width, small_scene.height)
         assert tm.data.min() >= 0 and tm.data.max() <= 1
 
+    def test_tonemap_nets_see_their_training_inputs(self, monkeypatch):
+        # Bitwise: each channel net gets at inference exactly the planes that
+        # build_tonemap_samples patches for training on the same scene.
+        import hdrkit.pipeline as pl
+
+        scene = synth_scenes(1, 40, seed=71)[0]
+        real_extract, real_forward = pl.extract_patches, pl._forward_tiled
+        patched = []
+        monkeypatch.setattr(
+            pl, "extract_patches", lambda planes, patch: patched.append(planes) or real_extract(planes, patch)
+        )
+        build_tonemap_samples([scene], TrainConfig(patch=16), sigma_s=2.0)
+        monkeypatch.setattr(pl, "extract_patches", real_extract)
+        trained = dict(zip(pl.TONEMAP_CHANNELS, patched[0::2]))  # calls alternate x, y
+
+        nets = {ch: Network(build_tonemap_net(ch, seed=2)) for ch in pl.TONEMAP_CHANNELS}
+        channel_of = {id(net): ch for ch, net in nets.items()}
+        fed = {}
+
+        def spy(net, planes, patch, *args, **kwargs):
+            fed[channel_of[id(net)]] = planes
+            return real_forward(net, planes, patch, *args, **kwargs)
+
+        monkeypatch.setattr(pl, "_forward_tiled", spy)
+        norm, _ = normalize_hdr(scene)
+        infer_tonemap(nets, norm, patch=16, sigma_s=2.0)
+        for ch in pl.TONEMAP_CHANNELS:
+            assert fed[ch].dtype == trained[ch].dtype and fed[ch].shape == trained[ch].shape, ch
+            assert fed[ch].tobytes() == trained[ch].tobytes(), ch
+
     def test_overfit_nets_reproduce_training_scene(self, identity_crf):
         # identity stress: after converging on one scene, inference MSE stays
         # on the order of the final training loss
