@@ -107,15 +107,18 @@ def load_crf(text: str, name: str = "file") -> Crf:
         parts = line.split()
         if len(parts) != 4:
             raise ValidationError(f"CRF line {lineno}: expected 'index r g b', got {line!r}")
-        rows.append([float(p) for p in parts])
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise ValidationError(f"CRF line {lineno}: non-numeric field in {line!r}") from None
     if len(rows) != 256:
         raise ValidationError(f"CRF file must have 256 entries, got {len(rows)}")
     table = np.asarray(rows, dtype=np.float64)
     if np.any(table[:, 0] != np.arange(256)):
-        first = int(np.argwhere(table[:, 0] != np.arange(256))[0])
+        first = int(np.argwhere(table[:, 0] != np.arange(256))[0, 0])
         raise ValidationError(f"CRF indices out of order starting at row {first}")
-    if np.any(table[:, 1:] < 0) or np.any(table[:, 1:] > 1):
-        raise ValidationError("CRF values must lie in [0, 1]")
+    if not np.all((table[:, 1:] >= 0) & (table[:, 1:] <= 1)):  # NaN fails both
+        raise ValidationError("CRF values must be finite and lie in [0, 1]")
     return Crf(forward=table[:, 1:], name=name)
 
 

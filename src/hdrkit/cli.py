@@ -24,7 +24,7 @@ from .camera import (
     geometric_ladder,
     load_crf,
 )
-from .errors import HdrkitError, UsageError, ValidationError
+from .errors import HdrkitError, ParameterError, UsageError, ValidationError
 from .image_io import (
     LdrImage,
     load_ldr,
@@ -411,29 +411,30 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _load_channel_nets(directory: str, prefix: str, channels) -> tuple[dict, dict]:
-    nets, metas = {}, {}
+def _load_channel_nets(directory: str, prefix: str, channels) -> tuple[dict, TrainConfig]:
+    """The channel nets and the ``patch``/``target_domain`` they were trained with."""
+    nets, cfgs = {}, []
     for ch in channels:
         path = Path(directory) / f"{prefix}_{ch}.ckpt"
         if not path.exists():
             raise ValidationError(f"missing checkpoint {path}")
-        nets[ch], metas[ch] = load_checkpoint(path.read_bytes())
-        if "final_loss" not in metas[ch]:
+        nets[ch], meta = load_checkpoint(path.read_bytes())
+        if "final_loss" not in meta:
             print(f"warning: checkpoint {path} carries no training record", file=sys.stderr)
-    return nets, metas
+        trained_with = {k: meta[k] for k in ("patch", "target_domain") if k in meta}
+        try:
+            cfgs.append(TrainConfig.from_dict(trained_with))
+        except ValidationError as e:
+            raise ValidationError(f"checkpoint {path} metadata: {e}") from None
+    return nets, cfgs[0]
 
 
 def _cmd_infer_ldr2hdr(args) -> int:
     out = _out_dir(args)
-    nets, metas = _load_channel_nets(args.checkpoints, "ldr2hdr", LDR2HDR_CHANNELS)
+    nets, cfg = _load_channel_nets(args.checkpoints, "ldr2hdr", LDR2HDR_CHANNELS)
     stack = _load_stack(args.inputs)
-    meta = metas[LDR2HDR_CHANNELS[0]]
     predicted = infer_ldr2hdr(
-        nets,
-        stack,
-        patch=int(meta.get("patch", 64)),
-        scale=args.scale,
-        target_domain=meta.get("target_domain", "linear"),
+        nets, stack, patch=cfg.patch, scale=args.scale, target_domain=cfg.target_domain
     )
     save_radiance(out / args.name, predicted)
     print(f"wrote {out / args.name}")
@@ -442,16 +443,17 @@ def _cmd_infer_ldr2hdr(args) -> int:
 
 def _cmd_infer_tonemap(args) -> int:
     out = _out_dir(args)
-    nets, metas = _load_channel_nets(args.checkpoints, "tonemap", TONEMAP_CHANNELS)
+    nets, cfg = _load_channel_nets(args.checkpoints, "tonemap", TONEMAP_CHANNELS)
     m = _load_input_map(args.input, not args.no_normalize)
-    meta = metas[TONEMAP_CHANNELS[0]]
-    tm = infer_tonemap(nets, m, patch=int(meta.get("patch", 64)))
+    tm = infer_tonemap(nets, m, patch=cfg.patch)
     (out / args.name).write_bytes(write_ppm(_tonemap_to_ldr(tm)))
     print(f"wrote {out / args.name}")
     return 0
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.size < 1:
+        raise ParameterError(f"size must be >= 1, got {args.size}")
     rng = np.random.default_rng(args.seed)
     if args.arch == "ldr2hdr":
         spec = build_ldr2hdr_net("R", args.seed, dropout_p=0.0)

@@ -8,7 +8,9 @@ flat and new-style RLE scanlines.
 
 from __future__ import annotations
 
+import math
 import re
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,11 +85,67 @@ class LdrImage:
 _RESOLUTION_RE = re.compile(rb"^-Y (\d+) \+X (\d+)$")
 
 
-def _read_line(buf: bytes, pos: int) -> tuple[bytes, int]:
-    end = buf.find(b"\n", pos)
-    if end < 0:
-        raise TruncationError(f"unterminated header line at byte {pos}")
-    return buf[pos:end], end + 1
+class ByteReader:
+    """A cursor over a byte buffer: the one place where the readers check bounds.
+
+    Every primitive advances ``pos`` and raises :class:`TruncationError`
+    rather than read past the end of ``buf``.
+    """
+
+    _TOKEN = re.compile(rb"\s*(\S+)")
+    _TOKEN_AFTER_COMMENTS = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
+
+    def __init__(self, buf: bytes, pos: int = 0) -> None:
+        self.buf = buf
+        self.pos = pos
+
+    @property
+    def remaining(self) -> int:
+        return len(self.buf) - self.pos
+
+    def _advance(self, n: int, what: str) -> int:
+        start = self.pos
+        if n > len(self.buf) - start:
+            raise TruncationError(
+                f"{what} needs {n} bytes at byte {start}, {len(self.buf) - start} available"
+            )
+        self.pos = start + n
+        return start
+
+    def take(self, n: int, what: str) -> bytes:
+        start = self._advance(n, what)
+        return self.buf[start : self.pos]
+
+    def unpack(self, fmt: str, what: str = "field") -> tuple:
+        return struct.unpack_from(fmt, self.buf, self._advance(struct.calcsize(fmt), what))
+
+    def array(self, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """A read-only view of the next ``prod(shape)`` items, without a copy."""
+        dtype = np.dtype(dtype)
+        count = math.prod(shape)
+        start = self._advance(count * dtype.itemsize, what)
+        return np.frombuffer(self.buf, dtype=dtype, count=count, offset=start).reshape(shape)
+
+    def line(self) -> bytes:
+        """The bytes up to the next newline, which is consumed but not returned."""
+        end = self.buf.find(b"\n", self.pos)
+        if end < 0:
+            raise TruncationError(f"unterminated header line at byte {self.pos}")
+        start, self.pos = self.pos, end + 1
+        return self.buf[start:end]
+
+    def token(self, comments: bool = False) -> bytes:
+        """The next whitespace-separated token; with ``comments``, skip ``#`` to end of line."""
+        m = (self._TOKEN_AFTER_COMMENTS if comments else self._TOKEN).match(self.buf, self.pos)
+        if m is None:
+            raise TruncationError(f"header token missing at byte {self.pos}")
+        self.pos = m.end()
+        return m.group(1)
+
+    def dims(self, width: int, height: int) -> tuple[int, int]:
+        if width < 1 or height < 1:
+            raise FormatError(f"image is {width}x{height}, both must be >= 1", offset=self.pos)
+        return width, height
 
 
 def decode_hdr(buf: bytes) -> RadianceMap:
@@ -96,61 +154,56 @@ def decode_hdr(buf: bytes) -> RadianceMap:
     Accepts flat and new-style RLE scanlines.  Pixel rule: exponent byte 0
     maps to black, otherwise channel = byte * 2^(e-128) / 256.
     """
-    line, pos = _read_line(buf, 0)
-    if not (line.startswith(b"#?RADIANCE") or line.startswith(b"#?RGBE")):
-        raise FormatError(f"bad magic {line[:10]!r}", offset=0)
+    r = ByteReader(buf)
+    magic = r.line()
+    if not magic.startswith((b"#?RADIANCE", b"#?RGBE")):
+        raise FormatError(f"bad magic {magic[:10]!r}", offset=0)
 
     format_ok = False
-    while True:
-        line_start = pos
-        line, pos = _read_line(buf, pos)
-        if line == b"":
-            break
-        if line.startswith(b"#"):
-            continue
+    while line := r.line():
         if line.startswith(b"FORMAT="):
             if line != b"FORMAT=32-bit_rle_rgbe":
-                raise FormatError(f"unsupported format {line!r}", offset=line_start)
+                raise FormatError(f"unsupported format {line!r}", offset=r.pos - len(line) - 1)
             format_ok = True
     if not format_ok:
-        raise FormatError("missing FORMAT=32-bit_rle_rgbe header line", offset=pos)
+        raise FormatError("missing FORMAT=32-bit_rle_rgbe header line", offset=r.pos)
 
-    line_start = pos
-    line, pos = _read_line(buf, pos)
+    line = r.line()
     m = _RESOLUTION_RE.match(line)
     if m is None:
-        raise FormatError(f"bad resolution line {line!r}", offset=line_start)
-    height, width = int(m.group(1)), int(m.group(2))
+        raise FormatError(f"bad resolution line {line!r}", offset=r.pos - len(line) - 1)
+    width, height = r.dims(int(m.group(2)), int(m.group(1)))
 
+    # Bound the allocation by the bytes left.  A flat scanline is 4 bytes per
+    # pixel; an RLE one (width < 32768) at least its 4-byte header plus one
+    # 2-byte run per 127 pixels, counted for its first component only so that
+    # a short file whose first component is corrupt still reports corruption.
+    line_min = 4 * width if width >= 0x8000 else min(4 * width, 4 + 2 * -(-width // 127))
+    if height * line_min > r.remaining:
+        raise TruncationError(
+            f"{height} scanlines of width {width} need at least {height * line_min} bytes, "
+            f"{r.remaining} available"
+        )
     rgbe = np.empty((height, width, 4), dtype=np.uint8)
-    for row in range(height):
-        pos = _decode_scanline(buf, pos, rgbe[row], width)
+    for row in rgbe:
+        _decode_scanline(r, row, width)
 
     return RadianceMap(width=width, height=height, data=_rgbe_to_float(rgbe))
 
 
-def _decode_scanline(buf: bytes, pos: int, out: np.ndarray, width: int) -> int:
-    if pos + 4 > len(buf):
-        raise TruncationError(f"scanline header truncated at byte {pos}")
-    b0, b1, b2, b3 = buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]
+def _decode_scanline(r: ByteReader, out: np.ndarray, width: int) -> None:
+    b0, b1, b2, b3 = r.take(4, "scanline header")
     if b0 == 2 and b1 == 2 and b2 & 0x80 == 0:
         declared = (b2 << 8) | b3
         if declared != width:
             raise CorruptionError(
                 f"RLE scanline declares width {declared}, expected {width}"
             )
-        pos += 4
         for c in range(4):
-            pos = _decode_rle_component(buf, pos, out[:, c], width)
-        return pos
-    # Flat scanline: width consecutive RGBE quadruples.
-    end = pos + width * 4
-    if end > len(buf):
-        raise TruncationError(f"flat scanline truncated at byte {pos}")
-    out[:] = np.frombuffer(buf, dtype=np.uint8, count=width * 4, offset=pos).reshape(
-        width, 4
-    )
-    return end
+            r.pos = _decode_rle_component(r.buf, r.pos, out[:, c], width)
+    else:  # flat scanline: the four bytes were its first RGBE quadruple
+        r.pos -= 4
+        out[:] = r.array(np.uint8, (width, 4), "flat scanline")
 
 
 def _decode_rle_component(buf: bytes, pos: int, out: np.ndarray, width: int) -> int:
@@ -220,47 +273,30 @@ def encode_hdr(m: RadianceMap) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(buf)
-    while pos < n and buf[pos : pos + 1].isspace():
-        pos += 1
-    start = pos
-    while pos < n and not buf[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise TruncationError(f"header token missing at byte {pos}")
-    return buf[start:pos], pos
-
-
 def read_pfm(buf: bytes) -> RadianceMap:
     """Read a PFM buffer.  Grayscale ``Pf`` is replicated to three channels.
 
     The scale line's sign selects endianness; its magnitude is ignored.
     """
-    magic, pos = _next_token(buf, 0)
+    r = ByteReader(buf)
+    magic = r.token()
     if magic not in (b"PF", b"Pf"):
         raise FormatError(f"bad PFM magic {magic!r}", offset=0)
     channels = 3 if magic == b"PF" else 1
-    wtok, pos = _next_token(buf, pos)
-    htok, pos = _next_token(buf, pos)
-    stok, pos = _next_token(buf, pos)
+    wtok, htok, stok = r.token(), r.token(), r.token()
     try:
         width, height, scale = int(wtok), int(htok), float(stok)
     except ValueError as e:
-        raise FormatError(f"bad PFM header field: {e}", offset=pos) from None
-    pos += 1  # single whitespace byte after the scale line
-    count = width * height * channels
-    dtype = np.dtype("<f4") if scale < 0 else np.dtype(">f4")
-    if pos + count * 4 > len(buf):
-        raise TruncationError(
-            f"PFM payload needs {count * 4} bytes, {len(buf) - pos} available"
-        )
-    data = np.frombuffer(buf, dtype=dtype, count=count, offset=pos)
-    data = data.astype(np.float32).reshape(height, width, channels)
-    data = data[::-1]  # rows are stored bottom-to-top
+        raise FormatError(f"bad PFM header field: {e}", offset=r.pos) from None
+    width, height = r.dims(width, height)
+    r.take(1, "PFM scale line")  # single whitespace byte after the scale line
+    data = r.array("<f4" if scale < 0 else ">f4", (height, width, channels), "PFM payload")
+    data = data.astype(np.float32)[::-1]  # rows are stored bottom-to-top
     if channels == 1:
         data = np.repeat(data, 3, axis=2)
-    return RadianceMap(width=width, height=height, data=np.ascontiguousarray(data))
+    m = RadianceMap(width=width, height=height, data=np.ascontiguousarray(data))
+    m.validate()
+    return m
 
 
 def write_pfm(m: RadianceMap) -> bytes:
@@ -275,53 +311,26 @@ def write_pfm(m: RadianceMap) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _next_ppm_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(buf)
-    while pos < n:
-        ch = buf[pos : pos + 1]
-        if ch == b"#":
-            nl = buf.find(b"\n", pos)
-            if nl < 0:
-                raise TruncationError(f"unterminated PPM comment at byte {pos}")
-            pos = nl + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not buf[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise TruncationError(f"PPM header token missing at byte {pos}")
-    return buf[start:pos], pos
-
-
 def read_ppm(buf: bytes) -> LdrImage:
     """Read a binary P6 PPM with maxval 255.  Exposure defaults to 1.0.
 
     Exposure metadata lives in a sidecar file, not in the PPM itself; use
     :func:`load_ldr` to read both together.
     """
-    magic, pos = _next_ppm_token(buf, 0)
+    r = ByteReader(buf)
+    magic = r.token(comments=True)
     if magic != b"P6":
         raise FormatError(f"bad PPM magic {magic!r}", offset=0)
-    wtok, pos = _next_ppm_token(buf, pos)
-    htok, pos = _next_ppm_token(buf, pos)
-    mtok, pos = _next_ppm_token(buf, pos)
+    wtok, htok, mtok = r.token(comments=True), r.token(comments=True), r.token(comments=True)
     try:
         width, height, maxval = int(wtok), int(htok), int(mtok)
     except ValueError as e:
-        raise FormatError(f"bad PPM header field: {e}", offset=pos) from None
+        raise FormatError(f"bad PPM header field: {e}", offset=r.pos) from None
+    width, height = r.dims(width, height)
     if maxval != 255:
         raise UnsupportedFormatError(f"PPM maxval {maxval} unsupported (need 255)")
-    pos += 1  # single whitespace byte after maxval
-    count = width * height * 3
-    if pos + count > len(buf):
-        raise TruncationError(
-            f"PPM payload needs {count} bytes, {len(buf) - pos} available"
-        )
-    data = np.frombuffer(buf, dtype=np.uint8, count=count, offset=pos)
-    data = data.reshape(height, width, 3).copy()
+    r.take(1, "PPM maxval line")  # single whitespace byte after maxval
+    data = r.array(np.uint8, (height, width, 3), "PPM payload").copy()
     return LdrImage(width=width, height=height, data=data, exposure=1.0)
 
 
@@ -357,8 +366,8 @@ def load_ldr(path: str | Path) -> LdrImage:
             img.exposure = float(sidecar.read_text().strip())
         except ValueError as e:
             raise ValidationError(f"bad exposure sidecar {sidecar}: {e}") from None
-        if img.exposure <= 0:
-            raise ValidationError(f"exposure in {sidecar} must be > 0")
+        if not 0 < img.exposure < math.inf:
+            raise ValidationError(f"exposure in {sidecar} must be finite and > 0")
     return img
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, TruncationError, ValidationError
+from .errors import CorruptionError, FormatError, ParameterError, TruncationError, ValidationError
+from .image_io import ByteReader
 
 LAYER_KINDS = ("conv3x3", "conv1x1", "output1x1")
 _KIND_CODE = {k: i for i, k in enumerate(LAYER_KINDS)}
@@ -55,6 +56,8 @@ class NetworkSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(self.layers))
+        if self.seed < 0:
+            raise ValidationError(f"network seed must be >= 0, got {self.seed}")
         if not self.layers:
             raise ValidationError("network needs at least one layer")
         for i, (a, b) in enumerate(zip(self.layers, self.layers[1:])):
@@ -565,49 +568,34 @@ def load_checkpoint(data: bytes, dtype=np.float32) -> tuple[Network, dict]:
     """Rebuild a network (and its metadata) from :func:`save_checkpoint` bytes."""
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic {data[:6]!r}", offset=0)
-    pos = len(CHECKPOINT_MAGIC)
-
-    def take(fmt: str):
-        nonlocal pos
-        size = struct.calcsize(fmt)
-        if pos + size > len(data):
-            raise TruncationError(f"checkpoint truncated at byte {pos}")
-        vals = struct.unpack_from(fmt, data, pos)
-        pos += size
-        return vals
-
-    (seed,) = take("<q")
-    (n_layers,) = take("<I")
+    r = ByteReader(data, len(CHECKPOINT_MAGIC))
+    seed, n_layers = r.unpack("<qI")
     layers = []
     for _ in range(n_layers):
-        kind, in_d, out_d, bn, p = take("<BIIBf")
-        layers.append(
-            LayerSpec(
-                kind=LAYER_KINDS[kind],
-                in_depth=in_d,
-                out_depth=out_d,
-                batchnorm=bool(bn),
-                dropout_p=float(p),
-            )
-        )
-    (meta_len,) = take("<I")
-    if pos + meta_len > len(data):
-        raise TruncationError(f"checkpoint metadata truncated at byte {pos}")
-    metadata = json.loads(data[pos : pos + meta_len].decode("utf-8"))
-    pos += meta_len
+        kind, in_d, out_d, bn, p = r.unpack("<BIIBf", "checkpoint layer")
+        if kind >= len(LAYER_KINDS):
+            raise FormatError(f"unknown layer kind code {kind}")
+        layers.append(LayerSpec(LAYER_KINDS[kind], in_d, out_d, bool(bn), p))
+    meta = r.take(*r.unpack("<I"), "checkpoint metadata")
+    try:
+        metadata = json.loads(meta.decode("utf-8"))
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep
+        metadata = None
+    if not isinstance(metadata, dict):
+        raise FormatError(f"checkpoint metadata {meta[:40]!r} is not a UTF-8 JSON object")
 
-    net = Network(NetworkSpec(layers=tuple(layers), seed=seed), dtype=dtype)
-    (n_tensors,) = take("<I")
+    spec = NetworkSpec(layers=tuple(layers), seed=seed)
+    if 4 * spec.parameter_count() > r.remaining:  # bound the allocation by the bytes left
+        raise TruncationError(
+            f"spec needs {4 * spec.parameter_count()} tensor bytes, {r.remaining} left"
+        )
+    (n_tensors,) = r.unpack("<I")
     arrays = []
     for _ in range(n_tensors):
-        (ndim,) = take("<B")
-        shape = take(f"<{ndim}I")
-        count = int(np.prod(shape))
-        size = count * 4
-        if pos + size > len(data):
-            raise TruncationError(f"checkpoint tensor truncated at byte {pos}")
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=pos).reshape(shape)
-        arrays.append(arr)
-        pos += size
+        (ndim,) = r.unpack("<B")
+        arrays.append(r.array("<f4", r.unpack(f"<{ndim}I"), "checkpoint tensor"))
+    if r.remaining:
+        raise CorruptionError(f"{r.remaining} trailing bytes after the checkpoint tensors")
+    net = Network(spec, dtype=dtype)
     net.load_tensors(arrays)
     return net, metadata

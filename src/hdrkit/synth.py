@@ -53,6 +53,8 @@ def synth_scenes(count: int, size: int, seed: int) -> list[RadianceMap]:
     """A deterministic list of scenes cycling through the scene kinds."""
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
+    if size < 1:
+        raise ParameterError(f"size must be >= 1, got {size}")
     rng = np.random.default_rng(seed)
     return [
         synth_scene(SCENE_KINDS[i % len(SCENE_KINDS)], size, size, rng)

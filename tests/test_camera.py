@@ -59,6 +59,25 @@ class TestLoadCrf:
         with pytest.raises(ValidationError):
             load_crf("0 0 0 0\n1 1 1 1\n")
 
+    @staticmethod
+    def crf_text_with(row, line):
+        rows = format_crf(gamma_crf(1.0)).splitlines()
+        rows[row] = line
+        return "\n".join(rows)
+
+    def test_non_numeric_field_names_line(self):
+        with pytest.raises(ValidationError, match="line 6"):
+            load_crf(self.crf_text_with(5, "5 0.1 abc 0.1"))
+
+    def test_nan_value_rejected(self):
+        with pytest.raises(ValidationError):
+            load_crf(self.crf_text_with(5, "5 nan nan nan"))
+
+    @pytest.mark.parametrize("index", ["7", "5.5"])
+    def test_bad_index_rejected(self, index):
+        with pytest.raises(ValidationError, match="row 5"):
+            load_crf(self.crf_text_with(5, f"{index} 0.02 0.02 0.02"))
+
 
 class TestInvertCrf:
     def test_identity(self):

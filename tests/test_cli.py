@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,19 @@ import numpy as np
 import pytest
 
 import hdrkit
+from hdrkit.camera import format_crf, gamma_crf
 from hdrkit.cli import run
-from hdrkit.image_io import load_ldr, load_radiance, read_ppm, save_radiance
-from hdrkit.pipeline import normalize_hdr
+from hdrkit.image_io import (
+    LdrImage,
+    load_ldr,
+    load_radiance,
+    read_ppm,
+    save_ldr,
+    save_radiance,
+    write_ppm,
+)
+from hdrkit.nn import LayerSpec, Network, NetworkSpec, save_checkpoint
+from hdrkit.pipeline import LDR2HDR_CHANNELS, TONEMAP_CHANNELS, normalize_hdr
 from hdrkit.synth import synth_scenes
 
 
@@ -318,3 +329,98 @@ def test_bad_number_is_one_error_line(tmp_path, capsys, case):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gradcheck", "--size", "-1"],
+        ["gradcheck", "--size", "0"],
+        ["synth", "--size", "-5"],
+        ["synth", "--size", "0"],
+    ],
+)
+def test_bad_size_is_one_error_line(tmp_path, argv):
+    if argv[0] == "synth":
+        argv = [*argv, "--out", str(tmp_path / "d")]
+    env = {**os.environ, "PYTHONPATH": str(Path(hdrkit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hdrkit.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:parameter:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def _checkpoint(meta=None) -> bytes:
+    return save_checkpoint(Network(NetworkSpec(layers=(LayerSpec("output1x1", 1, 1),))), meta)
+
+
+def _with_raw_metadata(raw: bytes) -> bytes:
+    """A checkpoint whose metadata field holds ``raw`` in place of ``{}``."""
+    empty = struct.pack("<I", 2) + b"{}"
+    return _checkpoint().replace(empty, struct.pack("<I", len(raw)) + raw)
+
+
+def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):
+    """Each damaged file ends in exit 1 and one ``error:<category>:`` line."""
+
+    def write(name, data) -> str:
+        path = tmp_path / name
+        path.write_bytes(data) if isinstance(data, bytes) else path.write_text(data)
+        return str(path)
+
+    def crf_with(line: str) -> str:
+        rows = format_crf(gamma_crf(2.2)).splitlines()
+        return write(f"crf{len(cases)}.txt", "\n".join(rows[:9] + [line] + rows[10:]))
+
+    def checkpoints(prefix: str, blob: bytes) -> str:
+        directory = tmp_path / f"ckpt{len(cases)}"
+        directory.mkdir()
+        for ch in TONEMAP_CHANNELS if prefix == "tonemap" else LDR2HDR_CHANNELS:
+            (directory / f"{prefix}_{ch}.ckpt").write_bytes(blob)
+        return str(directory)
+
+    stack = []
+    for k in range(5):
+        stack.append(str(tmp_path / f"shot{k}.ppm"))
+        save_ldr(stack[-1], LdrImage.from_array(np.full((4, 4, 3), 40 * k, np.uint8), 2.0**k))
+    merge = ["merge", "--inputs", *stack[1:]]
+    tmo = ["tmo", "--operator", "reinhard", "--input"]
+    hdr = b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n"
+    bad_kind = bytearray(_checkpoint())
+    bad_kind[6 + 8 + 4] = 9
+    write("nan.exposure", "nan\n")
+    cases = {}
+    cases["ppm-negative"] = [*merge, write("neg.ppm", b"P6\n-2 3\n255\n" + bytes(18))], "format"
+    cases["ppm-empty"] = [*merge, write("empty.ppm", b"P6\n0 0\n255\n")], "format"
+    cases["ppm-short"] = [*merge, write("short.ppm", b"P6\n4 4\n255\n" + bytes(9))], "truncated"
+    cases["sidecar-nan"] = [*merge, write("nan.ppm", Path(stack[0]).read_bytes())], "validation"
+    cases["crf-word"] = ["merge", "--inputs", *stack, "--crf", crf_with("9 0.1 x 0.1")], "validation"
+    cases["crf-nan"] = ["merge", "--inputs", *stack, "--crf", crf_with("9 nan nan nan")], "validation"
+    cases["crf-index"] = ["merge", "--inputs", *stack, "--crf", crf_with("9.5 0 0 0")], "validation"
+    cases["hdr-huge"] = [*tmo, write("huge.hdr", hdr + b"-Y 100000000 +X 100000000\n" + bytes(8))], "truncated"
+    cases["hdr-empty"] = [*tmo, write("empty.hdr", hdr + b"-Y 0 +X 0\n")], "format"
+    cases["pfm-negative"] = [*tmo, write("neg.pfm", b"PF\n-2 3\n-1.0\n" + bytes(72))], "format"
+    nan_payload = np.array([np.nan, -1, np.inf], "<f4").tobytes()
+    cases["pfm-nan"] = [*tmo, write("nan.pfm", b"PF\n1 1\n-1.0\n" + nan_payload)], "validation"
+    infer_tonemap = ["infer-tonemap", "--input", "unread.pfm", "--checkpoints"]
+    for name, blob, category in [
+        ("ckpt-kind", bytes(bad_kind), "format"),
+        ("ckpt-utf8", _with_raw_metadata(b"\xff"), "format"),
+        ("ckpt-list", _with_raw_metadata(b"[]"), "format"),
+        ("ckpt-trailing", _checkpoint() + b"\0\0", "corrupt"),
+        ("ckpt-patch", _checkpoint({"patch": "abc"}), "validation"),
+    ]:
+        cases[name] = [*infer_tonemap, checkpoints("tonemap", blob)], category
+    domain = checkpoints("ldr2hdr", _checkpoint({"target_domain": "exp"}))
+    cases["ckpt-domain"] = ["infer-ldr2hdr", "--inputs", *stack, "--checkpoints", domain], "validation"
+
+    capsys.readouterr()
+    for name, (argv, category) in cases.items():
+        code = run([*argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 1, (name, err)
+        assert len(errors) == 1 and errors[0].startswith(f"error:{category}:"), (name, err)
+        assert "Traceback" not in err, name

@@ -129,6 +129,23 @@ class TestRgbeErrors:
         with pytest.raises(CorruptionError):
             decode_hdr(rgbe_file(1, 4, [2, 2, 0, 9] + [132, 5] * 4))
 
+    def test_zero_size_rejected(self):
+        with pytest.raises(FormatError):
+            decode_hdr(rgbe_file(0, 0, []))
+
+    def test_huge_resolution_rejected_before_allocating(self):
+        # 10^16 pixels declared, 8 bytes present: must not reach numpy's allocator
+        with pytest.raises(TruncationError):
+            decode_hdr(rgbe_file(100_000_000, 100_000_000, [0] * 8))
+
+    def test_allocation_bound_admits_rle_files(self):
+        # 3 RLE rows of width 300: each needs >= 4 + 2 * ceil(300 / 127) = 10 bytes
+        width = 300
+        row = [2, 2, width >> 8, width & 0xFF] + [255, 1, 255, 1, 128 + 46, 1] * 4
+        assert decode_hdr(rgbe_file(3, width, row * 3)).height == 3
+        with pytest.raises(TruncationError):
+            decode_hdr(rgbe_file(4, width, row[:4] * 3 + [0] * 10))
+
 
 class TestPfm:
     def test_bitwise_round_trip(self, random_map):
@@ -167,6 +184,17 @@ class TestPfm:
         with pytest.raises(TruncationError):
             read_pfm(b"PF\n4 4\n-1.0\n" + bytes(8))
 
+    @pytest.mark.parametrize("dims", [b"-2 3", b"0 0", b"3 0"])
+    def test_non_positive_dims_rejected(self, dims):
+        with pytest.raises(FormatError):
+            read_pfm(b"PF\n" + dims + b"\n-1.0\n" + bytes(72))
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+    def test_invalid_samples_rejected(self, bad):
+        payload = np.array([0.5, bad, 0.25], "<f4").tobytes()
+        with pytest.raises(ValidationError):
+            read_pfm(b"PF\n1 1\n-1.0\n" + payload)
+
 
 class TestPpm:
     def test_round_trip_bitwise(self):
@@ -198,6 +226,15 @@ class TestPpm:
         with pytest.raises(TruncationError):
             read_ppm(b"P6\n4 4\n255\n" + bytes(5))
 
+    @pytest.mark.parametrize("dims", [b"-2 3", b"0 0", b"3 0"])
+    def test_non_positive_dims_rejected(self, dims):
+        with pytest.raises(FormatError):
+            read_ppm(b"P6\n" + dims + b"\n255\n" + bytes(18))
+
+    def test_unterminated_comment_is_truncation(self):
+        with pytest.raises(TruncationError):
+            read_ppm(b"P6\n# no newline")
+
 
 class TestSidecar:
     def test_save_load_with_exposure(self, tmp_path):
@@ -208,6 +245,14 @@ class TestSidecar:
         back = load_ldr(path)
         assert back.exposure == 512.0
         assert np.array_equal(back.data, img.data)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-2", "0"])
+    def test_bad_exposure_rejected(self, tmp_path, text):
+        path = tmp_path / "shot.ppm"
+        path.write_bytes(write_ppm(LdrImage.from_array(np.zeros((1, 1, 3), np.uint8))))
+        exposure_sidecar_path(path).write_text(text + "\n")
+        with pytest.raises(ValidationError):
+            load_ldr(path)
 
     def test_missing_sidecar_defaults_to_one(self, tmp_path):
         img = LdrImage.from_array(np.zeros((1, 1, 3), np.uint8), exposure=64.0)

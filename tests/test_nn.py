@@ -1,7 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
 
-from hdrkit.errors import FormatError, ParameterError, ValidationError
+from hdrkit.errors import (
+    CorruptionError,
+    FormatError,
+    ParameterError,
+    TruncationError,
+    ValidationError,
+)
 from hdrkit.nn import (
     BatchNorm,
     Conv,
@@ -332,7 +340,40 @@ class TestCheckpoint:
     def test_truncated(self):
         net = Network(single_layer_net())
         blob = save_checkpoint(net, None)
-        from hdrkit.errors import TruncationError
-
         with pytest.raises(TruncationError):
             load_checkpoint(blob[: len(blob) // 2])
+
+    @staticmethod
+    def with_metadata(meta: bytes) -> bytes:
+        blob = save_checkpoint(Network(single_layer_net()), None)
+        empty = struct.pack("<I", 2) + b"{}"
+        return blob.replace(empty, struct.pack("<I", len(meta)) + meta)
+
+    def test_unknown_layer_kind(self):
+        blob = bytearray(save_checkpoint(Network(single_layer_net()), None))
+        blob[6 + 8 + 4] = 9  # kind byte of the first layer, after magic, seed, count
+        with pytest.raises(FormatError, match="kind"):
+            load_checkpoint(bytes(blob))
+
+    @pytest.mark.parametrize("meta", [b"\xff", b"[]", b"{", b"[" * 100_000])
+    def test_metadata_must_be_json_object(self, meta):
+        with pytest.raises(FormatError, match="metadata"):
+            load_checkpoint(self.with_metadata(meta))
+
+    def test_trailing_bytes(self):
+        blob = save_checkpoint(Network(single_layer_net()), None)
+        with pytest.raises(CorruptionError):
+            load_checkpoint(blob + b"\0\0")
+
+    def test_oversized_spec_rejected_before_allocating(self):
+        # in_depth 2^30 would ask for a 4 GiB weight tensor; the file holds 16 bytes
+        blob = bytearray(save_checkpoint(Network(single_layer_net()), None))
+        blob[6 + 8 + 4 + 1 : 6 + 8 + 4 + 5] = struct.pack("<I", 1 << 30)
+        with pytest.raises(TruncationError):
+            load_checkpoint(bytes(blob))
+
+    def test_negative_seed_rejected(self):
+        blob = bytearray(save_checkpoint(Network(single_layer_net()), None))
+        blob[6:14] = struct.pack("<q", -1)
+        with pytest.raises(ValidationError, match="seed"):
+            load_checkpoint(bytes(blob))
