@@ -72,8 +72,8 @@ class LdrImage:
             if np.any(data < 0) or np.any(data > 255):
                 raise ValidationError("LDR samples outside [0, 255]")
             data = data.astype(np.uint8)
-        if exposure <= 0:
-            raise ValidationError(f"exposure must be > 0, got {exposure}")
+        if not 0 < exposure < math.inf:  # also false for NaN
+            raise ValidationError(f"exposure must be finite and > 0, got {exposure}")
         h, w = data.shape[:2]
         return cls(width=w, height=h, data=data, exposure=float(exposure))
 
@@ -301,6 +301,7 @@ def read_pfm(buf: bytes) -> RadianceMap:
 
 def write_pfm(m: RadianceMap) -> bytes:
     """Write a little-endian color PFM (scale -1.0), rows bottom-to-top."""
+    m.validate()
     header = f"PF\n{m.width} {m.height}\n-1.0\n"
     payload = m.data.astype("<f4")[::-1].tobytes()
     return header.encode("ascii") + payload

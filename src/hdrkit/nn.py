@@ -4,6 +4,10 @@ The engine knows exactly three layer kinds: 3x3 convolution (zero padding 1),
 1x1 convolution, and a bare 1x1 output convolution.  Hidden layers may carry
 spatial batch normalization (before ReLU) and inverted dropout (after ReLU).
 Everything runs in float32 for training or float64 for gradient checking.
+Convolutions are GEMMs on (N, C, H*W) views: a 3x3 layer gathers its nine
+shifted inputs into one column buffer first (im2col, as in Chellapilla, Puri
+& Simard 2006).  Batchnorm works on the same views, and a block applies its
+ReLU gate and dropout mask as one multiplier in each direction.
 """
 
 from __future__ import annotations
@@ -88,19 +92,22 @@ class NetworkSpec:
 
 
 class Conv:
-    """Cross-correlation with stride 1; 3x3 uses zero padding 1, 1x1 none."""
+    """Cross-correlation with stride 1; 3x3 uses zero padding 1, 1x1 none.
+
+    The 3x3 column buffer is (N, 9C, H*W); row c*9 + 3*di + dj matches
+    ``w.reshape(O, 9C)``, so both sizes are one ``matmul`` each way.
+    """
 
     def __init__(self, in_ch: int, out_ch: int, ksize: int, rng, dtype) -> None:
         if ksize not in (1, 3):
             raise ParameterError(f"kernel size must be 1 or 3, got {ksize}")
         self.ksize = ksize
-        self.pad = ksize // 2
         fan_in = in_ch * ksize * ksize
         self.w = rng.normal(0.0, math.sqrt(2.0 / fan_in), (out_ch, in_ch, ksize, ksize)).astype(dtype)
         self.b = np.zeros(out_ch, dtype=dtype)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._xp: np.ndarray | None = None
+        self._cols: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
@@ -108,37 +115,35 @@ class Conv:
             raise ValidationError(
                 f"conv expects {self.w.shape[1]} input channels, got {c}"
             )
-        k, p = self.ksize, self.pad
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        self._xp = xp
-        y = np.zeros((n, self.w.shape[0], h, w), dtype=x.dtype)
-        for di in range(k):
-            for dj in range(k):
-                y += np.einsum(
-                    "oi,nihw->nohw",
-                    self.w[:, :, di, dj],
-                    xp[:, :, di : di + h, dj : dj + w],
-                    optimize=True,
-                )
-        y += self.b[None, :, None, None]
-        return y
+        if self.ksize == 1:
+            cols = x.reshape(n, c, h * w)
+        else:
+            xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+            cols = np.empty((n, c, 9, h, w), dtype=x.dtype)
+            for k in range(9):
+                cols[:, :, k] = xp[:, :, k // 3 : k // 3 + h, k % 3 : k % 3 + w]
+            cols = cols.reshape(n, c * 9, h * w)
+        self._cols = cols
+        y = np.matmul(self.w.reshape(self.w.shape[0], -1), cols)
+        y += self.b[:, None]
+        return y.reshape(n, -1, h, w)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        xp = self._xp
-        if xp is None:
+        cols = self._cols
+        if cols is None:
             raise ValidationError("conv backward before forward")
         n, o, h, w = dy.shape
-        k, p = self.ksize, self.pad
-        self.db[...] = dy.sum(axis=(0, 2, 3))
-        dxp = np.zeros_like(xp)
-        for di in range(k):
-            for dj in range(k):
-                patch = xp[:, :, di : di + h, dj : dj + w]
-                self.dw[:, :, di, dj] = np.einsum("nohw,nihw->oi", dy, patch, optimize=True)
-                dxp[:, :, di : di + h, dj : dj + w] += np.einsum(
-                    "oi,nohw->nihw", self.w[:, :, di, dj], dy, optimize=True
-                )
-        return dxp[:, :, p : p + h, p : p + w] if p else dxp
+        dy = dy.reshape(n, o, h * w)
+        self.db[...] = dy.sum(axis=(0, 2))
+        self.dw.reshape(o, -1)[...] = np.matmul(dy, cols.transpose(0, 2, 1)).sum(axis=0)
+        dcols = np.matmul(self.w.reshape(o, -1).T, dy)
+        if self.ksize == 1:
+            return dcols.reshape(n, -1, h, w)
+        dcols = dcols.reshape(n, -1, 9, h, w)
+        dxp = np.zeros((n, dcols.shape[1], h + 2, w + 2), dtype=dy.dtype)
+        for k in range(9):
+            dxp[:, :, k // 3 : k // 3 + h, k % 3 : k % 3 + w] += dcols[:, :, k]
+        return dxp[:, :, 1 : h + 1, 1 : w + 1]
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
         return [("w", self.w), ("b", self.b)]
@@ -151,7 +156,10 @@ class Conv:
 
 
 class BatchNorm:
-    """Spatial batch normalization over (N, H, W) per channel."""
+    """Spatial batch normalization over (N, H, W) per channel.
+
+    The train-mode input gradient reuses ``dbeta`` and ``dgamma`` as its means.
+    """
 
     eps = 1e-5
     momentum = 0.1  # weight of the batch statistics in the running averages
@@ -166,39 +174,39 @@ class BatchNorm:
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        axes = (0, 2, 3)
+        shape = x.shape
+        x = x.reshape(shape[0], shape[1], -1)
         if train:
-            mu = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            istd = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mu[None, :, None, None]) * istd[None, :, None, None]
-            m = self.momentum
-            self.running_mean[...] = (1.0 - m) * self.running_mean + m * mu
-            self.running_var[...] = (1.0 - m) * self.running_var + m * var
+            m = x.shape[0] * x.shape[2]
+            mu = x.sum(axis=(0, 2)) / m
+            xc = x - mu[:, None]
+            var = np.vecdot(xc, xc).sum(axis=0) / m
+            mom = self.momentum
+            self.running_mean[...] = (1.0 - mom) * self.running_mean + mom * mu
+            self.running_var[...] = (1.0 - mom) * self.running_var + mom * var
         else:
-            istd = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean[None, :, None, None]) * istd[None, :, None, None]
-        self._cache = (xhat, istd, train)
-        return self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
+            xc = x - self.running_mean[:, None]
+            var = self.running_var
+        istd = 1.0 / np.sqrt(var + self.eps)
+        self._cache = (xc, istd, train)
+        y = xc * (self.gamma * istd)[:, None]
+        y += self.beta[:, None]
+        return y.reshape(shape)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise ValidationError("batchnorm backward before forward")
-        xhat, istd, train = self._cache
-        axes = (0, 2, 3)
-        self.dbeta[...] = dy.sum(axis=axes)
-        self.dgamma[...] = (dy * xhat).sum(axis=axes)
-        dxhat = dy * self.gamma[None, :, None, None]
-        if not train:
-            return dxhat * istd[None, :, None, None]
-        m = dy.shape[0] * dy.shape[2] * dy.shape[3]
-        mean_dxhat = dxhat.mean(axis=axes)
-        mean_dxhat_xhat = (dxhat * xhat).mean(axis=axes)
-        return istd[None, :, None, None] * (
-            dxhat
-            - mean_dxhat[None, :, None, None]
-            - xhat * mean_dxhat_xhat[None, :, None, None]
-        )
+        xc, istd, train = self._cache  # xhat = xc * istd
+        dy3 = dy.reshape(xc.shape)
+        self.dbeta[...] = dy3.sum(axis=(0, 2))
+        self.dgamma[...] = np.vecdot(dy3, xc).sum(axis=0) * istd
+        scale = self.gamma * istd
+        dx = dy3 * scale[:, None]
+        if train:
+            m = xc.shape[0] * xc.shape[2]
+            dx -= xc * (scale * istd * self.dgamma / m)[:, None]
+            dx -= (scale * self.dbeta / m)[:, None]
+        return dx.reshape(dy.shape)
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
         return [
@@ -215,39 +223,48 @@ class BatchNorm:
         return [self.dgamma, self.dbeta]
 
 
-def relu(x: np.ndarray, gate: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def relu(x: np.ndarray, gate=None, scale=None) -> tuple[np.ndarray, np.ndarray]:
     """``x * gate`` with ``gate = x > 0`` unless one is given; returns (y, gate).
 
     Passing the gate of an earlier pass keeps the network on the same linear
     piece (the frozen-gate gradient check).  Negative entries become -0.0,
     not the +0.0 that ``np.maximum(x, 0)`` would give.
+
+    A :func:`dropout_scale` is multiplied by the gate in place and applied
+    in the same multiply, bitwise ``relu`` then ``dropout``; it is then the
+    one backward multiplier for both.
     """
     if gate is None:
         gate = x > 0
-    return x * gate, gate
+    if scale is None:
+        return x * gate, gate
+    scale *= gate
+    return x * scale, gate
 
 
 def relu_backward(dy: np.ndarray, gate: np.ndarray) -> np.ndarray:
-    """Gradient passes only where the forward input was strictly positive."""
+    """Gradient passes where the forward input was strictly positive (times
+    the dropout scale, when ``gate`` is the fused multiplier of :func:`relu`)."""
     return dy * gate
 
 
-def dropout(x: np.ndarray, p: float, train: bool, rng=None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout: train-time masking with 1/(1-p) survivor scaling.
-
-    Returns (y, scale), where ``y = x * scale`` and ``scale`` is the keep
-    mask times 1/(1-p), which is also the backward multiplier; ``scale`` is
-    None when nothing is dropped (eval mode or p == 0).
-    """
+def dropout_scale(x: np.ndarray, p: float, train: bool, rng=None) -> np.ndarray | None:
+    """Keep mask times 1/(1-p) for ``x``; None when nothing is dropped."""
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout p must be in [0, 1), got {p}")
     if not train or p == 0.0:
-        return x, None
+        return None
     if rng is None:
         raise ParameterError("train-mode dropout needs an rng")
     keep = rng.random(x.shape) >= p
-    scale = keep.astype(x.dtype) * x.dtype.type(1.0 / (1.0 - p))
-    return x * scale, scale
+    return np.multiply(keep, x.dtype.type(1.0 / (1.0 - p)))
+
+
+def dropout(x: np.ndarray, p: float, train: bool, rng=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Inverted dropout: returns (x * scale, scale) with the :func:`dropout_scale`
+    multiplier, which is also the backward multiplier, or (x, None)."""
+    scale = dropout_scale(x, p, train, rng)
+    return (x, None) if scale is None else (x * scale, scale)
 
 
 class _Block:
@@ -261,7 +278,7 @@ class _Block:
         self.bn = BatchNorm(spec.out_depth, dtype) if spec.batchnorm else None
         self.is_output = spec.kind == "output1x1"
         self._gate: np.ndarray | None = None
-        self._drop_scale: np.ndarray | None = None
+        self._mult: np.ndarray | None = None
 
     def forward(self, x, train: bool, rng, bn_train: bool, apply_dropout: bool,
                 frozen_gates: bool = False):
@@ -272,15 +289,14 @@ class _Block:
             y = self.bn.forward(y, train=bn_train)
         if frozen_gates and self._gate is None:
             raise ValidationError("frozen-gate forward before a reference pass")
-        y, self._gate = relu(y, self._gate if frozen_gates else None)
-        y, self._drop_scale = dropout(y, self.spec.dropout_p, train and apply_dropout, rng)
+        scale = dropout_scale(y, self.spec.dropout_p, train and apply_dropout, rng)
+        y, self._gate = relu(y, self._gate if frozen_gates else None, scale)
+        self._mult = self._gate if scale is None else scale
         return y
 
     def backward(self, dy):
         if not self.is_output:
-            if self._drop_scale is not None:
-                dy = dy * self._drop_scale
-            dy = relu_backward(dy, self._gate)
+            dy = relu_backward(dy, self._mult)
             if self.bn is not None:
                 dy = self.bn.backward(dy)
         return self.conv.backward(dy)
@@ -591,9 +607,11 @@ def load_checkpoint(data: bytes, dtype=np.float32) -> tuple[Network, dict]:
         )
     (n_tensors,) = r.unpack("<I")
     arrays = []
-    for _ in range(n_tensors):
+    for i in range(n_tensors):
         (ndim,) = r.unpack("<B")
         arrays.append(r.array("<f4", r.unpack(f"<{ndim}I"), "checkpoint tensor"))
+        if not np.isfinite(arrays[-1]).all():
+            raise ValidationError(f"checkpoint tensor {i} {arrays[-1].shape} holds NaN or Inf")
     if r.remaining:
         raise CorruptionError(f"{r.remaining} trailing bytes after the checkpoint tensors")
     net = Network(spec, dtype=dtype)

@@ -411,6 +411,7 @@ def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):
         ("ckpt-list", _with_raw_metadata(b"[]"), "format"),
         ("ckpt-trailing", _checkpoint() + b"\0\0", "corrupt"),
         ("ckpt-patch", _checkpoint({"patch": "abc"}), "validation"),
+        ("ckpt-nan", _checkpoint()[:-4] + np.float32(np.nan).tobytes(), "validation"),
     ]:
         cases[name] = [*infer_tonemap, checkpoints("tonemap", blob)], category
     domain = checkpoints("ldr2hdr", _checkpoint({"target_domain": "exp"}))

@@ -18,6 +18,7 @@ from hdrkit.image_io import (
     read_pfm,
     read_ppm,
     save_ldr,
+    save_radiance,
     write_pfm,
     write_ppm,
 )
@@ -195,6 +196,14 @@ class TestPfm:
         with pytest.raises(ValidationError):
             read_pfm(b"PF\n1 1\n-1.0\n" + payload)
 
+    def test_invalid_map_not_written(self, tmp_path):
+        bad = RadianceMap(width=1, height=1, data=np.array([[[np.nan, -1.0, 1.0]]], np.float32))
+        with pytest.raises(ValidationError):
+            write_pfm(bad)
+        with pytest.raises(ValidationError):
+            save_radiance(tmp_path / "bad.pfm", bad)
+        assert not (tmp_path / "bad.pfm").exists()
+
 
 class TestPpm:
     def test_round_trip_bitwise(self):
@@ -253,6 +262,11 @@ class TestSidecar:
         exposure_sidecar_path(path).write_text(text + "\n")
         with pytest.raises(ValidationError):
             load_ldr(path)
+
+    @pytest.mark.parametrize("exposure", [np.nan, np.inf, -np.inf, -2.0, 0.0])
+    def test_bad_exposure_rejected_in_memory(self, exposure):
+        with pytest.raises(ValidationError):
+            LdrImage.from_array(np.zeros((1, 1, 3), np.uint8), exposure=exposure)
 
     def test_missing_sidecar_defaults_to_one(self, tmp_path):
         img = LdrImage.from_array(np.zeros((1, 1, 3), np.uint8), exposure=64.0)

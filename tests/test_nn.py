@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from nn_reference import EinsumConv, FourAxisBatchNorm
 
 from hdrkit.errors import (
     CorruptionError,
@@ -22,6 +23,7 @@ from hdrkit.nn import (
     mse_loss,
     relu,
     relu_backward,
+    _Block,
     save_checkpoint,
     sgd_step,
 )
@@ -188,6 +190,70 @@ class TestDropout:
     def test_needs_rng_in_train(self):
         with pytest.raises(ParameterError):
             dropout(np.ones(4), 0.5, train=True)
+
+
+def assert_close(actual, reference, rtol=1e-12):
+    """Max abs difference within ``rtol`` of the reference's largest value."""
+    assert actual.shape == reference.shape
+    assert np.abs(actual - reference).max() <= rtol * np.abs(reference).max()
+
+
+class TestMatchesEinsumReference:
+    """The GEMM engine against the einsum conv and 4-D batchnorm it replaced."""
+
+    @pytest.mark.parametrize("c,o,k", [(5, 60, 3), (1, 100, 3), (60, 40, 1), (100, 80, 1)])
+    def test_conv(self, c, o, k):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(3, c, 13, 7))
+        dy = rng.normal(size=(3, o, 13, 7))
+        conv = Conv(c, o, k, np.random.default_rng(0), np.float64)
+        ref = EinsumConv(c, o, k, np.random.default_rng(0), np.float64)
+        conv.b[...] = ref.b[...] = rng.normal(size=o)
+        assert_close(conv.forward(x), ref.forward(x))
+        assert_close(conv.backward(dy), ref.backward(dy))
+        assert_close(conv.dw, ref.dw)
+        assert_close(conv.db, ref.db)
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_batchnorm(self, train):
+        rng = np.random.default_rng(12)
+        x = rng.normal(2.0, 3.0, size=(3, 6, 13, 7))
+        dy = rng.normal(size=x.shape)
+        bn, ref = BatchNorm(6, np.float64), FourAxisBatchNorm(6, np.float64)
+        for layer in (bn, ref):
+            layer.gamma[...] = np.linspace(0.5, 2.0, 6)
+            layer.beta[...] = np.linspace(-1.0, 1.0, 6)
+            layer.running_mean[...] = np.linspace(-0.3, 0.4, 6)
+            layer.running_var[...] = np.linspace(0.8, 1.7, 6)
+        assert_close(bn.forward(x, train), ref.forward(x, train))
+        assert_close(bn.backward(dy), ref.backward(dy))
+        for name in ("dgamma", "dbeta", "running_mean", "running_var"):
+            assert_close(getattr(bn, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("batchnorm", [True, False])
+    def test_block_is_relu_then_dropout(self, batchnorm):
+        """One fused multiply per direction, bitwise the separate operations."""
+        spec = LayerSpec("conv3x3", 3, 8, batchnorm=batchnorm, dropout_p=0.4)
+        block = _Block(spec, 0, np.random.default_rng(1), np.float32)
+        ref = _Block(spec, 0, np.random.default_rng(1), np.float32)
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(2, 3, 9, 6)).astype(np.float32)
+        dy = rng.normal(size=(2, 8, 9, 6)).astype(np.float32)
+
+        y = block.forward(x, True, np.random.default_rng(5), True, True)
+        pre = ref.conv.forward(x)
+        if batchnorm:
+            pre = ref.bn.forward(pre, train=True)
+        y_ref, gate = relu(pre)
+        y_ref, scale = dropout(y_ref, 0.4, train=True, rng=np.random.default_rng(5))
+        assert y.tobytes() == y_ref.tobytes()
+
+        dx = block.backward(dy)
+        d = relu_backward(dy * scale, gate)
+        if batchnorm:
+            d = ref.bn.backward(d)
+        assert dx.tobytes() == ref.conv.backward(d).tobytes()
+        assert block.conv.dw.tobytes() == ref.conv.dw.tobytes()
 
 
 class TestMseLoss:
@@ -371,6 +437,13 @@ class TestCheckpoint:
         blob[6 + 8 + 4 + 1 : 6 + 8 + 4 + 5] = struct.pack("<I", 1 << 30)
         with pytest.raises(TruncationError):
             load_checkpoint(bytes(blob))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        net = Network(two_layer_net(batchnorm=True))
+        net.blocks[0].bn.running_var[2] = bad
+        with pytest.raises(ValidationError, match=r"tensor 5 \(4,\) holds NaN or Inf"):
+            load_checkpoint(save_checkpoint(net, None))
 
     def test_negative_seed_rejected(self):
         blob = bytearray(save_checkpoint(Network(single_layer_net()), None))

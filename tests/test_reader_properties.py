@@ -118,6 +118,7 @@ def test_load_checkpoint_valid_or_hdrkit_error(buf):
     except HdrkitError:
         return
     assert isinstance(net, Network) and isinstance(meta, dict)
+    assert all(np.isfinite(arr).all() for _, arr in net.tensors())
 
 
 def radiance(max_value: float):
