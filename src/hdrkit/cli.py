@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -75,7 +76,7 @@ def _resolve_crf(spec: str) -> Crf:
         except ValueError:
             raise ValidationError(f"CRF spec {spec!r}: gamma is not a number") from None
         return gamma_crf(gamma)
-    return load_crf(Path(spec).read_text(), name=Path(spec).name)
+    return load_crf(_read_text(Path(spec), "CRF file"), name=Path(spec).name)
 
 
 def _out_dir(args) -> Path:
@@ -84,10 +85,17 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _read_text(path: Path, what: str) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{what} {path} is not UTF-8 text: {e}") from None
+
+
 def _read_json_object(path: Path, what: str) -> dict:
     try:
-        loaded = json.loads(path.read_text())
-    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        loaded = json.loads(_read_text(path, what))
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, or nested too deep
         raise ValidationError(f"{what} {path} is not JSON: {e}") from None
     if not isinstance(loaded, dict):
         raise ValidationError(f"{what} must hold a JSON object")
@@ -313,6 +321,17 @@ def _cmd_tmqi(args) -> int:
     return 0
 
 
+def _is_path_text(value) -> bool:
+    """A str the OS can take as a path: no NUL byte, and encodable to bytes."""
+    if not isinstance(value, str) or "\0" in value:
+        return False
+    try:
+        os.fsencode(value)
+    except UnicodeEncodeError:  # a lone surrogate, which JSON allows
+        return False
+    return True
+
+
 def _read_manifest(path: str):
     manifest_path = Path(path)
     if manifest_path.is_dir():
@@ -321,14 +340,16 @@ def _read_manifest(path: str):
     entries = manifest.get("scenes")
     if not isinstance(entries, list) or not all(
         isinstance(e, dict)
-        and isinstance(e.get("file"), str)
+        and _is_path_text(e.get("file"))
         and isinstance(e.get("split", "train"), str)
         for e in entries
     ):
         raise ValidationError('manifest "scenes" must be a list of {"file", "split"} objects')
     crf_spec = manifest.get("crf", "gamma:2.2")
-    if not isinstance(crf_spec, str):
-        raise ValidationError(f'manifest "crf" must be a string, got {crf_spec!r}')
+    if not _is_path_text(crf_spec):
+        raise ValidationError(
+            f'manifest "crf" must be "gamma:<value>" or a file path, got {crf_spec!r}'
+        )
     base = manifest_path.parent
     scenes = {"train": [], "val": [], "test": []}
     for entry in entries:

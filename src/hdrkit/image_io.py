@@ -120,11 +120,18 @@ class ByteReader:
         return struct.unpack_from(fmt, self.buf, self._advance(struct.calcsize(fmt), what))
 
     def array(self, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
-        """A read-only view of the next ``prod(shape)`` items, without a copy."""
+        """A read-only view of the next ``prod(shape)`` items, without a copy.
+
+        A shape numpy cannot build (too many axes, or an empty shape whose
+        nonzero extents overflow) is a :class:`FormatError`.
+        """
         dtype = np.dtype(dtype)
         count = math.prod(shape)
         start = self._advance(count * dtype.itemsize, what)
-        return np.frombuffer(self.buf, dtype=dtype, count=count, offset=start).reshape(shape)
+        try:
+            return np.frombuffer(self.buf, dtype=dtype, count=count, offset=start).reshape(shape)
+        except ValueError:
+            raise FormatError(f"{what} shape {shape} cannot be built", offset=start) from None
 
     def line(self) -> bytes:
         """The bytes up to the next newline, which is consumed but not returned."""

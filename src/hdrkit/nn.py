@@ -60,8 +60,8 @@ class NetworkSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(self.layers))
-        if self.seed < 0:
-            raise ValidationError(f"network seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**63:  # checkpoints store it as an int64
+            raise ValidationError(f"network seed must be in [0, 2**63), got {self.seed}")
         if not self.layers:
             raise ValidationError("network needs at least one layer")
         for i, (a, b) in enumerate(zip(self.layers, self.layers[1:])):
@@ -422,8 +422,8 @@ def sgd_step(
 
     Returns the velocity buffers so callers can carry them across steps.
     """
-    if lr < 0:
-        raise ParameterError(f"learning rate must be >= 0, got {lr}")
+    if not 0 <= lr < math.inf:  # also false for NaN
+        raise ParameterError(f"learning rate must be finite and >= 0, got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ParameterError(f"momentum must be in [0, 1), got {momentum}")
     if velocity is None:
@@ -552,7 +552,15 @@ def grad_check(
 
 
 def save_checkpoint(net: Network, metadata: dict | None = None) -> bytes:
-    """Serialize spec, metadata, and all state tensors (float32 LE)."""
+    """Serialize spec, metadata, and all state tensors (float32 LE).
+
+    A tensor holding NaN or Inf (a diverged run) is refused, as
+    :func:`load_checkpoint` would refuse it.
+    """
+    tensors = net.tensors()
+    for i, (_, arr) in enumerate(tensors):
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"checkpoint tensor {i} {arr.shape} holds NaN or Inf")
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<q", net.spec.seed))
@@ -571,7 +579,6 @@ def save_checkpoint(net: Network, metadata: dict | None = None) -> bytes:
     meta = json.dumps(metadata or {}).encode("utf-8")
     buf.write(struct.pack("<I", len(meta)))
     buf.write(meta)
-    tensors = net.tensors()
     buf.write(struct.pack("<I", len(tensors)))
     for _, arr in tensors:
         buf.write(struct.pack("<B", arr.ndim))
@@ -605,15 +612,20 @@ def load_checkpoint(data: bytes, dtype=np.float32) -> tuple[Network, dict]:
         raise TruncationError(
             f"spec needs {4 * spec.parameter_count()} tensor bytes, {r.remaining} left"
         )
+    net = Network(spec, dtype=dtype)
+    own = net.tensors()
     (n_tensors,) = r.unpack("<I")
-    arrays = []
-    for i in range(n_tensors):
+    if n_tensors != len(own):
+        raise ValidationError(f"checkpoint holds {n_tensors} tensors, its spec has {len(own)}")
+    for i, (name, dst) in enumerate(own):
         (ndim,) = r.unpack("<B")
-        arrays.append(r.array("<f4", r.unpack(f"<{ndim}I"), "checkpoint tensor"))
-        if not np.isfinite(arrays[-1]).all():
-            raise ValidationError(f"checkpoint tensor {i} {arrays[-1].shape} holds NaN or Inf")
+        shape = r.unpack(f"<{ndim}I")
+        if shape != dst.shape:  # checked before the bytes are read
+            raise ValidationError(f"checkpoint tensor {i} ({name}): shape {shape} != {dst.shape}")
+        src = r.array("<f4", shape, "checkpoint tensor")
+        if not np.isfinite(src).all():
+            raise ValidationError(f"checkpoint tensor {i} {shape} holds NaN or Inf")
+        dst[...] = src
     if r.remaining:
         raise CorruptionError(f"{r.remaining} trailing bytes after the checkpoint tensors")
-    net = Network(spec, dtype=dtype)
-    net.load_tensors(arrays)
     return net, metadata

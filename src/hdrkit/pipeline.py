@@ -67,6 +67,8 @@ class TrainConfig:
     target_domain: str = "linear"  # or "log1p"
 
     def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patch < 8:

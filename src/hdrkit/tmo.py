@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .camera import Crf, ExposureStack, fixed_stack, gamma_crf
 from .errors import ParameterError, ValidationError
@@ -161,21 +160,62 @@ class TmqiScore:
 
 
 def _gaussian_window(size: int, sigma: float) -> np.ndarray:
+    """The normalised 1-D Gaussian; its outer product is the 2-D TMQI window."""
     half = (size - 1) / 2.0
     g = np.exp(-0.5 * ((np.arange(size) - half) / sigma) ** 2)
-    win = np.outer(g, g)
-    return win / win.sum()
+    return g / g.sum()
 
 
-def _filter_valid(img: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """2-D 'valid' correlation with a small separable-size window."""
-    k = window.shape[0]
+def _filter_valid(img: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """'Valid' correlation with the 2-D window ``outer(g, g)``: rows first, then columns."""
+    k = g.size
     h, w = img.shape
-    out = np.zeros((h - k + 1, w - k + 1), dtype=np.float64)
-    for di in range(k):
-        for dj in range(k):
-            out += window[di, dj] * img[di : di + h - k + 1, dj : dj + w - k + 1]
+    rows = g[0] * img[:, : w - k + 1]
+    for j in range(1, k):
+        rows += g[j] * img[:, j : j + w - k + 1]
+    out = g[0] * rows[: h - k + 1]
+    for i in range(1, k):
+        out += g[i] * rows[i : i + h - k + 1]
     return out
+
+
+# Cephes ndtr rational approximations, highest power first: erf(x) = x T(x^2)/U(x^2)
+# for |x| < 1, erfc(x) = exp(-x^2) P(x)/Q(x) for 1 <= x < 8 and exp(-x^2) R(x)/S(x)
+# beyond.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _ndtr(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF Phi(z) = erfc(-x)/2 with x = z/sqrt(2), elementwise.
+
+    The erf branch takes every |x| < 1, where the P/Q fit does not reach.
+    |x| is capped at 30, where exp(-x^2) is already 0, so +-inf map to 1 and 0.
+    """
+    x = np.asarray(z, dtype=np.float64) * math.sqrt(0.5)
+    a = np.minimum(np.abs(x), 30.0)
+    inner = a < 1.0
+    xi = np.where(inner, x, 0.0)
+    erf = xi * np.polyval(_ERF_T, xi * xi) / np.polyval(_ERF_U, xi * xi)
+    ratio = np.where(
+        a < 8.0,
+        np.polyval(_ERFC_P, a) / np.polyval(_ERFC_Q, a),
+        np.polyval(_ERFC_R, a) / np.polyval(_ERFC_S, a),
+    )
+    half_erfc = 0.5 * np.exp(-a * a) * ratio
+    return np.where(inner, 0.5 + 0.5 * erf, np.where(x > 0, 1.0 - half_erfc, half_erfc))
 
 
 def _rescale_255(plane: np.ndarray) -> np.ndarray:
@@ -200,13 +240,13 @@ def structural_fidelity(lum_hdr: np.ndarray, lum_tm: np.ndarray) -> float:
         raise ParameterError(f"images must be at least {k}x{k} for TMQI")
     x = _rescale_255(lum_hdr.astype(np.float64))
     y = _rescale_255(lum_tm.astype(np.float64))
-    window = _gaussian_window(k, c.window_sigma)
+    g = _gaussian_window(k, c.window_sigma)
 
-    mu_x = _filter_valid(x, window)
-    mu_y = _filter_valid(y, window)
-    sig_x = np.sqrt(np.maximum(_filter_valid(x * x, window) - mu_x * mu_x, 0.0))
-    sig_y = np.sqrt(np.maximum(_filter_valid(y * y, window) - mu_y * mu_y, 0.0))
-    sig_xy = _filter_valid(x * y, window) - mu_x * mu_y
+    mu_x = _filter_valid(x, g)
+    mu_y = _filter_valid(y, g)
+    sig_x = np.sqrt(np.maximum(_filter_valid(x * x, g) - mu_x * mu_x, 0.0))
+    sig_y = np.sqrt(np.maximum(_filter_valid(y * y, g) - mu_y * mu_y, 0.0))
+    sig_xy = _filter_valid(x * y, g) - mu_x * mu_y
 
     # Contrast sensitivity at the working spatial frequency; local stds are
     # mapped through a normal CDF centered on the modulation threshold.
@@ -214,8 +254,8 @@ def structural_fidelity(lum_hdr: np.ndarray, lum_tm: np.ndarray) -> float:
     csf = 100.0 * 2.6 * (0.0192 + 0.114 * sf) * math.exp(-((0.114 * sf) ** 1.1))
     thresh = 128.0 / (1.4 * csf)
     spread = thresh / 3.0
-    sig_x_p = ndtr((sig_x - thresh) / spread)
-    sig_y_p = ndtr((sig_y - thresh) / spread)
+    sig_x_p = _ndtr((sig_x - thresh) / spread)
+    sig_y_p = _ndtr((sig_y - thresh) / spread)
 
     c1, c2 = c.c1, c.c2
     s_map = ((2.0 * sig_x_p * sig_y_p + c1) / (sig_x_p**2 + sig_y_p**2 + c1)) * (

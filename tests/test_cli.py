@@ -23,6 +23,7 @@ from hdrkit.image_io import (
 from hdrkit.nn import LayerSpec, Network, NetworkSpec, save_checkpoint
 from hdrkit.pipeline import LDR2HDR_CHANNELS, TONEMAP_CHANNELS, normalize_hdr
 from hdrkit.synth import synth_scenes
+from test_reader_properties import VALID, edit
 
 
 def write_scene(tmp_path, name="scene.pfm", size=48, seed=11, normalized=True):
@@ -399,6 +400,8 @@ def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):
     cases["crf-word"] = ["merge", "--inputs", *stack, "--crf", crf_with("9 0.1 x 0.1")], "validation"
     cases["crf-nan"] = ["merge", "--inputs", *stack, "--crf", crf_with("9 nan nan nan")], "validation"
     cases["crf-index"] = ["merge", "--inputs", *stack, "--crf", crf_with("9.5 0 0 0")], "validation"
+    latin1 = write("latin1.txt", format_crf(gamma_crf(2.2)).encode() + b"# \xe9\n")
+    cases["crf-latin1"] = ["merge", "--inputs", *stack, "--crf", latin1], "validation"
     cases["hdr-huge"] = [*tmo, write("huge.hdr", hdr + b"-Y 100000000 +X 100000000\n" + bytes(8))], "truncated"
     cases["hdr-empty"] = [*tmo, write("empty.hdr", hdr + b"-Y 0 +X 0\n")], "format"
     cases["pfm-negative"] = [*tmo, write("neg.pfm", b"PF\n-2 3\n-1.0\n" + bytes(72))], "format"
@@ -412,6 +415,7 @@ def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):
         ("ckpt-trailing", _checkpoint() + b"\0\0", "corrupt"),
         ("ckpt-patch", _checkpoint({"patch": "abc"}), "validation"),
         ("ckpt-nan", _checkpoint()[:-4] + np.float32(np.nan).tobytes(), "validation"),
+        ("ckpt-shape", edit(VALID["ckpt"], 316, 6), "validation"),  # zero items, unbuildable shape
     ]:
         cases[name] = [*infer_tonemap, checkpoints("tonemap", blob)], category
     domain = checkpoints("ldr2hdr", _checkpoint({"target_domain": "exp"}))

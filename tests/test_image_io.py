@@ -9,6 +9,7 @@ from hdrkit.errors import (
     ValidationError,
 )
 from hdrkit.image_io import (
+    ByteReader,
     LdrImage,
     RadianceMap,
     decode_hdr,
@@ -273,3 +274,16 @@ class TestSidecar:
         path = tmp_path / "bare.ppm"
         path.write_bytes(write_ppm(img))
         assert load_ldr(path).exposure == 1.0
+
+
+class TestByteReader:
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (3, 1065353216, 1065353216, 1065353216, 769, 0),  # empty, but overflows numpy's size
+            (1,) * 100,  # more axes than numpy allows
+        ],
+    )
+    def test_unbuildable_shape_is_format_error(self, shape):
+        with pytest.raises(FormatError, match="cannot be built"):
+            ByteReader(bytes(8)).array("<f4", shape, "tensor")

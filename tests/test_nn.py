@@ -312,6 +312,11 @@ class TestSgd:
         with pytest.raises(ParameterError):
             sgd_step([np.zeros(1)], [np.zeros(1)], lr=0.1, momentum=1.0)
 
+    @pytest.mark.parametrize("lr", [-0.1, np.nan, np.inf])
+    def test_lr_must_be_finite_and_non_negative(self, lr):
+        with pytest.raises(ParameterError):
+            sgd_step([np.zeros(1)], [np.zeros(1)], lr=lr, momentum=0.0)
+
 
 class TestGradCheckHarness:
     def test_single_1x1_layer_passes(self):
@@ -444,6 +449,23 @@ class TestCheckpoint:
         net.blocks[0].bn.running_var[2] = bad
         with pytest.raises(ValidationError, match=r"tensor 5 \(4,\) holds NaN or Inf"):
             load_checkpoint(save_checkpoint(net, None))
+
+    def test_non_finite_bytes_rejected_on_load(self):
+        blob = save_checkpoint(Network(single_layer_net()), None)
+        with pytest.raises(ValidationError, match="holds NaN or Inf"):
+            load_checkpoint(blob[:-4] + np.float32(np.nan).tobytes())
+
+    def test_shape_must_match_spec(self):
+        blob = bytearray(save_checkpoint(Network(single_layer_net()), None))
+        # the last tensor is the (1,) bias: ndim byte, one extent, 4 data bytes
+        assert struct.unpack_from("<BI", blob, len(blob) - 9) == (1, 1)
+        blob[-8:-4] = struct.pack("<I", 0)
+        with pytest.raises(ValidationError, match=r"shape \(0,\) != \(1,\)"):
+            load_checkpoint(bytes(blob))
+
+    def test_seed_must_fit_int64(self):
+        with pytest.raises(ValidationError, match="seed"):
+            NetworkSpec(layers=single_layer_net().layers, seed=2**63)
 
     def test_negative_seed_rejected(self):
         blob = bytearray(save_checkpoint(Network(single_layer_net()), None))

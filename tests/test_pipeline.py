@@ -44,6 +44,8 @@ class TestTrainConfig:
             TrainConfig(patch=4)
         with pytest.raises(ValidationError):
             TrainConfig(workers=0)
+        with pytest.raises(ValidationError):
+            TrainConfig(epochs=0)
 
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ValidationError):

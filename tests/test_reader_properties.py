@@ -5,7 +5,7 @@ invariants or raises an ``HdrkitError``; each writer's output reads back.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -56,6 +56,10 @@ VALID = {
 MAGIC = {"hdr": b"#?RADIANCE\n", "pfm": b"PF\n", "ppm": b"P6\n", "ckpt": b"HDRNN1"}
 
 
+def edit(buf: bytes, at: int, value: int) -> bytes:
+    return buf[:at] + bytes([value]) + buf[at + 1 :]
+
+
 def damaged(kind: str):
     """Arbitrary bytes (bare or behind the magic), and one-byte edits or cuts of a valid file."""
     valid = VALID[kind]
@@ -63,7 +67,7 @@ def damaged(kind: str):
         st.binary(max_size=200),
         st.binary(max_size=200).map(lambda b: MAGIC[kind] + b),
         st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)).map(
-            lambda e: valid[: e[0]] + bytes([e[1]]) + valid[e[0] + 1 :]
+            lambda e: edit(valid, *e)
         ),
         st.integers(0, len(valid) - 1).map(lambda n: valid[:n]),
     )
@@ -112,6 +116,9 @@ def test_read_ppm_valid_or_hdrkit_error(buf):
 
 @BOUNDED
 @given(damaged("ckpt"))
+# a tensor header of shape (3, 1065353216, 1065353216, 1065353216, 769, 0):
+# zero items, so no bytes to read, but a shape numpy cannot build
+@example(edit(VALID["ckpt"], 316, 6))
 def test_load_checkpoint_valid_or_hdrkit_error(buf):
     try:
         net, meta = load_checkpoint(buf)

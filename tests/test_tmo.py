@@ -2,11 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import hdrkit
 import numpy as np
 import pytest
+from scipy.signal import convolve2d
 from scipy.stats import beta as beta_dist
 from scipy.stats import norm as norm_dist
 from hdrkit.camera import fixed_stack, gamma_crf
@@ -15,11 +17,17 @@ from hdrkit.image_io import LdrImage, RadianceMap
 from hdrkit.imgproc import luminance
 from hdrkit.pipeline import normalize_hdr
 from hdrkit.synth import synth_scenes
-from tmqi_reference import reference_tmqi
+from tmqi_reference import _slocal, _window, reference_tmqi
 
 from hdrkit.tmo import (
     DEFAULT_TMQI,
+    OPERATORS,
     ToneMap,
+    _filter_valid,
+    _gaussian_window,
+    _ndtr,
+    _rescale_255,
+    apply_operator,
     drago,
     mertens_fuse,
     mertens_weights,
@@ -198,11 +206,66 @@ class TestNaturalnessPriors:
         if not 0.0 < x_seen < 1.0:
             assert got == 0.0
 
-    def test_import_leaves_scipy_stats_out(self):
-        code = "import sys, hdrkit, hdrkit.cli; sys.exit('scipy.stats' in sys.modules)"
+
+class TestNumpyOnly:
+    """TMQI without scipy: the normal CDF and the separable window against scipy oracles."""
+
+    # the erf / P-Q switch at |z|/sqrt(2) = 1 and the P-Q / R-S switch at 8
+    BRANCHES = [s * b * math.sqrt(2.0) for b in (1.0, 8.0) for s in (1.0, -1.0)]
+
+    def test_ndtr_matches_math_erfc(self):
+        near = [np.nextafter(b, b + d * np.arange(1, 200)) for b in self.BRANCHES for d in (1, -1)]
+        z = np.concatenate([np.linspace(-10.0, 40.0, 100_001), self.BRANCHES, *near])
+        exact = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z])
+        assert np.abs(_ndtr(z) - exact).max() <= 1e-15
+
+    def test_ndtr_keeps_shape_and_limits(self):
+        z = np.array([[-np.inf, 0.0], [np.inf, -40.0]])
+        assert np.array_equal(_ndtr(z), [[0.0, 0.5], [1.0, 0.0]])
+
+    def test_separable_window_matches_2d_convolution(self, rng):
+        img = 255.0 * rng.random((37, 29))
+        expected = convolve2d(img, _window(), mode="valid")
+        got = _filter_valid(img, _gaussian_window(11, 1.5))
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("operator", OPERATORS)
+    def test_structural_fidelity_matches_scipy_single_scale(self, operator):
+        norm, _ = normalize_hdr(synth_scenes(3, 198, seed=1)[1])  # the shared pair's scene
+        lum_hdr = luminance(norm.data).astype(np.float64)
+        lum_tm = luminance(apply_operator(norm, operator).data).astype(np.float64) * 255.0
+        expected = _slocal(_rescale_255(lum_hdr), _rescale_255(lum_tm), _window(), 16.0)
+        assert abs(structural_fidelity(lum_hdr, lum_tm) - expected) <= 1e-8
+
+    def test_import_leaves_scipy_out(self):
+        code = (
+            "import sys, hdrkit, hdrkit.cli; "
+            "sys.exit(any(m.partition('.')[0] == 'scipy' for m in sys.modules))"
+        )
         env = {**os.environ, "PYTHONPATH": str(Path(hdrkit.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
         assert proc.returncode == 0
+
+    def test_cli_runs_with_scipy_blocked(self, tmp_path):
+        code = textwrap.dedent(
+            f"""
+            import glob, sys
+            sys.modules["scipy"] = None  # every `import scipy...` now raises ImportError
+            from hdrkit.cli import run
+            d = {str(tmp_path)!r}
+            codes = [run(["synth", "--out", d + "/data", "--count", "1", "--size", "24"])]
+            codes.append(run(["select-tmo", "--inputs", d + "/data/scene_000.pfm", "--out", d + "/best"]))
+            (best,) = glob.glob(d + "/best/*_best_*.ppm")
+            codes.append(run(["tmqi", "--hdr", d + "/data/scene_000.pfm", "--tm", best]))
+            sys.exit(max(codes))
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(hdrkit.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSelectBest:
