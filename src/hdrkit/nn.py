@@ -6,8 +6,13 @@ spatial batch normalization (before ReLU) and inverted dropout (after ReLU).
 Everything runs in float32 for training or float64 for gradient checking.
 Convolutions are GEMMs on (N, C, H*W) views: a 3x3 layer gathers its nine
 shifted inputs into one column buffer first (im2col, as in Chellapilla, Puri
-& Simard 2006).  Batchnorm works on the same views, and a block applies its
-ReLU gate and dropout mask as one multiplier in each direction.
+& Simard 2006).  Batchnorm works on the same views and centres the conv
+output in place.  A block caches one bool mask, dropout keep AND ReLU gate,
+and applies it with the 1/(1-p) factor in each direction.  The first layer
+skips its input gradient, which no caller reads.
+
+Nothing here is shared between networks, so replicas of one network can
+run forward and backward on separate threads.
 """
 
 from __future__ import annotations
@@ -96,7 +101,12 @@ class Conv:
 
     The 3x3 column buffer is (N, 9C, H*W); row c*9 + 3*di + dj matches
     ``w.reshape(O, 9C)``, so both sizes are one ``matmul`` each way.
+
+    With ``input_grad`` false, backward fills dW and db only and returns
+    None; a :class:`Network` sets that on its first layer.
     """
+
+    input_grad = True
 
     def __init__(self, in_ch: int, out_ch: int, ksize: int, rng, dtype) -> None:
         if ksize not in (1, 3):
@@ -128,7 +138,7 @@ class Conv:
         y += self.b[:, None]
         return y.reshape(n, -1, h, w)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray) -> np.ndarray | None:
         cols = self._cols
         if cols is None:
             raise ValidationError("conv backward before forward")
@@ -136,6 +146,9 @@ class Conv:
         dy = dy.reshape(n, o, h * w)
         self.db[...] = dy.sum(axis=(0, 2))
         self.dw.reshape(o, -1)[...] = np.matmul(dy, cols.transpose(0, 2, 1)).sum(axis=0)
+        self._cols = None  # spent; for 1x1 this frees the layer below's output
+        if not self.input_grad:
+            return None
         dcols = np.matmul(self.w.reshape(o, -1).T, dy)
         if self.ksize == 1:
             return dcols.reshape(n, -1, h, w)
@@ -173,19 +186,20 @@ class BatchNorm:
         self.dbeta = np.zeros_like(self.beta)
         self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, inplace: bool = False) -> np.ndarray:
+        """Normalize x; ``inplace`` lets it centre x itself (the caller's
+        conv output), which then is the cached ``xc``."""
         shape = x.shape
         x = x.reshape(shape[0], shape[1], -1)
+        m = x.shape[0] * x.shape[2]
+        mu = x.sum(axis=(0, 2)) / m if train else self.running_mean
+        xc = np.subtract(x, mu[:, None], out=x if inplace else None)
         if train:
-            m = x.shape[0] * x.shape[2]
-            mu = x.sum(axis=(0, 2)) / m
-            xc = x - mu[:, None]
             var = np.vecdot(xc, xc).sum(axis=0) / m
             mom = self.momentum
             self.running_mean[...] = (1.0 - mom) * self.running_mean + mom * mu
             self.running_var[...] = (1.0 - mom) * self.running_var + mom * var
         else:
-            xc = x - self.running_mean[:, None]
             var = self.running_var
         istd = 1.0 / np.sqrt(var + self.eps)
         self._cache = (xc, istd, train)
@@ -193,18 +207,22 @@ class BatchNorm:
         y += self.beta[:, None]
         return y.reshape(shape)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, inplace: bool = False) -> np.ndarray:
+        """Input gradient; ``inplace`` lets it overwrite dy.  Backward spends
+        the forward cache, and its ``xc`` holds the mean-correction term."""
         if self._cache is None:
             raise ValidationError("batchnorm backward before forward")
         xc, istd, train = self._cache  # xhat = xc * istd
+        self._cache = None
         dy3 = dy.reshape(xc.shape)
         self.dbeta[...] = dy3.sum(axis=(0, 2))
         self.dgamma[...] = np.vecdot(dy3, xc).sum(axis=0) * istd
         scale = self.gamma * istd
-        dx = dy3 * scale[:, None]
+        dx = np.multiply(dy3, scale[:, None], out=dy3 if inplace else None)
         if train:
             m = xc.shape[0] * xc.shape[2]
-            dx -= xc * (scale * istd * self.dgamma / m)[:, None]
+            xc *= (scale * istd * self.dgamma / m)[:, None]
+            dx -= xc
             dx -= (scale * self.dbeta / m)[:, None]
         return dx.reshape(dy.shape)
 
@@ -223,52 +241,65 @@ class BatchNorm:
         return [self.dgamma, self.dbeta]
 
 
-def relu(x: np.ndarray, gate=None, scale=None) -> tuple[np.ndarray, np.ndarray]:
+def relu(x: np.ndarray, gate=None) -> tuple[np.ndarray, np.ndarray]:
     """``x * gate`` with ``gate = x > 0`` unless one is given; returns (y, gate).
 
     Passing the gate of an earlier pass keeps the network on the same linear
     piece (the frozen-gate gradient check).  Negative entries become -0.0,
     not the +0.0 that ``np.maximum(x, 0)`` would give.
-
-    A :func:`dropout_scale` is multiplied by the gate in place and applied
-    in the same multiply, bitwise ``relu`` then ``dropout``; it is then the
-    one backward multiplier for both.
     """
     if gate is None:
         gate = x > 0
-    if scale is None:
-        return x * gate, gate
-    scale *= gate
-    return x * scale, gate
+    return x * gate, gate
 
 
 def relu_backward(dy: np.ndarray, gate: np.ndarray) -> np.ndarray:
-    """Gradient passes where the forward input was strictly positive (times
-    the dropout scale, when ``gate`` is the fused multiplier of :func:`relu`)."""
+    """Gradient passes where the forward input was strictly positive."""
     return dy * gate
 
 
-def dropout_scale(x: np.ndarray, p: float, train: bool, rng=None) -> np.ndarray | None:
-    """Keep mask times 1/(1-p) for ``x``; None when nothing is dropped."""
-    if not 0.0 <= p < 1.0:
-        raise ParameterError(f"dropout p must be in [0, 1), got {p}")
-    if not train or p == 0.0:
-        return None
-    if rng is None:
-        raise ParameterError("train-mode dropout needs an rng")
-    keep = rng.random(x.shape) >= p
-    return np.multiply(keep, x.dtype.type(1.0 / (1.0 - p)))
+_DRAW_CHUNK = 1 << 16  # doubles per draw: 512 KiB, which stays in cache
+
+
+def keep_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Bitwise ``rng.random(shape) >= p``, leaving ``rng`` in the same state.
+
+    The uniform doubles are drawn in chunks of the same stream straight
+    into a bool array, so no f64 array of the full shape is made.
+    """
+    keep = np.empty(shape, dtype=bool)
+    flat = keep.reshape(-1)
+    draws = np.empty(min(flat.size, _DRAW_CHUNK))
+    for start in range(0, flat.size, _DRAW_CHUNK):
+        part = draws[: min(_DRAW_CHUNK, flat.size - start)]
+        rng.random(out=part)
+        np.greater_equal(part, p, out=flat[start : start + part.size])
+    return keep
 
 
 def dropout(x: np.ndarray, p: float, train: bool, rng=None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout: returns (x * scale, scale) with the :func:`dropout_scale`
-    multiplier, which is also the backward multiplier, or (x, None)."""
-    scale = dropout_scale(x, p, train, rng)
-    return (x, None) if scale is None else (x * scale, scale)
+    """Inverted dropout: returns (x * scale, scale), where scale is the
+    :func:`keep_mask` times 1/(1-p) and also the backward multiplier, or
+    (x, None) when nothing is dropped."""
+    if not 0.0 <= p < 1.0:
+        raise ParameterError(f"dropout p must be in [0, 1), got {p}")
+    if not train or p == 0.0:
+        return x, None
+    if rng is None:
+        raise ParameterError("train-mode dropout needs an rng")
+    scale = np.multiply(keep_mask(x.shape, p, rng), x.dtype.type(1.0 / (1.0 - p)))
+    return x * scale, scale
 
 
 class _Block:
-    """conv -> [batchnorm] -> relu -> [dropout]; the output block is conv only."""
+    """conv -> [batchnorm] -> relu -> [dropout]; the output block is conv only.
+
+    Forward caches one bool mask: the ReLU gate ``y > 0``, AND the dropout
+    keep mask when dropout runs, in which case ``_scale`` holds 1/(1-p).
+    ``y *= mask; y *= scale`` and, backward, ``dy * mask`` then ``*= scale``
+    are bitwise :func:`relu` followed by :func:`dropout`.  A frozen-gate
+    pass reuses the mask of a dropout-free pass as its gate.
+    """
 
     def __init__(self, spec: LayerSpec, index: int, rng, dtype) -> None:
         self.spec = spec
@@ -277,8 +308,8 @@ class _Block:
         self.conv = Conv(spec.in_depth, spec.out_depth, ksize, rng, dtype)
         self.bn = BatchNorm(spec.out_depth, dtype) if spec.batchnorm else None
         self.is_output = spec.kind == "output1x1"
-        self._gate: np.ndarray | None = None
-        self._mult: np.ndarray | None = None
+        self._mask: np.ndarray | None = None
+        self._scale = None
 
     def forward(self, x, train: bool, rng, bn_train: bool, apply_dropout: bool,
                 frozen_gates: bool = False):
@@ -286,19 +317,35 @@ class _Block:
         if self.is_output:
             return y
         if self.bn is not None:
-            y = self.bn.forward(y, train=bn_train)
-        if frozen_gates and self._gate is None:
-            raise ValidationError("frozen-gate forward before a reference pass")
-        scale = dropout_scale(y, self.spec.dropout_p, train and apply_dropout, rng)
-        y, self._gate = relu(y, self._gate if frozen_gates else None, scale)
-        self._mult = self._gate if scale is None else scale
+            y = self.bn.forward(y, train=bn_train, inplace=True)
+        if frozen_gates:
+            if self._mask is None or self._scale is not None:
+                raise ValidationError("frozen-gate forward before a dropout-free reference pass")
+            mask = self._mask
+        else:
+            mask = y > 0
+        p = self.spec.dropout_p
+        self._scale = None
+        if train and apply_dropout and p > 0.0:
+            if rng is None:
+                raise ParameterError("train-mode dropout needs an rng")
+            keep = keep_mask(y.shape, p, rng)
+            keep &= mask
+            mask = keep
+            self._scale = y.dtype.type(1.0 / (1.0 - p))
+        self._mask = mask
+        y *= mask
+        if self._scale is not None:
+            y *= self._scale
         return y
 
     def backward(self, dy):
         if not self.is_output:
-            dy = relu_backward(dy, self._mult)
+            dy = dy * self._mask
+            if self._scale is not None:
+                dy *= self._scale
             if self.bn is not None:
-                dy = self.bn.backward(dy)
+                dy = self.bn.backward(dy, inplace=True)
         return self.conv.backward(dy)
 
     def modules(self):
@@ -317,6 +364,7 @@ class Network:
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(spec.seed)
         self.blocks = [_Block(ls, i, rng, self.dtype) for i, ls in enumerate(spec.layers)]
+        self.blocks[0].conv.input_grad = False
 
     @property
     def in_depth(self) -> int:
@@ -341,10 +389,13 @@ class Network:
             x = block.forward(x, train, rng, bn_train, apply_dropout, frozen_gates)
         return x
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray) -> None:
+        """Fill every parameter gradient from the loss gradient ``dy``.
+
+        The gradient of the network input is not computed: no caller needs it.
+        """
         for block in reversed(self.blocks):
             dy = block.backward(dy)
-        return dy
 
     def params(self) -> list[np.ndarray]:
         return [p for blk in self.blocks for mod in blk.modules() for p in mod.params()]

@@ -12,15 +12,21 @@ Training regresses 64x64 patches with mini-batch SGD along a single path:
 per epoch, and ``train_epoch`` sends every mini-batch through
 ``ParallelTrainer.step``, the only SGD step.  That data-parallel step keeps
 identical parameter replicas on ``cfg.workers`` workers, computes shard
-gradients independently, sums them in ascending worker order scaled to the
-whole-batch mean, updates worker 0, and broadcasts the result; with one
-worker it is the plain serial step.
+gradients concurrently on a thread pool, sums them in ascending worker
+order scaled to the whole-batch mean, updates worker 0, and broadcasts the
+result; with one worker it is the plain serial step.  While the shards run,
+OpenBLAS gets an equal share of its threads per shard.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +73,12 @@ class TrainConfig:
     target_domain: str = "linear"  # or "log1p"
 
     def __post_init__(self) -> None:
+        if self.dtype not in ("f32", "f64"):
+            raise ValidationError(f"dtype must be f32 or f64, got {self.dtype!r}")
+        with np.errstate(over="ignore"):
+            lr = self.numpy_dtype()(self.lr)
+        if not 0 <= lr < math.inf:  # also false for NaN
+            raise ValidationError(f"lr must be >= 0 and finite in {self.dtype}, got {self.lr}")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -75,8 +87,6 @@ class TrainConfig:
             raise ValidationError(f"patch must be >= 8, got {self.patch}")
         if self.workers < 1:
             raise ValidationError(f"workers must be >= 1, got {self.workers}")
-        if self.dtype not in ("f32", "f64"):
-            raise ValidationError(f"dtype must be f32 or f64, got {self.dtype!r}")
         if self.target_domain not in ("linear", "log1p"):
             raise ValidationError(f"target_domain must be linear or log1p, got {self.target_domain!r}")
 
@@ -398,11 +408,62 @@ def _as_arrays(samples, dtype) -> tuple[np.ndarray, np.ndarray]:
     return x.astype(dtype, copy=False), y.astype(dtype, copy=False)
 
 
-def _diverged(net: Network, x: np.ndarray) -> ValidationError:
+def _diverged(net: Network, x: np.ndarray, what: str = "loss") -> ValidationError:
     stats = net.activation_stats(x)
     return ValidationError(
-        "training diverged (non-finite loss); activation stats: " + json.dumps(stats)
+        f"training diverged (non-finite {what}); activation stats: " + json.dumps(stats)
     )
+
+
+@functools.cache
+def _blas_thread_control():
+    """OpenBLAS's (get, set) thread-count functions, or None if not found.
+
+    ``dlsym`` on numpy's core extension also searches the BLAS it links, so
+    the functions are found by name; the names below cover the symbol
+    suffixes of the numpy wheels' scipy-openblas and of a plain OpenBLAS.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                           ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def _blas_threads_shared(pool: int):
+    """Give each of ``pool`` concurrent callers ``default // pool`` (at least
+    one) of BLAS's threads, and restore the default on exit.
+
+    The count is process-wide, so two trainers stepping at the same time on
+    different threads would race on it; hdrkit steps one trainer at a time.
+    """
+    control = _blas_thread_control()
+    if control is None:
+        yield
+        return
+    get, put = control
+    default = get()
+    put(max(1, default // pool))
+    try:
+        yield
+    finally:
+        put(default)
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def train_epoch(
@@ -454,9 +515,16 @@ class ParallelTrainer:
     """Deterministic in-process data parallelism over K parameter replicas.
 
     Contract per step: replicas start identical; each computes gradients on
-    its shard independently (per-shard BN statistics); worker 0 sums the
-    shard gradients in ascending worker order, scaled to the whole-batch
-    mean; worker 0 applies the SGD update; the new state is broadcast.
+    its shard independently (per-shard BN statistics and its own
+    :func:`dropout_stream`); worker 0 sums the shard gradients in ascending
+    worker order, scaled to the whole-batch mean; worker 0 applies the SGD
+    update; the new state is broadcast.
+
+    The non-empty shards run on a pool of ``min(shards, CPUs)`` threads,
+    with BLAS capped to its default thread count divided by the pool size.
+    Losses, the divergence check and the gradient sum wait for every shard
+    and go in worker order, so the result is bitwise that of running the
+    shards one after another.
     """
 
     def __init__(self, net: Network, workers: int, cfg: TrainConfig) -> None:
@@ -487,20 +555,34 @@ class ParallelTrainer:
         n = x.shape[0]
         if n < 1:
             raise ParameterError("need at least one sample in the batch")
-        loss_total = 0.0
-        agg: list[np.ndarray] | None = None
-        for w, (worker, sl) in enumerate(zip(self.workers, self.shard_slices(n))):
-            if sl.start >= sl.stop:
-                continue  # surplus worker idles when K > batch size
-            xb, yb = x[sl], y[sl]
+        # A surplus worker idles when K > batch size.
+        shards = [
+            (w, worker, sl)
+            for w, (worker, sl) in enumerate(zip(self.workers, self.shard_slices(n)))
+            if sl.start < sl.stop
+        ]
+
+        def run(shard) -> float:
+            w, worker, sl = shard
             rng = dropout_stream(self.cfg.seed, self.step_index, w)
             pred = worker.forward(
-                xb, train=True, rng=rng, bn_train=bn_train, apply_dropout=apply_dropout
+                x[sl], train=True, rng=rng, bn_train=bn_train, apply_dropout=apply_dropout
             )
-            loss, dpred = mse_loss(pred, yb)
+            loss, dpred = mse_loss(pred, y[sl])
+            if math.isfinite(loss):
+                worker.backward(dpred)
+            return loss
+
+        threads = min(len(shards), _cpu_count())
+        with _blas_threads_shared(threads), ThreadPoolExecutor(threads) as pool:
+            futures = [pool.submit(run, shard) for shard in shards]
+        losses = [f.result() for f in futures]
+
+        loss_total = 0.0
+        agg: list[np.ndarray] | None = None
+        for (_, worker, sl), loss in zip(shards, losses):
             if not math.isfinite(loss):
-                raise _diverged(worker, xb)
-            worker.backward(dpred)
+                raise _diverged(worker, x[sl])
             factor = (sl.stop - sl.start) / n
             if agg is None:
                 agg = [factor * g for g in worker.grads()]
@@ -524,6 +606,8 @@ class ParallelTrainer:
         self.velocity = sgd_step(
             self.master.params(), grads, self.cfg.lr, self.cfg.momentum, self.velocity
         )
+        if not all(np.isfinite(p).all() for p in self.master.params()):
+            raise _diverged(self.master, x, "weights")
         for replica in self.replicas:
             replica.copy_state_from(self.master)
         self.step_index += 1

@@ -275,6 +275,22 @@ class TestConfigPrecedence:
             curves.append((out / "curve_ldr2hdr_R.csv").read_text())
         assert curves[0] == curves[1]
 
+    def test_lr_overflowing_its_dtype_is_one_error_line(self, tmp_path):
+        """1e300 is inf in f32: refused up front, with no warnings and no checkpoint."""
+        data, out = tmp_path / "data", tmp_path / "o"
+        run(["synth", "--out", str(data), "--count", "1", "--size", "16", "--seed", "2"])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr": 1e300, "batch_size": 4}))
+        env = {**os.environ, "PYTHONPATH": str(Path(hdrkit.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hdrkit.cli", "train-ldr2hdr", "--manifest", str(data),
+             "--out", str(out), "--config", str(cfg), "--epochs", "1", "--patch", "16"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+        assert not list(tmp_path.rglob("*.ckpt"))
+
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nonsense": 1}))

@@ -19,6 +19,7 @@ from hdrkit.nn import (
     NetworkSpec,
     dropout,
     grad_check,
+    keep_mask,
     load_checkpoint,
     mse_loss,
     relu,
@@ -191,6 +192,21 @@ class TestDropout:
         with pytest.raises(ParameterError):
             dropout(np.ones(4), 0.5, train=True)
 
+    @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 3 * 65536 + 5])
+    def test_keep_mask_is_the_full_draw(self, size):
+        """Chunked draws give bitwise the one-array mask and rng state."""
+        chunked, whole = np.random.default_rng(21), np.random.default_rng(21)
+        keep = keep_mask((size,), 0.4, chunked)
+        assert keep.dtype == bool
+        assert keep.tobytes() == (whole.random((size,)) >= 0.4).tobytes()
+        assert chunked.bit_generator.state == whole.bit_generator.state
+        assert chunked.random() == whole.random()
+
+    def test_keep_mask_keeps_shape(self):
+        chunked, whole = np.random.default_rng(22), np.random.default_rng(22)
+        keep = keep_mask((3, 5, 70, 80), 0.25, chunked)
+        assert np.array_equal(keep, whole.random((3, 5, 70, 80)) >= 0.25)
+
 
 def assert_close(actual, reference, rtol=1e-12):
     """Max abs difference within ``rtol`` of the reference's largest value."""
@@ -346,6 +362,13 @@ class TestGradCheckHarness:
         failing = [r.layer for r in report.layers if r.max_rel_err >= report.tolerance]
         assert failing == [net.blocks[0].name]
 
+    def test_frozen_gates_need_a_dropout_free_pass(self):
+        net = Network(two_layer_net(p=0.5), dtype=np.float64)
+        x = np.random.default_rng(7).normal(size=(2, 3, 5, 5))
+        net.forward(x, train=True, rng=np.random.default_rng(1))
+        with pytest.raises(ValidationError, match="frozen-gate"):
+            net.forward(x, train=True, apply_dropout=False, frozen_gates=True)
+
     def test_requires_float64(self):
         net = Network(single_layer_net(), dtype=np.float32)
         with pytest.raises(ParameterError):
@@ -353,6 +376,20 @@ class TestGradCheckHarness:
 
 
 class TestNetwork:
+    def test_first_layer_skips_input_gradient(self, rng):
+        """Parameter gradients are bitwise those of a net that also computes dx."""
+        net = Network(build_tonemap_net("L_base", seed=3), dtype=np.float32)
+        full = net.clone()
+        full.blocks[0].conv.input_grad = True
+        x = rng.random((2, 1, 12, 12)).astype(np.float32)
+        dy = rng.normal(size=(2, 1, 12, 12)).astype(np.float32)
+        for n in (net, full):
+            n.forward(x, train=True, rng=np.random.default_rng(4))
+        assert net.backward(dy) is None
+        full.backward(dy)
+        assert [g.tobytes() for g in net.grads()] == [g.tobytes() for g in full.grads()]
+        assert [b.conv.input_grad for b in net.blocks] == [False] + [True] * (len(net.blocks) - 1)
+
     def test_eval_forward_deterministic(self, rng):
         net = Network(build_ldr2hdr_net("R", seed=1), dtype=np.float32)
         x = rng.random((2, 5, 16, 16)).astype(np.float32)

@@ -1,21 +1,28 @@
+import sys
+
 import numpy as np
 import pytest
+
+from hdrkit import pipeline
 
 from hdrkit.camera import fixed_stack
 from hdrkit.errors import ParameterError, ValidationError
 from hdrkit.image_io import RadianceMap
 from hdrkit.imgproc import luminance, rgb_to_lab
-from hdrkit.nn import Network
+from hdrkit.nn import Network, mse_loss
 from hdrkit.pipeline import (
     ParallelTrainer,
     TrainConfig,
     TrainState,
+    _blas_thread_control,
+    _cpu_count,
     build_ldr2hdr_net,
     build_ldr2hdr_samples,
     build_tonemap_net,
     build_tonemap_samples,
     curve_csv,
     decompose_tonemap_channels,
+    dropout_stream,
     eval_mse,
     extract_patches,
     hyperparam_search,
@@ -301,6 +308,104 @@ class TestParallel:
         trainer = ParallelTrainer(Network(tiny_spec(), dtype=np.float64), 5, cfg)
         loss = trainer.step(x, y)  # shards of size >= 1 only
         assert np.isfinite(loss)
+
+    @pytest.mark.parametrize("workers, n", [(2, 8), (3, 8), (5, 3)])
+    def test_threaded_shards_match_sequential_reference(self, rng, workers, n):
+        """Concurrent shards give bitwise the gradients, loss and BN statistics
+        of running each shard in turn on its own clone and stream."""
+        x, y = tiny_samples(rng, n=n)
+        x, y = x.astype(np.float32), y.astype(np.float32)
+        cfg = TrainConfig(batch_size=n, dropout_p=0.4, seed=6, workers=workers)
+        net = Network(tiny_spec(p=0.4, seed=5), dtype=np.float32)
+        clones = [net.clone() for _ in range(workers)]
+        trainer = ParallelTrainer(net, workers, cfg)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the shard threads as often as possible
+        try:
+            loss, got = trainer.accumulate_gradients(x, y)
+        finally:
+            sys.setswitchinterval(switch)
+
+        size = -(-n // workers)
+        ref_loss, ref = 0.0, None
+        for w, clone in enumerate(clones):
+            sl = slice(min(w * size, n), min((w + 1) * size, n))
+            if sl.start == sl.stop:
+                continue
+            rng_w = dropout_stream(cfg.seed, 0, w)
+            part, dpred = mse_loss(clone.forward(x[sl], train=True, rng=rng_w), y[sl])
+            clone.backward(dpred)
+            factor = (sl.stop - sl.start) / n
+            if ref is None:
+                ref = [factor * g for g in clone.grads()]
+            else:
+                for acc, g in zip(ref, clone.grads()):
+                    acc += factor * g
+            ref_loss += factor * part
+            for (_, a), (_, b) in zip(trainer.workers[w].tensors(), clone.tensors()):
+                assert a.tobytes() == b.tobytes()  # running BN statistics too
+        assert loss == ref_loss
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in ref]
+
+
+@pytest.mark.skipif(_blas_thread_control() is None, reason="no OpenBLAS thread control found")
+class TestBlasThreads:
+    """While shards run, BLAS gets its thread count over the pool size."""
+
+    @pytest.fixture(params=[1, 2])
+    def threads(self, request):
+        """BLAS set to one thread, then two, for the test; put back after."""
+        get, put = _blas_thread_control()
+        before = get()
+        put(request.param)
+        yield request.param
+        put(before)
+
+    def _trainer(self, rng, workers=2):
+        x, y = tiny_samples(rng, n=4)
+        cfg = TrainConfig(lr=1e-2, batch_size=4, dropout_p=0.4, seed=1, workers=workers, dtype="f64")
+        return ParallelTrainer(Network(tiny_spec(p=0.4), dtype=np.float64), workers, cfg), x, y
+
+    def test_capped_during_shards_and_restored_after_step(self, rng, monkeypatch, threads):
+        get, _ = _blas_thread_control()
+        seen = []
+
+        def loss_and_count(pred, target):
+            seen.append(get())
+            return mse_loss(pred, target)
+
+        monkeypatch.setattr(pipeline, "mse_loss", loss_and_count)
+        trainer, x, y = self._trainer(rng)
+        trainer.step(x, y)
+        assert seen == [max(1, threads // min(2, _cpu_count()))] * 2
+        assert get() == threads
+
+    def test_restored_after_diverged_shard(self, rng, threads):
+        get, _ = _blas_thread_control()
+        trainer, x, y = self._trainer(rng)
+        x[3, 0, 0, 0] = np.nan  # only the second shard's loss is non-finite
+        with pytest.raises(ValidationError, match="diverged"):
+            trainer.step(x, y)
+        assert get() == threads
+
+
+class TestDivergence:
+    def test_non_finite_weights_after_update_stop_the_step(self, rng):
+        x, _ = tiny_samples(rng, n=4)
+        y = np.full((4, 1, 16, 16), 1e12)
+        # lr is finite in f64, but lr * gradient overflows
+        cfg = TrainConfig(lr=1e300, momentum=0.0, batch_size=4, dropout_p=0.0, dtype="f64")
+        trainer = ParallelTrainer(Network(tiny_spec(), dtype=np.float64), 1, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match=r"diverged \(non-finite weights\)"):
+                trainer.step(x, y)
+
+    @pytest.mark.parametrize("dtype, lr", [("f32", 1e300), ("f32", 1e39), ("f64", float("inf")),
+                                           ("f64", float("nan")), ("f64", -1e-3)])
+    def test_config_rejects_lr_not_finite_in_dtype(self, dtype, lr):
+        with pytest.raises(ValidationError, match="lr"):
+            TrainConfig(lr=lr, dtype=dtype)
+        TrainConfig(lr=1e300, dtype="f64")  # finite in f64
 
 
 class TestHyperparamSearch:
