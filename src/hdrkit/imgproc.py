@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,37 +167,78 @@ def entropy(img: LdrImage) -> float:
 # Bilateral filter
 # ---------------------------------------------------------------------------
 
+# One unit of work is a tile of output pixels against a whole row of window
+# offsets: (8, 256, 2r + 1) values per numpy call at most.  The column limit
+# keeps each thread's two scratch arrays at 32 KiB * (2r + 1) on wide planes.
+_BLOCK_ROWS = 8
+_BLOCK_COLS = 256
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
 
 def bilateral_filter(plane: np.ndarray, sigma_s: float, sigma_r: float) -> np.ndarray:
     """Gaussian-in-space, Gaussian-in-range filter with reflect padding.
 
     Window radius is ceil(3 * sigma_s); the output at each pixel is a convex
     combination of window values, so it never leaves the input's range.
+    Both sigmas must be finite and positive, and sigma_r must not be so
+    small that a finite plane's values over sqrt(2) * sigma_r overflow.
+
+    The work runs in tiles of ``_BLOCK_ROWS`` x ``_BLOCK_COLS`` output pixels
+    on a pool of ``min(tiles, CPUs)`` threads.  Each tile owns its pixels of
+    the sums and adds its offsets in a fixed order, so the output does not
+    depend on the number of CPUs.
     """
-    if sigma_s <= 0 or sigma_r <= 0:
-        raise ParameterError(f"sigmas must be > 0, got ({sigma_s}, {sigma_r})")
+    if not (0.0 < sigma_s < math.inf and 0.0 < sigma_r < math.inf):
+        raise ParameterError(f"sigmas must be finite and > 0, got ({sigma_s}, {sigma_r})")
     plane = np.asarray(plane)
     if plane.ndim != 2:
         raise ParameterError(f"plane must be 2-D, got shape {plane.shape}")
     r = math.ceil(3.0 * sigma_s)
     h, w = plane.shape
     center = plane.astype(np.float64)
-    padded = np.pad(center, r, mode="reflect")
-    inv_2ss = 1.0 / (2.0 * sigma_s * sigma_s)
-    inv_2sr = 1.0 / (2.0 * sigma_r * sigma_r)
+    # In units of sqrt(2) * sigma_r, a range difference d weighs exp(-d**2).
+    # Every |d| is at most twice the plane's largest |value| in those units.
+    unit = math.sqrt(2.0) * sigma_r
+    peak = float(np.abs(center).max(initial=0.0))
+    if math.isfinite(peak) and not math.isfinite(2.0 * (peak / unit)):
+        raise ParameterError(f"sigma_r = {sigma_r} is too small for plane values up to {peak}")
+    scaled = np.pad(center, r, mode="reflect") / unit
+    # windows[y, x] is padded row y from column x, 2r + 1 values wide.
+    windows = np.lib.stride_tricks.sliding_window_view(scaled, 2 * r + 1, axis=1)
+    sq = np.arange(-r, r + 1, dtype=np.float64) ** 2
+    log_ws = -(sq[:, None] + sq[None, :]) / (2.0 * sigma_s * sigma_s)  # [dy, dx]
 
-    # Accumulate offsets from the center value: out = I + sum w*(q - I) / sum w.
-    # The subtraction keeps constant regions bit-exact.
+    # out = I + sum w*(q - I) / sum w.  The centre offset has d == 0 and
+    # weight exp(0) == 1 exactly, so constant regions stay bit-exact.
     num = np.zeros((h, w), dtype=np.float64)
-    den = np.ones((h, w), dtype=np.float64)  # the (0,0) offset has weight 1
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
-            if dy == 0 and dx == 0:
-                continue
-            ws = math.exp(-(dy * dy + dx * dx) * inv_2ss)
-            q = padded[r + dy : r + dy + h, r + dx : r + dx + w]
-            diff = q - center
-            wgt = ws * np.exp(-(diff * diff) * inv_2sr)
-            num += wgt * diff
-            den += wgt
-    return (center + num / den).astype(plane.dtype)
+    den = np.zeros((h, w), dtype=np.float64)
+
+    def run(tile: tuple[int, int]) -> None:
+        top, left = tile
+        ys = slice(top, min(top + _BLOCK_ROWS, h))
+        xs = slice(left, min(left + _BLOCK_COLS, w))
+        c = scaled[r + ys.start : r + ys.stop, r + xs.start : r + xs.stop, None]
+        d = np.empty(c.shape[:2] + (2 * r + 1,), dtype=np.float64)
+        t = np.empty_like(d)
+        with np.errstate(over="ignore"):  # d**2 = inf is weight exp(-inf) = 0
+            for dy in range(2 * r + 1):
+                np.subtract(windows[ys.start + dy : ys.stop + dy, xs], c, out=d)
+                np.square(d, out=t)
+                np.subtract(log_ws[dy], t, out=t)
+                np.exp(t, out=t)
+                den[ys, xs] += t.sum(-1)
+                num[ys, xs] += np.vecdot(t, d)
+
+    tiles = [(top, left) for top in range(0, h, _BLOCK_ROWS) for left in range(0, w, _BLOCK_COLS)]
+    with ThreadPoolExecutor(min(len(tiles), _cpu_count())) as pool:
+        list(pool.map(run, tiles))
+    num /= den
+    num *= unit
+    return (center + num).astype(plane.dtype)

@@ -24,7 +24,6 @@ import ctypes
 import functools
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -40,7 +39,7 @@ from .camera import (
 )
 from .errors import ParameterError, ValidationError
 from .image_io import RadianceMap
-from .imgproc import LabImage, bilateral_filter, lab_to_rgb, luminance, rgb_to_lab
+from .imgproc import LabImage, _cpu_count, bilateral_filter, lab_to_rgb, luminance, rgb_to_lab
 from .nn import LayerSpec, Network, NetworkSpec, mse_loss, sgd_step
 from .tmo import TmqiScore, ToneMap, select_best_tmo
 
@@ -457,13 +456,6 @@ def _blas_threads_shared(pool: int):
         yield
     finally:
         put(default)
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def train_epoch(

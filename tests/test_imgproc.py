@@ -1,8 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from imgproc_reference import bilateral_filter as reference_bilateral
 
+from hdrkit import imgproc, pipeline
 from hdrkit.errors import ParameterError
 from hdrkit.image_io import LdrImage
 from hdrkit.imgproc import (
@@ -15,6 +18,8 @@ from hdrkit.imgproc import (
     srgb_decode,
     srgb_encode,
 )
+from hdrkit.pipeline import BILATERAL_SIGMA_R, BILATERAL_SIGMA_S, _lab_planes, normalize_hdr
+from hdrkit.synth import synth_scenes
 
 
 class TestSrgb:
@@ -141,3 +146,71 @@ class TestBilateral:
             bilateral_filter(np.zeros((4, 4)), 0.0, 1.0)
         with pytest.raises(ParameterError):
             bilateral_filter(np.zeros((4, 4)), 1.0, -2.0)
+
+
+class TestBilateralBlocks:
+    """The row-block filter against the per-offset loop it replaced."""
+
+    @pytest.mark.parametrize("sigma_r", [0.5, 10.0, 1e6])
+    @pytest.mark.parametrize(
+        "shape, sigma_s",
+        [
+            ((1, 1), 1.0),
+            ((1, 7), 1.0),
+            ((7, 1), 1.0),
+            ((5, 5), 2.0),  # r = 6: the window is larger than the plane
+            ((128, 128), 8.0),
+            ((110, 150), 8.0),
+        ],
+    )
+    def test_matches_reference_loop(self, rng, shape, sigma_s, sigma_r):
+        plane = 40.0 * rng.standard_normal(shape) + 50.0
+        out = bilateral_filter(plane, sigma_s, sigma_r)
+        want = reference_bilateral(plane, sigma_s, sigma_r)
+        assert out.dtype == np.float64
+        assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_f32_lab_planes_match_reference_bitwise(self, monkeypatch):
+        for scene in synth_scenes(3, 128, seed=31):
+            rgb = normalize_hdr(scene)[0].data
+            planes = _lab_planes(rgb, BILATERAL_SIGMA_S, BILATERAL_SIGMA_R)
+            with monkeypatch.context() as m:
+                m.setattr(pipeline, "bilateral_filter", reference_bilateral)
+                want = _lab_planes(rgb, BILATERAL_SIGMA_S, BILATERAL_SIGMA_R)
+            for name, plane in planes.items():
+                assert plane.dtype == np.float32
+                assert plane.tobytes() == want[name].tobytes(), name
+
+    def test_output_does_not_depend_on_cpu_count(self, rng, monkeypatch):
+        plane = rng.random((61, 40)) * 80.0  # 8 row blocks, the last one 5 rows
+        outs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for cpus, cols in ((1, 256), (3, 256), (3, 16)):  # 16: 3 tiles a row, the last 8 wide
+                monkeypatch.setattr(imgproc, "_cpu_count", lambda cpus=cpus: cpus)
+                monkeypatch.setattr(imgproc, "_BLOCK_COLS", cols)
+                outs.append(bilateral_filter(plane, 3.0, 5.0).tobytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize(
+        "sigma_s, sigma_r",
+        [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)],
+        ids=["nan_sigma_s", "inf_sigma_s", "nan_sigma_r", "inf_sigma_r"],
+    )
+    def test_non_finite_sigma_raises(self, sigma_s, sigma_r):
+        with pytest.raises(ParameterError, match="finite"):
+            bilateral_filter(np.ones((4, 4)), sigma_s, sigma_r)
+
+    @pytest.mark.parametrize("sigma_r, scale", [(1e-310, 5.0), (1e-300, 1e10)])
+    def test_sigma_r_too_small_for_the_plane_raises(self, sigma_r, scale):
+        plane = scale * np.arange(6.0).reshape(2, 3)
+        with pytest.raises(ParameterError, match="too small"):
+            bilateral_filter(plane, 1.0, sigma_r)
+
+    def test_tiny_sigma_r_returns_the_plane(self):
+        # Down to where the scaled values overflow, only the centre weighs.
+        plane = np.arange(6.0).reshape(2, 3)
+        assert bilateral_filter(plane, 1.0, 1e-300).tobytes() == plane.tobytes()
