@@ -11,27 +11,42 @@ output in place.  A block caches one bool mask, dropout keep AND ReLU gate,
 and applies it with the 1/(1-p) factor in each direction.  The first layer
 skips its input gradient, which no caller reads.
 
+A network's forward and backward split the batch into contiguous N-slices
+on one thread each.  Every per-sample result is computed as on the whole
+batch; the sums across samples (batchnorm statistics, dW, db) add
+per-sample partials in n order, as numpy's whole-batch reductions do, and
+each slice draws its part of the dropout stream from a PCG64 copy advanced
+to its offset.  So the result is bitwise the same on any number of threads.
+
 Nothing here is shared between networks, so replicas of one network can
 run forward and backward on separate threads.
 """
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import math
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CorruptionError, FormatError, ParameterError, TruncationError, ValidationError
 from .image_io import ByteReader
+from .imgproc import _cpu_count
 
 LAYER_KINDS = ("conv3x3", "conv1x1", "output1x1")
 _KIND_CODE = {k: i for i, k in enumerate(LAYER_KINDS)}
 
 CHECKPOINT_MAGIC = b"HDRNN1"
+
+# Each slice pass hands work to another thread and back, 0.05-0.25 ms on a
+# 2-CPU x86-64 VM; below one 64x64 patch per slice the hand-offs cost more
+# than the second thread saves.
+_SLICE_PIXELS = 64 * 64
 
 
 def check_tensor4(x: np.ndarray, name: str = "tensor") -> np.ndarray:
@@ -96,11 +111,80 @@ class NetworkSpec:
 # ---------------------------------------------------------------------------
 
 
+class _Slices:
+    """Contiguous N-slices of one batch, run on ``min(N, threads)`` threads.
+
+    Used as a context manager it owns a pool for every slice but the first,
+    which the calling thread runs.  A task writes only its own slice of each
+    output, so a result that crosses slices is a per-sample partial that the
+    caller reduces in n order.  Tasks run plain numpy kernels, never wait
+    on one another, and write into buffers the calling thread made: glibc
+    keeps what a short-lived thread frees in that thread's malloc arena,
+    and slice-local scratch raised the train benchmark's peak RSS by up to
+    40%.  Outside a ``with`` block the slices run one after another on the
+    calling thread.
+    """
+
+    def __init__(self, n: int, threads: int = 1) -> None:
+        k = max(1, min(n, threads))
+        bounds = [n * i // k for i in range(k + 1)]
+        self.parts = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self._pool: ThreadPoolExecutor | None = None
+
+    def __enter__(self) -> "_Slices":
+        if len(self.parts) > 1:
+            self._pool = ThreadPoolExecutor(len(self.parts) - 1)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def run(self, task) -> None:
+        """Call ``task(sl)`` for every slice and return when all are done."""
+        if self._pool is None:
+            for sl in self.parts:
+                task(sl)
+            return
+        futures = [self._pool.submit(task, sl) for sl in self.parts[1:]]
+        try:
+            task(self.parts[0])
+        finally:
+            for future in futures:
+                future.exception()  # waits, even when the first slice failed
+        for future in futures:
+            future.result()
+
+
+def _slice_threads(x: np.ndarray, threads: int | None) -> int:
+    """Slice threads for an (N, C, H, W) batch: ``threads`` (default one per
+    CPU), but at most one per ``_SLICE_PIXELS`` pixels of the batch."""
+    return min(threads or _cpu_count(), x.shape[0] * x.shape[2] * x.shape[3] // _SLICE_PIXELS)
+
+
+def _channel_total(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Bitwise ``x.sum(axis=(0, 2))`` of an (N, C, L) array, given its row
+    sums ``rows = x.sum(axis=2)``.
+
+    numpy adds each (n, c) row's pairwise sum to the total in n order, so
+    the row sums are added here in n order.  With one channel numpy may sum
+    the batch as one run, so that is summed whole.
+    """
+    if x.shape[1] == 1:
+        return x.sum(axis=(0, 2))
+    total = np.zeros(x.shape[1], dtype=rows.dtype)
+    for row in rows:
+        total += row
+    return total
+
+
 class Conv:
     """Cross-correlation with stride 1; 3x3 uses zero padding 1, 1x1 none.
 
     The 3x3 column buffer is (N, 9C, H*W); row c*9 + 3*di + dj matches
-    ``w.reshape(O, 9C)``, so both sizes are one ``matmul`` each way.
+    ``w.reshape(O, 9C)``, so both sizes are one ``matmul`` per sample each
+    way.  dW is summed from per-sample products in n order.
 
     With ``input_grad`` false, backward fills dW and db only and returns
     None; a :class:`Network` sets that on its first layer.
@@ -119,43 +203,68 @@ class Conv:
         self.db = np.zeros_like(self.b)
         self._cols: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, slices: _Slices | None = None) -> np.ndarray:
         n, c, h, w = x.shape
         if c != self.w.shape[1]:
             raise ValidationError(
                 f"conv expects {self.w.shape[1]} input channels, got {c}"
             )
+        slices = slices or _Slices(n)
+        w2 = self.w.reshape(self.w.shape[0], -1)
         if self.ksize == 1:
             cols = x.reshape(n, c, h * w)
         else:
             xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-            cols = np.empty((n, c, 9, h, w), dtype=x.dtype)
-            for k in range(9):
-                cols[:, :, k] = xp[:, :, k // 3 : k // 3 + h, k % 3 : k % 3 + w]
-            cols = cols.reshape(n, c * 9, h * w)
+            cols9 = np.empty((n, c, 9, h, w), dtype=x.dtype)
+            cols = cols9.reshape(n, c * 9, h * w)
+        y = np.empty((n, w2.shape[0], h * w), dtype=np.result_type(w2, cols))
+
+        def run(sl: slice) -> None:
+            if self.ksize == 3:
+                for k in range(9):
+                    cols9[sl, :, k] = xp[sl, :, k // 3 : k // 3 + h, k % 3 : k % 3 + w]
+            ys = np.matmul(w2, cols[sl], out=y[sl])
+            ys += self.b[:, None]
+
+        slices.run(run)
         self._cols = cols
-        y = np.matmul(self.w.reshape(self.w.shape[0], -1), cols)
-        y += self.b[:, None]
         return y.reshape(n, -1, h, w)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray | None:
+    def backward(self, dy: np.ndarray, slices: _Slices | None = None) -> np.ndarray | None:
         cols = self._cols
         if cols is None:
             raise ValidationError("conv backward before forward")
         n, o, h, w = dy.shape
+        slices = slices or _Slices(n)
         dy = dy.reshape(n, o, h * w)
-        self.db[...] = dy.sum(axis=(0, 2))
-        self.dw.reshape(o, -1)[...] = np.matmul(dy, cols.transpose(0, 2, 1)).sum(axis=0)
+        w2 = self.w.reshape(o, -1)
+        c = self.w.shape[1]
+        rows = np.empty((n, o), dtype=dy.dtype)
+        dws = np.empty((n,) + w2.shape, dtype=np.result_type(dy, cols))
+        dcols = dxp = None
+        if self.input_grad:
+            dcols = np.empty((n, w2.shape[1], h * w), dtype=np.result_type(w2, dy))
+            if self.ksize == 3:
+                dxp = np.zeros((n, c, h + 2, w + 2), dtype=dcols.dtype)
+
+        def run(sl: slice) -> None:
+            dy[sl].sum(axis=2, out=rows[sl])
+            np.matmul(dy[sl], cols[sl].transpose(0, 2, 1), out=dws[sl])
+            if dcols is not None:
+                np.matmul(w2.T, dy[sl], out=dcols[sl])
+            if dxp is not None:
+                d9, dp = dcols[sl].reshape(-1, c, 9, h, w), dxp[sl]
+                for k in range(9):
+                    dp[:, :, k // 3 : k // 3 + h, k % 3 : k % 3 + w] += d9[:, :, k]
+
+        slices.run(run)
+        self.db[...] = _channel_total(dy, rows)
+        self.dw.reshape(o, -1)[...] = dws.sum(axis=0)
         self._cols = None  # spent; for 1x1 this frees the layer below's output
-        if not self.input_grad:
+        if dcols is None:
             return None
-        dcols = np.matmul(self.w.reshape(o, -1).T, dy)
-        if self.ksize == 1:
-            return dcols.reshape(n, -1, h, w)
-        dcols = dcols.reshape(n, -1, 9, h, w)
-        dxp = np.zeros((n, dcols.shape[1], h + 2, w + 2), dtype=dy.dtype)
-        for k in range(9):
-            dxp[:, :, k // 3 : k // 3 + h, k % 3 : k % 3 + w] += dcols[:, :, k]
+        if dxp is None:
+            return dcols.reshape(n, c, h, w)
         return dxp[:, :, 1 : h + 1, 1 : w + 1]
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
@@ -171,7 +280,8 @@ class Conv:
 class BatchNorm:
     """Spatial batch normalization over (N, H, W) per channel.
 
-    The train-mode input gradient reuses ``dbeta`` and ``dgamma`` as its means.
+    The batch statistics are per-sample sums added in n order.  The
+    train-mode input gradient reuses ``dbeta`` and ``dgamma`` as its means.
     """
 
     eps = 1e-5
@@ -186,16 +296,30 @@ class BatchNorm:
         self.dbeta = np.zeros_like(self.beta)
         self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray, train: bool, inplace: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, inplace: bool = False,
+                slices: _Slices | None = None) -> np.ndarray:
         """Normalize x; ``inplace`` lets it centre x itself (the caller's
         conv output), which then is the cached ``xc``."""
         shape = x.shape
         x = x.reshape(shape[0], shape[1], -1)
+        slices = slices or _Slices(shape[0])
         m = x.shape[0] * x.shape[2]
-        mu = x.sum(axis=(0, 2)) / m if train else self.running_mean
-        xc = np.subtract(x, mu[:, None], out=x if inplace else None)
         if train:
-            var = np.vecdot(xc, xc).sum(axis=0) / m
+            rows = np.empty(x.shape[:2], dtype=x.dtype)
+            slices.run(lambda sl: x[sl].sum(axis=2, out=rows[sl]))
+            mu = _channel_total(x, rows) / m
+        else:
+            mu = self.running_mean
+        xc = x if inplace else np.empty(x.shape, dtype=np.result_type(x, mu))
+        if train:
+            squares = np.empty(x.shape[:2], dtype=xc.dtype)
+
+            def centre(sl: slice) -> None:
+                xs = np.subtract(x[sl], mu[:, None], out=xc[sl])
+                np.vecdot(xs, xs, out=squares[sl])
+
+            slices.run(centre)
+            var = squares.sum(axis=0) / m
             mom = self.momentum
             self.running_mean[...] = (1.0 - mom) * self.running_mean + mom * mu
             self.running_var[...] = (1.0 - mom) * self.running_var + mom * var
@@ -203,11 +327,20 @@ class BatchNorm:
             var = self.running_var
         istd = 1.0 / np.sqrt(var + self.eps)
         self._cache = (xc, istd, train)
-        y = xc * (self.gamma * istd)[:, None]
-        y += self.beta[:, None]
+        scale = self.gamma * istd
+        y = np.empty(x.shape, dtype=np.result_type(xc, scale))
+
+        def normalize(sl: slice) -> None:
+            if not train:  # eval centres here, in the same pass
+                np.subtract(x[sl], mu[:, None], out=xc[sl])
+            ys = np.multiply(xc[sl], scale[:, None], out=y[sl])
+            ys += self.beta[:, None]
+
+        slices.run(normalize)
         return y.reshape(shape)
 
-    def backward(self, dy: np.ndarray, inplace: bool = False) -> np.ndarray:
+    def backward(self, dy: np.ndarray, inplace: bool = False,
+                 slices: _Slices | None = None) -> np.ndarray:
         """Input gradient; ``inplace`` lets it overwrite dy.  Backward spends
         the forward cache, and its ``xc`` holds the mean-correction term."""
         if self._cache is None:
@@ -215,15 +348,33 @@ class BatchNorm:
         xc, istd, train = self._cache  # xhat = xc * istd
         self._cache = None
         dy3 = dy.reshape(xc.shape)
-        self.dbeta[...] = dy3.sum(axis=(0, 2))
-        self.dgamma[...] = np.vecdot(dy3, xc).sum(axis=0) * istd
+        slices = slices or _Slices(xc.shape[0])
+        rows = np.empty(xc.shape[:2], dtype=dy3.dtype)
+        dots = np.empty(xc.shape[:2], dtype=np.result_type(dy3, xc))
+
+        def reduce(sl: slice) -> None:
+            dy3[sl].sum(axis=2, out=rows[sl])
+            np.vecdot(dy3[sl], xc[sl], out=dots[sl])
+
+        slices.run(reduce)
+        self.dbeta[...] = _channel_total(dy3, rows)
+        self.dgamma[...] = dots.sum(axis=0) * istd
         scale = self.gamma * istd
-        dx = np.multiply(dy3, scale[:, None], out=dy3 if inplace else None)
+        dx = dy3 if inplace else np.empty(dy3.shape, dtype=np.result_type(dy3, scale))
         if train:
             m = xc.shape[0] * xc.shape[2]
-            xc *= (scale * istd * self.dgamma / m)[:, None]
-            dx -= xc
-            dx -= (scale * self.dbeta / m)[:, None]
+            x_term = (scale * istd * self.dgamma / m)[:, None]
+            mean_term = (scale * self.dbeta / m)[:, None]
+
+        def run(sl: slice) -> None:
+            ds = np.multiply(dy3[sl], scale[:, None], out=dx[sl])
+            if train:
+                xs = xc[sl]
+                xs *= x_term
+                ds -= xs
+                ds -= mean_term
+
+        slices.run(run)
         return dx.reshape(dy.shape)
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
@@ -261,6 +412,15 @@ def relu_backward(dy: np.ndarray, gate: np.ndarray) -> np.ndarray:
 _DRAW_CHUNK = 1 << 16  # doubles per draw: 512 KiB, which stays in cache
 
 
+def _draw_keep(out: np.ndarray, p: float, rng: np.random.Generator, draws: np.ndarray) -> None:
+    """Fill the flat bool array ``out`` with ``rng.random(out.size) >= p``,
+    drawing through ``draws``, ``min(out.size, _DRAW_CHUNK)`` doubles."""
+    for start in range(0, out.size, _DRAW_CHUNK):
+        part = draws[: min(_DRAW_CHUNK, out.size - start)]
+        rng.random(out=part)
+        np.greater_equal(part, p, out=out[start : start + part.size])
+
+
 def keep_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     """Bitwise ``rng.random(shape) >= p``, leaving ``rng`` in the same state.
 
@@ -268,13 +428,38 @@ def keep_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     into a bool array, so no f64 array of the full shape is made.
     """
     keep = np.empty(shape, dtype=bool)
-    flat = keep.reshape(-1)
-    draws = np.empty(min(flat.size, _DRAW_CHUNK))
-    for start in range(0, flat.size, _DRAW_CHUNK):
-        part = draws[: min(_DRAW_CHUNK, flat.size - start)]
-        rng.random(out=part)
-        np.greater_equal(part, p, out=flat[start : start + part.size])
+    _draw_keep(keep.reshape(-1), p, rng, np.empty(min(keep.size, _DRAW_CHUNK)))
     return keep
+
+
+def _keep_drawer(shape, p: float, rng: np.random.Generator, slices: _Slices):
+    """A :func:`keep_mask` and the task that draws slice ``sl`` of it.
+
+    With a PCG64 stream and more than one slice, each slice draws from a
+    copy of the stream advanced to its first element, and ``rng`` is moved
+    past the whole draw at once.  Otherwise the whole mask is drawn here,
+    on the calling thread, and the task does nothing.
+    """
+    bitgen = rng.bit_generator
+    # advance(k) of PCG64 skips exactly the k 64-bit outputs that k doubles
+    # use; Philox's advance counts blocks of four outputs.
+    skippable = isinstance(bitgen, (np.random.PCG64, np.random.PCG64DXSM))
+    if len(slices.parts) == 1 or not skippable:
+        return keep_mask(shape, p, rng), lambda sl: None
+    keep = np.empty(shape, dtype=bool)
+    rows = keep.reshape(shape[0], -1)
+    streams = {}
+    for sl in slices.parts:
+        stream = copy.deepcopy(bitgen)
+        stream.advance(sl.start * rows.shape[1])
+        draws = np.empty(min(rows[sl].size, _DRAW_CHUNK))
+        streams[sl.start] = (np.random.Generator(stream), draws)
+    state = bitgen.state
+    bitgen.advance(keep.size)
+    # advance() drops a buffered 32-bit half, which drawing doubles keeps.
+    bitgen.state = {**bitgen.state, "has_uint32": state["has_uint32"],
+                    "uinteger": state["uinteger"]}
+    return keep, lambda sl: _draw_keep(rows[sl].reshape(-1), p, *streams[sl.start])
 
 
 def dropout(x: np.ndarray, p: float, train: bool, rng=None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -294,11 +479,12 @@ def dropout(x: np.ndarray, p: float, train: bool, rng=None) -> tuple[np.ndarray,
 class _Block:
     """conv -> [batchnorm] -> relu -> [dropout]; the output block is conv only.
 
-    Forward caches one bool mask: the ReLU gate ``y > 0``, AND the dropout
-    keep mask when dropout runs, in which case ``_scale`` holds 1/(1-p).
-    ``y *= mask; y *= scale`` and, backward, ``dy * mask`` then ``*= scale``
-    are bitwise :func:`relu` followed by :func:`dropout`.  A frozen-gate
-    pass reuses the mask of a dropout-free pass as its gate.
+    A train-mode forward caches one bool mask: the ReLU gate ``y > 0``, AND
+    the dropout keep mask when dropout runs, in which case ``_scale`` holds
+    1/(1-p).  ``y *= mask; y *= scale`` and, backward, ``dy * mask`` then
+    ``*= scale`` are bitwise :func:`relu` followed by :func:`dropout`.  A
+    frozen-gate pass reuses the mask of a dropout-free pass as its gate.  An
+    eval forward (``train`` false) keeps nothing for backward.
     """
 
     def __init__(self, spec: LayerSpec, index: int, rng, dtype) -> None:
@@ -312,41 +498,63 @@ class _Block:
         self._scale = None
 
     def forward(self, x, train: bool, rng, bn_train: bool, apply_dropout: bool,
-                frozen_gates: bool = False):
-        y = self.conv.forward(x)
+                frozen_gates: bool = False, slices: _Slices | None = None):
+        slices = slices or _Slices(x.shape[0])
+        y = self.conv.forward(x, slices)
+        if not train:
+            self.conv._cols = None
         if self.is_output:
             return y
         if self.bn is not None:
-            y = self.bn.forward(y, train=bn_train, inplace=True)
-        if frozen_gates:
-            if self._mask is None or self._scale is not None:
-                raise ValidationError("frozen-gate forward before a dropout-free reference pass")
-            mask = self._mask
-        else:
-            mask = y > 0
+            y = self.bn.forward(y, train=bn_train, inplace=True, slices=slices)
+            if not train:
+                self.bn._cache = None
+        if frozen_gates and (self._mask is None or self._scale is not None):
+            raise ValidationError("frozen-gate forward before a dropout-free reference pass")
+        gate = self._mask if frozen_gates else np.empty(y.shape, dtype=bool)
         p = self.spec.dropout_p
-        self._scale = None
+        keep = scale = None
         if train and apply_dropout and p > 0.0:
             if rng is None:
                 raise ParameterError("train-mode dropout needs an rng")
-            keep = keep_mask(y.shape, p, rng)
-            keep &= mask
-            mask = keep
-            self._scale = y.dtype.type(1.0 / (1.0 - p))
-        self._mask = mask
-        y *= mask
-        if self._scale is not None:
-            y *= self._scale
+            keep, draw = _keep_drawer(y.shape, p, rng, slices)
+            scale = y.dtype.type(1.0 / (1.0 - p))
+
+        def run(sl: slice) -> None:
+            ys, mask = y[sl], gate[sl]
+            if not frozen_gates:
+                np.greater(ys, 0, out=mask)
+            if keep is not None:
+                draw(sl)
+                mask = np.logical_and(keep[sl], mask, out=keep[sl])
+            ys *= mask
+            if scale is not None:
+                ys *= scale
+
+        slices.run(run)
+        self._mask = (gate if keep is None else keep) if train else None
+        self._scale = scale
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, inplace: bool = False, slices: _Slices | None = None):
+        """Input gradient; ``inplace`` lets the mask multiply overwrite dy."""
+        slices = slices or _Slices(dy.shape[0])
         if not self.is_output:
-            dy = dy * self._mask
-            if self._scale is not None:
-                dy *= self._scale
+            mask, scale = self._mask, self._scale
+            if mask is None:
+                raise ValidationError("block backward before a train-mode forward")
+            out = dy if inplace else np.empty_like(dy)
+
+            def run(sl: slice) -> None:
+                ds = np.multiply(dy[sl], mask[sl], out=out[sl])
+                if scale is not None:
+                    ds *= scale
+
+            slices.run(run)
+            dy = out
             if self.bn is not None:
-                dy = self.bn.backward(dy, inplace=True)
-        return self.conv.backward(dy)
+                dy = self.bn.backward(dy, inplace=True, slices=slices)
+        return self.conv.backward(dy, slices)
 
     def modules(self):
         return [self.conv] if self.bn is None else [self.conv, self.bn]
@@ -378,24 +586,34 @@ class Network:
         bn_train: bool | None = None,
         apply_dropout: bool = True,
         frozen_gates: bool = False,
+        threads: int | None = None,
     ) -> np.ndarray:
+        """Run every block on ``min(N, threads)`` slices of the batch, one
+        thread each (``threads`` defaults to one per CPU), with at least
+        ``_SLICE_PIXELS`` pixels per slice.  The result does not depend on
+        the number of slices."""
         x = check_tensor4(x, "input").astype(self.dtype, copy=False)
         if bn_train is None:
             bn_train = train
         if train and apply_dropout and rng is None:
             if any(b.spec.dropout_p > 0 for b in self.blocks):
                 raise ParameterError("train-mode forward with dropout needs an rng")
-        for block in self.blocks:
-            x = block.forward(x, train, rng, bn_train, apply_dropout, frozen_gates)
+        with _Slices(x.shape[0], _slice_threads(x, threads)) as slices:
+            for block in self.blocks:
+                x = block.forward(x, train, rng, bn_train, apply_dropout, frozen_gates, slices)
         return x
 
-    def backward(self, dy: np.ndarray) -> None:
-        """Fill every parameter gradient from the loss gradient ``dy``.
+    def backward(self, dy: np.ndarray, threads: int | None = None) -> None:
+        """Fill every parameter gradient from the loss gradient ``dy``, on
+        slices of the batch as in :meth:`forward`.
 
         The gradient of the network input is not computed: no caller needs it.
+        Each hidden block's mask multiply overwrites the fresh input gradient
+        of the conv above it.
         """
-        for block in reversed(self.blocks):
-            dy = block.backward(dy)
+        with _Slices(dy.shape[0], _slice_threads(dy, threads)) as slices:
+            for block in reversed(self.blocks):
+                dy = block.backward(dy, True, slices)
 
     def params(self) -> list[np.ndarray]:
         return [p for blk in self.blocks for mod in blk.modules() for p in mod.params()]

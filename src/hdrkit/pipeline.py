@@ -14,8 +14,10 @@ per epoch, and ``train_epoch`` sends every mini-batch through
 identical parameter replicas on ``cfg.workers`` workers, computes shard
 gradients concurrently on a thread pool, sums them in ascending worker
 order scaled to the whole-batch mean, updates worker 0, and broadcasts the
-result; with one worker it is the plain serial step.  While the shards run,
-OpenBLAS gets an equal share of its threads per shard.
+result; with one worker it is the plain serial step.  Each shard's network
+splits its part of the batch over an equal share of the CPUs.  While engine
+threads run (training steps, eval forwards), OpenBLAS gets an equal share of
+its threads per engine thread.
 """
 
 from __future__ import annotations
@@ -438,12 +440,13 @@ def _blas_thread_control():
 
 
 @contextmanager
-def _blas_threads_shared(pool: int):
-    """Give each of ``pool`` concurrent callers ``default // pool`` (at least
-    one) of BLAS's threads, and restore the default on exit.
+def _blas_threads_shared(threads: int):
+    """Give each of ``threads`` concurrent engine threads ``default // threads``
+    (at least one) of BLAS's threads, and restore the default on exit.
 
-    The count is process-wide, so two trainers stepping at the same time on
-    different threads would race on it; hdrkit steps one trainer at a time.
+    The engine's slice threads replace BLAS's own.  The count is
+    process-wide, so two callers on different threads would race on it;
+    hdrkit steps one trainer or runs one tiled forward at a time.
     """
     control = _blas_thread_control()
     if control is None:
@@ -451,7 +454,7 @@ def _blas_threads_shared(pool: int):
         return
     get, put = control
     default = get()
-    put(max(1, default // pool))
+    put(max(1, default // threads))
     try:
         yield
     finally:
@@ -495,11 +498,12 @@ def eval_mse(net: Network, samples, batch_size: int = 40) -> float:
     x_all, y_all = _as_arrays(samples, net.dtype)
     n = x_all.shape[0]
     total = 0.0
-    for start in range(0, n, batch_size):
-        xb = x_all[start : start + batch_size]
-        yb = y_all[start : start + batch_size]
-        loss, _ = mse_loss(net.forward(xb, train=False), yb)
-        total += loss * xb.shape[0]
+    with _blas_threads_shared(_cpu_count()):
+        for start in range(0, n, batch_size):
+            xb = x_all[start : start + batch_size]
+            yb = y_all[start : start + batch_size]
+            loss, _ = mse_loss(net.forward(xb, train=False), yb)
+            total += loss * xb.shape[0]
     return total / n
 
 
@@ -513,7 +517,9 @@ class ParallelTrainer:
     update; the new state is broadcast.
 
     The non-empty shards run on a pool of ``min(shards, CPUs)`` threads,
-    with BLAS capped to its default thread count divided by the pool size.
+    and each shard's network on ``max(1, CPUs // shards)`` slice threads,
+    with BLAS capped to its default thread count divided by the number of
+    engine threads.
     Losses, the divergence check and the gradient sum wait for every shard
     and go in worker order, so the result is bitwise that of running the
     shards one after another.
@@ -554,19 +560,23 @@ class ParallelTrainer:
             if sl.start < sl.stop
         ]
 
+        pool_size = min(len(shards), _cpu_count())
+        slice_threads = max(1, _cpu_count() // len(shards))
+
         def run(shard) -> float:
             w, worker, sl = shard
             rng = dropout_stream(self.cfg.seed, self.step_index, w)
             pred = worker.forward(
-                x[sl], train=True, rng=rng, bn_train=bn_train, apply_dropout=apply_dropout
+                x[sl], train=True, rng=rng, bn_train=bn_train, apply_dropout=apply_dropout,
+                threads=slice_threads,
             )
             loss, dpred = mse_loss(pred, y[sl])
             if math.isfinite(loss):
-                worker.backward(dpred)
+                worker.backward(dpred, threads=slice_threads)
             return loss
 
-        threads = min(len(shards), _cpu_count())
-        with _blas_threads_shared(threads), ThreadPoolExecutor(threads) as pool:
+        engine_threads = pool_size * slice_threads
+        with _blas_threads_shared(engine_threads), ThreadPoolExecutor(pool_size) as pool:
             futures = [pool.submit(run, shard) for shard in shards]
         losses = [f.result() for f in futures]
 
@@ -671,9 +681,10 @@ def _forward_tiled(net: Network, planes: np.ndarray, patch: int, batch_size: int
     """Eval-mode forward of (C, H, W) planes through patch tiling."""
     grid, patches = extract_patches(planes.astype(net.dtype, copy=False), patch)
     preds = []
-    for start in range(0, patches.shape[0], batch_size):
-        out = net.forward(patches[start : start + batch_size], train=False)
-        preds.append(out[:, 0])
+    with _blas_threads_shared(_cpu_count()):
+        for start in range(0, patches.shape[0], batch_size):
+            out = net.forward(patches[start : start + batch_size], train=False)
+            preds.append(out[:, 0])
     return reassemble(grid, np.concatenate(preds))
 
 

@@ -1,17 +1,22 @@
-"""The einsum convolution and 4-D batchnorm that ``hdrkit.nn`` replaced, as a
-test oracle for the GEMM engine.
+"""Two earlier generations of the ``hdrkit.nn`` layers, as test oracles.
 
-The ``forward``/``backward`` bodies are the earlier implementations verbatim:
-nine ``einsum`` calls on strided slices of the padded input per 3x3 layer,
-and batchnorm reducing over the (0, 2, 3) axes of the NCHW tensor.  Each
-class inherits its parameters and gradient buffers from the engine's layer,
-so both can be loaded with the same weights and compared.
+The einsum convolution and 4-D batchnorm are the f64 oracle for the GEMM
+engine.  Their ``forward``/``backward`` bodies are the earlier
+implementations verbatim: nine ``einsum`` calls on strided slices of the
+padded input per 3x3 layer, and batchnorm reducing over the (0, 2, 3) axes
+of the NCHW tensor.
+
+The whole-batch GEMM layers and network are the bitwise f32 oracle for the
+N-sliced engine that replaced them.
+
+Each class inherits its parameters and gradient buffers from the engine's
+layer, so both can be loaded with the same weights and compared.
 """
 
 import numpy as np
 
-from hdrkit.errors import ValidationError
-from hdrkit.nn import BatchNorm, Conv
+from hdrkit.errors import ParameterError, ValidationError
+from hdrkit.nn import BatchNorm, Conv, Network, _Block, check_tensor4, keep_mask
 
 
 class EinsumConv(Conv):
@@ -93,3 +98,157 @@ class FourAxisBatchNorm(BatchNorm):
             - mean_dxhat[None, :, None, None]
             - xhat * mean_dxhat_xhat[None, :, None, None]
         )
+
+
+# ---------------------------------------------------------------------------
+# The whole-batch GEMM engine that the N-sliced engine replaced: the bitwise
+# f32 oracle.  The bodies below are the earlier ``hdrkit.nn`` layers and
+# ``Network.forward``/``backward`` verbatim, each on the whole batch in the
+# calling thread.
+# ---------------------------------------------------------------------------
+
+
+class WholeBatchConv(Conv):
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        n, c, h, w = x.shape
+        if c != self.w.shape[1]:
+            raise ValidationError(
+                f"conv expects {self.w.shape[1]} input channels, got {c}"
+            )
+        if self.ksize == 1:
+            cols = x.reshape(n, c, h * w)
+        else:
+            xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+            cols = np.empty((n, c, 9, h, w), dtype=x.dtype)
+            for k in range(9):
+                cols[:, :, k] = xp[:, :, k // 3 : k // 3 + h, k % 3 : k % 3 + w]
+            cols = cols.reshape(n, c * 9, h * w)
+        self._cols = cols
+        y = np.matmul(self.w.reshape(self.w.shape[0], -1), cols)
+        y += self.b[:, None]
+        return y.reshape(n, -1, h, w)
+
+    def backward(self, dy: np.ndarray) -> np.ndarray | None:
+        cols = self._cols
+        if cols is None:
+            raise ValidationError("conv backward before forward")
+        n, o, h, w = dy.shape
+        dy = dy.reshape(n, o, h * w)
+        self.db[...] = dy.sum(axis=(0, 2))
+        self.dw.reshape(o, -1)[...] = np.matmul(dy, cols.transpose(0, 2, 1)).sum(axis=0)
+        self._cols = None  # spent; for 1x1 this frees the layer below's output
+        if not self.input_grad:
+            return None
+        dcols = np.matmul(self.w.reshape(o, -1).T, dy)
+        if self.ksize == 1:
+            return dcols.reshape(n, -1, h, w)
+        dcols = dcols.reshape(n, -1, 9, h, w)
+        dxp = np.zeros((n, dcols.shape[1], h + 2, w + 2), dtype=dy.dtype)
+        for k in range(9):
+            dxp[:, :, k // 3 : k // 3 + h, k % 3 : k % 3 + w] += dcols[:, :, k]
+        return dxp[:, :, 1 : h + 1, 1 : w + 1]
+
+
+class WholeBatchBatchNorm(BatchNorm):
+    def forward(self, x: np.ndarray, train: bool, inplace: bool = False) -> np.ndarray:
+        shape = x.shape
+        x = x.reshape(shape[0], shape[1], -1)
+        m = x.shape[0] * x.shape[2]
+        mu = x.sum(axis=(0, 2)) / m if train else self.running_mean
+        xc = np.subtract(x, mu[:, None], out=x if inplace else None)
+        if train:
+            var = np.vecdot(xc, xc).sum(axis=0) / m
+            mom = self.momentum
+            self.running_mean[...] = (1.0 - mom) * self.running_mean + mom * mu
+            self.running_var[...] = (1.0 - mom) * self.running_var + mom * var
+        else:
+            var = self.running_var
+        istd = 1.0 / np.sqrt(var + self.eps)
+        self._cache = (xc, istd, train)
+        y = xc * (self.gamma * istd)[:, None]
+        y += self.beta[:, None]
+        return y.reshape(shape)
+
+    def backward(self, dy: np.ndarray, inplace: bool = False) -> np.ndarray:
+        if self._cache is None:
+            raise ValidationError("batchnorm backward before forward")
+        xc, istd, train = self._cache  # xhat = xc * istd
+        self._cache = None
+        dy3 = dy.reshape(xc.shape)
+        self.dbeta[...] = dy3.sum(axis=(0, 2))
+        self.dgamma[...] = np.vecdot(dy3, xc).sum(axis=0) * istd
+        scale = self.gamma * istd
+        dx = np.multiply(dy3, scale[:, None], out=dy3 if inplace else None)
+        if train:
+            m = xc.shape[0] * xc.shape[2]
+            xc *= (scale * istd * self.dgamma / m)[:, None]
+            dx -= xc
+            dx -= (scale * self.dbeta / m)[:, None]
+        return dx.reshape(dy.shape)
+
+
+class WholeBatchBlock(_Block):
+    def forward(self, x, train: bool, rng, bn_train: bool, apply_dropout: bool,
+                frozen_gates: bool = False):
+        y = self.conv.forward(x)
+        if self.is_output:
+            return y
+        if self.bn is not None:
+            y = self.bn.forward(y, train=bn_train, inplace=True)
+        if frozen_gates:
+            if self._mask is None or self._scale is not None:
+                raise ValidationError("frozen-gate forward before a dropout-free reference pass")
+            mask = self._mask
+        else:
+            mask = y > 0
+        p = self.spec.dropout_p
+        self._scale = None
+        if train and apply_dropout and p > 0.0:
+            if rng is None:
+                raise ParameterError("train-mode dropout needs an rng")
+            keep = keep_mask(y.shape, p, rng)
+            keep &= mask
+            mask = keep
+            self._scale = y.dtype.type(1.0 / (1.0 - p))
+        self._mask = mask
+        y *= mask
+        if self._scale is not None:
+            y *= self._scale
+        return y
+
+    def backward(self, dy):
+        if not self.is_output:
+            dy = dy * self._mask
+            if self._scale is not None:
+                dy *= self._scale
+            if self.bn is not None:
+                dy = self.bn.backward(dy, inplace=True)
+        return self.conv.backward(dy)
+
+
+class WholeBatchNetwork(Network):
+    """A :class:`Network` (same spec, same initial tensors) on the layers above."""
+
+    def __init__(self, spec, dtype=np.float32) -> None:
+        super().__init__(spec, dtype)
+        for block in self.blocks:
+            block.__class__ = WholeBatchBlock
+            block.conv.__class__ = WholeBatchConv
+            if block.bn is not None:
+                block.bn.__class__ = WholeBatchBatchNorm
+
+    def forward(self, x, train=False, rng=None, bn_train=None, apply_dropout=True,
+                frozen_gates=False):
+        x = check_tensor4(x, "input").astype(self.dtype, copy=False)
+        if bn_train is None:
+            bn_train = train
+        if train and apply_dropout and rng is None:
+            if any(b.spec.dropout_p > 0 for b in self.blocks):
+                raise ParameterError("train-mode forward with dropout needs an rng")
+        for block in self.blocks:
+            x = block.forward(x, train, rng, bn_train, apply_dropout, frozen_gates)
+        return x
+
+    def backward(self, dy):
+        for block in reversed(self.blocks):
+            dy = block.backward(dy)

@@ -1,9 +1,11 @@
 import struct
+import sys
 
 import numpy as np
 import pytest
-from nn_reference import EinsumConv, FourAxisBatchNorm
+from nn_reference import EinsumConv, FourAxisBatchNorm, WholeBatchNetwork
 
+from hdrkit import nn
 from hdrkit.errors import (
     CorruptionError,
     FormatError,
@@ -25,6 +27,9 @@ from hdrkit.nn import (
     relu,
     relu_backward,
     _Block,
+    _DRAW_CHUNK,
+    _keep_drawer,
+    _Slices,
     save_checkpoint,
     sgd_step,
 )
@@ -207,6 +212,29 @@ class TestDropout:
         keep = keep_mask((3, 5, 70, 80), 0.25, chunked)
         assert np.array_equal(keep, whole.random((3, 5, 70, 80)) >= 0.25)
 
+    @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.PCG64DXSM,
+                                        np.random.MT19937, np.random.Philox])
+    @pytest.mark.parametrize("shape, threads", [((5, 3, 70, 80), 3), ((3, 1, 300, 301), 2),
+                                                ((7, 2, 1, 3), 5), ((2, 4, 5), 5)])
+    def test_keep_mask_slices_are_the_full_draw(self, bitgen, shape, threads):
+        """Slices drawing at offsets that are not chunk multiples, from
+        advanced PCG64 copies or (other generators) on the calling thread,
+        give the one-array mask, and leave rng where the whole draw does,
+        even with a buffered 32-bit half."""
+        sliced = np.random.Generator(bitgen(23))
+        whole = np.random.Generator(bitgen(23))
+        for g in (sliced, whole):
+            g.integers(0, 2**32, dtype=np.uint32)
+        per_sample = int(np.prod(shape[1:]))
+        with _Slices(shape[0], threads) as slices:
+            assert any(sl.start * per_sample % _DRAW_CHUNK for sl in slices.parts)
+            keep, draw = _keep_drawer(shape, 0.4, sliced, slices)
+            slices.run(draw)
+        assert keep.tobytes() == (whole.random(shape) >= 0.4).tobytes()
+        np.testing.assert_equal(sliced.bit_generator.state, whole.bit_generator.state)
+        assert sliced.integers(0, 2**32, dtype=np.uint32) == whole.integers(0, 2**32, dtype=np.uint32)
+        assert sliced.random() == whole.random()
+
 
 def assert_close(actual, reference, rtol=1e-12):
     """Max abs difference within ``rtol`` of the reference's largest value."""
@@ -270,6 +298,131 @@ class TestMatchesEinsumReference:
             d = ref.bn.backward(d)
         assert dx.tobytes() == ref.conv.backward(d).tobytes()
         assert block.conv.dw.tobytes() == ref.conv.dw.tobytes()
+
+
+SLICED_SPEC = NetworkSpec(
+    layers=(
+        LayerSpec("conv3x3", 3, 6, batchnorm=True, dropout_p=0.3),
+        LayerSpec("conv3x3", 6, 5, dropout_p=0.4),  # computes a 3x3 input gradient
+        LayerSpec("conv1x1", 5, 4, batchnorm=True),
+        LayerSpec("conv1x1", 4, 3),
+        LayerSpec("output1x1", 3, 1),
+    ),
+    seed=8,
+)
+
+
+def _tensor_bytes(net):
+    return [arr.tobytes() for _, arr in net.tensors()] + [g.tobytes() for g in net.grads()]
+
+
+class TestSlicedEngine:
+    """The N-sliced engine against the whole-batch engine it replaced, bitwise
+    in f32, for any number of slice threads."""
+
+    @pytest.fixture
+    def cpus(self, request, monkeypatch):
+        """The CPU count for the test, with tiny batches sliced as large ones are."""
+        monkeypatch.setattr(nn, "_cpu_count", lambda: request.param)
+        monkeypatch.setattr(nn, "_SLICE_PIXELS", 1)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the slice threads as often as possible
+        yield request.param
+        sys.setswitchinterval(switch)
+
+    @staticmethod
+    def _pass(net, x, dy, mode, rng):
+        """One pass of the given mode; returns its outputs."""
+        if mode == "eval":
+            return [net.forward(x, train=False)]
+        kwargs = {
+            "dropout": {"rng": rng},
+            "no_dropout": {"apply_dropout": False},
+            "bn_eval": {"rng": rng, "bn_train": False},
+            "frozen": {"apply_dropout": False},
+        }[mode]
+        out = [net.forward(x, train=True, **kwargs)]
+        net.backward(dy)
+        if mode == "frozen":  # a frozen-gate pass on nudged weights, as grad_check runs
+            net.blocks[2].conv.w += np.float32(0.01)
+            out.append(net.forward(x, train=True, apply_dropout=False, frozen_gates=True))
+            net.backward(dy)
+        return out
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5], indirect=True)
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    @pytest.mark.parametrize("mode", ["dropout", "no_dropout", "bn_eval", "eval", "frozen"])
+    def test_matches_whole_batch_engine(self, cpus, n, mode):
+        data = np.random.default_rng(100 + n)
+        x = data.normal(size=(n, 3, 7, 6)).astype(np.float32)
+        dy = data.normal(size=(n, 1, 7, 6)).astype(np.float32)
+        net = Network(SLICED_SPEC)
+        ref = WholeBatchNetwork(SLICED_SPEC)
+        for model in (net, ref):  # non-trivial running statistics for bn_eval and eval
+            for block in model.blocks:
+                if block.bn is not None:
+                    block.bn.running_mean[...] = np.linspace(-0.2, 0.3, block.bn.gamma.size)
+                    block.bn.running_var[...] = np.linspace(0.5, 1.5, block.bn.gamma.size)
+        rngs = [np.random.default_rng(31), np.random.default_rng(31)]
+        for _ in range(2):  # a second step starts from updated running statistics
+            got = self._pass(net, x, dy, mode, rngs[0])
+            want = self._pass(ref, x, dy, mode, rngs[1])
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            assert _tensor_bytes(net) == _tensor_bytes(ref)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize("cpus", [3], indirect=True)
+    def test_explicit_thread_count_overrides_cpus(self, cpus, monkeypatch):
+        """An explicit thread count overrides the CPU count, and gives the
+        same bytes."""
+        sizes = []
+        real = _Slices.__init__
+
+        def record(self, n, threads=1):
+            real(self, n, threads)
+            sizes.append(len(self.parts))
+
+        monkeypatch.setattr(_Slices, "__init__", record)
+        x = np.random.default_rng(3).normal(size=(4, 3, 5, 5)).astype(np.float32)
+        nets = [Network(SLICED_SPEC), Network(SLICED_SPEC)]
+        outs = [nets[0].forward(x, train=True, rng=np.random.default_rng(2), threads=2),
+                nets[1].forward(x, train=True, rng=np.random.default_rng(2))]
+        nets[0].backward(np.ones_like(outs[0]), threads=2)
+        assert sizes == [2, 3, 2]
+        assert outs[0].tobytes() == outs[1].tobytes()
+
+    @pytest.mark.parametrize("shape, threads, expected", [
+        ((40, 5, 64, 64), 2, 2), ((2, 5, 64, 64), 5, 2), ((4, 1, 64, 32), 5, 2),
+        ((3, 5, 32, 32), 2, 1), ((2, 5, 8, 8), 2, 1), ((1, 5, 200, 200), 2, 1)])
+    def test_small_batches_take_fewer_slices(self, shape, threads, expected):
+        """A slice gets at least one 64x64 patch's worth of pixels."""
+        assert len(_Slices(shape[0], nn._slice_threads(np.empty(shape), threads)).parts) == expected
+
+    def test_eval_forward_keeps_no_caches(self):
+        net = Network(SLICED_SPEC)
+        x = np.random.default_rng(4).normal(size=(2, 3, 5, 5)).astype(np.float32)
+        net.forward(x, train=True, rng=np.random.default_rng(1))
+        net.forward(x, train=False)
+        for block in net.blocks:
+            assert block.conv._cols is None and block._mask is None
+            assert block.bn is None or block.bn._cache is None
+        with pytest.raises(ValidationError, match="backward before"):
+            net.backward(np.ones((2, 1, 5, 5), np.float32))
+        with pytest.raises(ValidationError, match="block backward before"):
+            net.blocks[1].backward(np.ones((2, 5, 5, 5), np.float32))
+
+    def test_task_error_is_raised_after_every_slice_ends(self):
+        finished = []
+
+        def task(sl):
+            if sl.start == 0:
+                raise ValueError("first slice")
+            finished.append(sl.start)
+
+        with _Slices(6, 3) as slices:
+            with pytest.raises(ValueError, match="first slice"):
+                slices.run(task)
+            assert sorted(finished) == [2, 4]
 
 
 class TestMseLoss:
@@ -348,8 +501,8 @@ class TestGradCheckHarness:
         conv = net.blocks[0].conv
         orig = conv.backward
 
-        def corrupted(dy):
-            dx = orig(dy)
+        def corrupted(dy, *slices):
+            dx = orig(dy, *slices)
             conv.dw *= 1.1
             return dx
 

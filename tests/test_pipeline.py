@@ -15,7 +15,6 @@ from hdrkit.pipeline import (
     TrainConfig,
     TrainState,
     _blas_thread_control,
-    _cpu_count,
     build_ldr2hdr_net,
     build_ldr2hdr_samples,
     build_tonemap_net,
@@ -350,7 +349,9 @@ class TestParallel:
 
 @pytest.mark.skipif(_blas_thread_control() is None, reason="no OpenBLAS thread control found")
 class TestBlasThreads:
-    """While shards run, BLAS gets its thread count over the pool size."""
+    """While engine threads run, BLAS gets its thread count over their number:
+    a step runs min(K, CPUs) shards on max(1, CPUs // K) slice threads each,
+    and an eval forward one slice thread per CPU."""
 
     @pytest.fixture(params=[1, 2])
     def threads(self, request):
@@ -367,17 +368,60 @@ class TestBlasThreads:
         return ParallelTrainer(Network(tiny_spec(p=0.4), dtype=np.float64), workers, cfg), x, y
 
     def test_capped_during_shards_and_restored_after_step(self, rng, monkeypatch, threads):
+        self._step_and_check(rng, monkeypatch, threads, workers=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cpus", [None, 1, 4])
+    def test_cap_follows_engine_threads(self, rng, monkeypatch, threads, workers, cpus):
+        if cpus is not None:
+            monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+        self._step_and_check(rng, monkeypatch, threads, workers)
+
+    def _step_and_check(self, rng, monkeypatch, threads, workers):
+        """One step: the slice threads and BLAS count each shard sees, and
+        the BLAS count after."""
+        cpus = pipeline._cpu_count()
         get, _ = _blas_thread_control()
-        seen = []
+        seen, slice_threads = [], []
 
         def loss_and_count(pred, target):
             seen.append(get())
             return mse_loss(pred, target)
 
+        real_forward = Network.forward
+
+        def forward(net, *args, **kwargs):
+            slice_threads.append(kwargs["threads"])
+            return real_forward(net, *args, **kwargs)
+
         monkeypatch.setattr(pipeline, "mse_loss", loss_and_count)
-        trainer, x, y = self._trainer(rng)
+        monkeypatch.setattr(Network, "forward", forward)
+        trainer, x, y = self._trainer(rng, workers)
         trainer.step(x, y)
-        assert seen == [max(1, threads // min(2, _cpu_count()))] * 2
+        per_shard = max(1, cpus // workers)
+        assert slice_threads == [per_shard] * workers
+        assert seen == [max(1, threads // (min(workers, cpus) * per_shard))] * workers
+        assert get() == threads
+
+    @pytest.mark.parametrize("cpus", [None, 1, 4])
+    def test_capped_during_eval_forwards(self, rng, monkeypatch, threads, cpus):
+        if cpus is not None:
+            monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+        cpus = pipeline._cpu_count()
+        get, _ = _blas_thread_control()
+        net = Network(tiny_spec(), dtype=np.float32)
+        seen = []
+        real_forward = net.forward
+
+        def forward(*args, **kwargs):
+            seen.append(get())
+            return real_forward(*args, **kwargs)
+
+        net.forward = forward
+        pipeline._forward_tiled(net, rng.random((2, 20, 20)), 8, batch_size=4)
+        x, y = tiny_samples(rng, n=3)
+        eval_mse(net, (x, y), batch_size=2)
+        assert seen == [max(1, threads // cpus)] * 5
         assert get() == threads
 
     def test_restored_after_diverged_shard(self, rng, threads):
