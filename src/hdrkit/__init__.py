@@ -61,6 +61,5 @@ from .pipeline import (
     reassemble,
     recompose_tonemap,
     train,
-    train_epoch,
 )
 from .tmo import TmqiScore, ToneMap, drago, mertens_fuse, reinhard_global, select_best_tmo, tmqi

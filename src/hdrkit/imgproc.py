@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError
 from .image_io import LdrImage, RadianceMap
 
 log = logging.getLogger(__name__)
@@ -44,14 +44,6 @@ class LabImage:
     L: np.ndarray
     a: np.ndarray
     b: np.ndarray
-
-    def validate(self) -> None:
-        shape = (self.height, self.width)
-        for name, plane in (("L", self.L), ("a", self.a), ("b", self.b)):
-            if plane.shape != shape:
-                raise ValidationError(f"{name} plane shape {plane.shape} != {shape}")
-        if not np.all(np.isfinite(self.L)):
-            raise ValidationError("L plane contains non-finite values")
 
 
 def round_half_up(x: np.ndarray | float) -> np.ndarray:

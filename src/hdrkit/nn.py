@@ -296,10 +296,9 @@ class BatchNorm:
         self.dbeta = np.zeros_like(self.beta)
         self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray, train: bool, inplace: bool = False,
-                slices: _Slices | None = None) -> np.ndarray:
-        """Normalize x; ``inplace`` lets it centre x itself (the caller's
-        conv output), which then is the cached ``xc``."""
+    def forward(self, x: np.ndarray, train: bool, slices: _Slices | None = None) -> np.ndarray:
+        """Normalize x, centring it in place (a block's fresh conv output):
+        the centred x is the cached ``xc``."""
         shape = x.shape
         x = x.reshape(shape[0], shape[1], -1)
         slices = slices or _Slices(shape[0])
@@ -308,14 +307,10 @@ class BatchNorm:
             rows = np.empty(x.shape[:2], dtype=x.dtype)
             slices.run(lambda sl: x[sl].sum(axis=2, out=rows[sl]))
             mu = _channel_total(x, rows) / m
-        else:
-            mu = self.running_mean
-        xc = x if inplace else np.empty(x.shape, dtype=np.result_type(x, mu))
-        if train:
-            squares = np.empty(x.shape[:2], dtype=xc.dtype)
+            squares = np.empty(x.shape[:2], dtype=x.dtype)
 
             def centre(sl: slice) -> None:
-                xs = np.subtract(x[sl], mu[:, None], out=xc[sl])
+                xs = np.subtract(x[sl], mu[:, None], out=x[sl])
                 np.vecdot(xs, xs, out=squares[sl])
 
             slices.run(centre)
@@ -324,25 +319,24 @@ class BatchNorm:
             self.running_mean[...] = (1.0 - mom) * self.running_mean + mom * mu
             self.running_var[...] = (1.0 - mom) * self.running_var + mom * var
         else:
-            var = self.running_var
+            mu, var = self.running_mean, self.running_var
         istd = 1.0 / np.sqrt(var + self.eps)
-        self._cache = (xc, istd, train)
+        self._cache = (x, istd, train)
         scale = self.gamma * istd
-        y = np.empty(x.shape, dtype=np.result_type(xc, scale))
+        y = np.empty(x.shape, dtype=np.result_type(x, scale))
 
         def normalize(sl: slice) -> None:
             if not train:  # eval centres here, in the same pass
-                np.subtract(x[sl], mu[:, None], out=xc[sl])
-            ys = np.multiply(xc[sl], scale[:, None], out=y[sl])
+                np.subtract(x[sl], mu[:, None], out=x[sl])
+            ys = np.multiply(x[sl], scale[:, None], out=y[sl])
             ys += self.beta[:, None]
 
         slices.run(normalize)
         return y.reshape(shape)
 
-    def backward(self, dy: np.ndarray, inplace: bool = False,
-                 slices: _Slices | None = None) -> np.ndarray:
-        """Input gradient; ``inplace`` lets it overwrite dy.  Backward spends
-        the forward cache, and its ``xc`` holds the mean-correction term."""
+    def backward(self, dy: np.ndarray, slices: _Slices | None = None) -> np.ndarray:
+        """Input gradient, written over dy.  Backward spends the forward
+        cache, and its ``xc`` holds the mean-correction term."""
         if self._cache is None:
             raise ValidationError("batchnorm backward before forward")
         xc, istd, train = self._cache  # xhat = xc * istd
@@ -360,14 +354,13 @@ class BatchNorm:
         self.dbeta[...] = _channel_total(dy3, rows)
         self.dgamma[...] = dots.sum(axis=0) * istd
         scale = self.gamma * istd
-        dx = dy3 if inplace else np.empty(dy3.shape, dtype=np.result_type(dy3, scale))
         if train:
             m = xc.shape[0] * xc.shape[2]
             x_term = (scale * istd * self.dgamma / m)[:, None]
             mean_term = (scale * self.dbeta / m)[:, None]
 
         def run(sl: slice) -> None:
-            ds = np.multiply(dy3[sl], scale[:, None], out=dx[sl])
+            ds = np.multiply(dy3[sl], scale[:, None], out=dy3[sl])
             if train:
                 xs = xc[sl]
                 xs *= x_term
@@ -375,7 +368,7 @@ class BatchNorm:
                 ds -= mean_term
 
         slices.run(run)
-        return dx.reshape(dy.shape)
+        return dy3.reshape(dy.shape)
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
         return [
@@ -390,23 +383,6 @@ class BatchNorm:
 
     def grads(self) -> list[np.ndarray]:
         return [self.dgamma, self.dbeta]
-
-
-def relu(x: np.ndarray, gate=None) -> tuple[np.ndarray, np.ndarray]:
-    """``x * gate`` with ``gate = x > 0`` unless one is given; returns (y, gate).
-
-    Passing the gate of an earlier pass keeps the network on the same linear
-    piece (the frozen-gate gradient check).  Negative entries become -0.0,
-    not the +0.0 that ``np.maximum(x, 0)`` would give.
-    """
-    if gate is None:
-        gate = x > 0
-    return x * gate, gate
-
-
-def relu_backward(dy: np.ndarray, gate: np.ndarray) -> np.ndarray:
-    """Gradient passes where the forward input was strictly positive."""
-    return dy * gate
 
 
 _DRAW_CHUNK = 1 << 16  # doubles per draw: 512 KiB, which stays in cache
@@ -462,27 +438,14 @@ def _keep_drawer(shape, p: float, rng: np.random.Generator, slices: _Slices):
     return keep, lambda sl: _draw_keep(rows[sl].reshape(-1), p, *streams[sl.start])
 
 
-def dropout(x: np.ndarray, p: float, train: bool, rng=None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout: returns (x * scale, scale), where scale is the
-    :func:`keep_mask` times 1/(1-p) and also the backward multiplier, or
-    (x, None) when nothing is dropped."""
-    if not 0.0 <= p < 1.0:
-        raise ParameterError(f"dropout p must be in [0, 1), got {p}")
-    if not train or p == 0.0:
-        return x, None
-    if rng is None:
-        raise ParameterError("train-mode dropout needs an rng")
-    scale = np.multiply(keep_mask(x.shape, p, rng), x.dtype.type(1.0 / (1.0 - p)))
-    return x * scale, scale
-
-
 class _Block:
     """conv -> [batchnorm] -> relu -> [dropout]; the output block is conv only.
 
     A train-mode forward caches one bool mask: the ReLU gate ``y > 0``, AND
     the dropout keep mask when dropout runs, in which case ``_scale`` holds
-    1/(1-p).  ``y *= mask; y *= scale`` and, backward, ``dy * mask`` then
-    ``*= scale`` are bitwise :func:`relu` followed by :func:`dropout`.  A
+    1/(1-p).  ``y *= mask; y *= scale`` and, backward, ``dy *= mask`` then
+    ``*= scale`` are bitwise a ReLU followed by inverted dropout (the
+    ``relu`` and ``dropout`` oracles in ``tests/nn_reference.py``).  A
     frozen-gate pass reuses the mask of a dropout-free pass as its gate.  An
     eval forward (``train`` false) keeps nothing for backward.
     """
@@ -506,7 +469,7 @@ class _Block:
         if self.is_output:
             return y
         if self.bn is not None:
-            y = self.bn.forward(y, train=bn_train, inplace=True, slices=slices)
+            y = self.bn.forward(y, train=bn_train, slices=slices)
             if not train:
                 self.bn._cache = None
         if frozen_gates and (self._mask is None or self._scale is not None):
@@ -536,24 +499,22 @@ class _Block:
         self._scale = scale
         return y
 
-    def backward(self, dy, inplace: bool = False, slices: _Slices | None = None):
-        """Input gradient; ``inplace`` lets the mask multiply overwrite dy."""
+    def backward(self, dy, slices: _Slices | None = None):
+        """Input gradient; a hidden block's mask multiply overwrites dy."""
         slices = slices or _Slices(dy.shape[0])
         if not self.is_output:
             mask, scale = self._mask, self._scale
             if mask is None:
                 raise ValidationError("block backward before a train-mode forward")
-            out = dy if inplace else np.empty_like(dy)
 
             def run(sl: slice) -> None:
-                ds = np.multiply(dy[sl], mask[sl], out=out[sl])
+                ds = np.multiply(dy[sl], mask[sl], out=dy[sl])
                 if scale is not None:
                     ds *= scale
 
             slices.run(run)
-            dy = out
             if self.bn is not None:
-                dy = self.bn.backward(dy, inplace=True, slices=slices)
+                dy = self.bn.backward(dy, slices)
         return self.conv.backward(dy, slices)
 
     def modules(self):
@@ -608,12 +569,12 @@ class Network:
         slices of the batch as in :meth:`forward`.
 
         The gradient of the network input is not computed: no caller needs it.
-        Each hidden block's mask multiply overwrites the fresh input gradient
-        of the conv above it.
+        ``dy`` itself is only read, by the output conv; each hidden block's
+        mask multiply overwrites the fresh input gradient of the conv above it.
         """
         with _Slices(dy.shape[0], _slice_threads(dy, threads)) as slices:
             for block in reversed(self.blocks):
-                dy = block.backward(dy, True, slices)
+                dy = block.backward(dy, slices)
 
     def params(self) -> list[np.ndarray]:
         return [p for blk in self.blocks for mod in blk.modules() for p in mod.params()]
@@ -647,12 +608,13 @@ class Network:
     def copy_state_from(self, other: "Network") -> None:
         self.load_tensors([arr for _, arr in other.tensors()])
 
-    def activation_stats(self, x: np.ndarray, train: bool = True) -> list[dict]:
-        """Per-block output statistics, for divergence diagnostics."""
+    def activation_stats(self, x: np.ndarray) -> list[dict]:
+        """Per-block train-mode output statistics, without dropout, for
+        divergence diagnostics."""
         x = check_tensor4(x).astype(self.dtype, copy=False)
         stats = []
         for block in self.blocks:
-            x = block.forward(x, train=train, rng=None, bn_train=train, apply_dropout=False)
+            x = block.forward(x, train=True, rng=None, bn_train=True, apply_dropout=False)
             stats.append(
                 {
                     "layer": block.name,

@@ -8,9 +8,9 @@ the scaling on predictions.  ``extract_patches`` tiles those planes for both
 training and inference.
 
 Training regresses 64x64 patches with mini-batch SGD along a single path:
-``train`` (and ``hyperparam_search`` through it) runs ``train_epoch`` once
-per epoch, and ``train_epoch`` sends every mini-batch through
-``ParallelTrainer.step``, the only SGD step.  That data-parallel step keeps
+``train`` (``hyperparam_search`` runs it too) shuffles the samples once per
+epoch and sends every mini-batch through one ``ParallelTrainer``'s
+``step``, the only SGD step.  That data-parallel step keeps
 identical parameter replicas on ``cfg.workers`` workers, computes shard
 gradients concurrently on a thread pool, sums them in ascending worker
 order scaled to the whole-batch mean, updates worker 0, and broadcasts the
@@ -26,6 +26,7 @@ import ctypes
 import functools
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -74,6 +75,13 @@ class TrainConfig:
     target_domain: str = "linear"  # or "log1p"
 
     def __post_init__(self) -> None:
+        for name in ("momentum", "dropout_p"):
+            if not 0.0 <= getattr(self, name) < 1.0:  # also false for NaN
+                raise ValidationError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        # Channel c's net has seed + c, which checkpoints store as an int64.
+        seed_end = 2**63 - (len(TONEMAP_CHANNELS) - 1)
+        if not 0 <= self.seed < seed_end:
+            raise ValidationError(f"seed must be in [0, {seed_end}), got {self.seed}")
         if self.dtype not in ("f32", "f64"):
             raise ValidationError(f"dtype must be f32 or f64, got {self.dtype!r}")
         with np.errstate(over="ignore"):
@@ -392,10 +400,8 @@ def build_tonemap_samples(
 
 @dataclass
 class TrainState:
-    """Trainer and curve state carried across epochs."""
+    """The result of :func:`train`: one curve row per epoch."""
 
-    trainer: ParallelTrainer | None = None
-    epoch: int = 0
     curve: list[tuple] = field(default_factory=list)
 
 
@@ -461,36 +467,13 @@ def _blas_threads_shared(threads: int):
         put(default)
 
 
-def train_epoch(
-    net: Network,
-    samples,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-    state: TrainState | None = None,
-) -> float:
-    """One shuffled pass of mini-batch SGD; returns the sample-weighted loss.
-
-    Every mini-batch goes through ``state.trainer``, which is built from
-    ``cfg.workers`` on first use.  Pass the same ``state`` across epochs to
-    keep momentum, the global step counter, and the loss curve.
-    """
-    if state is None:
-        state = TrainState()
-    if state.trainer is None:
-        state.trainer = ParallelTrainer(net, cfg.workers, cfg)
-    x_all, y_all = _as_arrays(samples, net.dtype)
-    n = x_all.shape[0]
-    if n < 1:
-        raise ParameterError("need at least one sample")
-    order = rng.permutation(n)
-    total = 0.0
-    for start in range(0, n, cfg.batch_size):
-        idx = order[start : start + cfg.batch_size]
-        total += state.trainer.step(x_all[idx], y_all[idx]) * len(idx)
-    mean = total / n
-    state.epoch += 1
-    state.curve.append((state.epoch, mean))
-    return mean
+@functools.cache
+def _unmap_large_buffers() -> None:
+    """Fix glibc's mmap threshold at 16 MiB, process-wide.  By default glibc
+    raises it as buffers are freed, then keeps freed activations in the arenas
+    of short-lived threads, so a run's peak RSS hung on thread timing."""
+    if sys.platform == "linux" and hasattr(libc := ctypes.CDLL(None), "mallopt"):
+        libc.mallopt(-3, 16 << 20)  # -3 is M_MMAP_THRESHOLD, in bytes
 
 
 def eval_mse(net: Network, samples, batch_size: int = 40) -> float:
@@ -528,6 +511,7 @@ class ParallelTrainer:
     def __init__(self, net: Network, workers: int, cfg: TrainConfig) -> None:
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
+        _unmap_large_buffers()
         self.cfg = cfg
         self.master = net
         self.replicas = [net.clone() for _ in range(workers - 1)]
@@ -623,22 +607,32 @@ def train(
     val_samples=None,
     epochs: int | None = None,
 ) -> TrainState:
-    """Full training run; returns the state with one curve row per epoch.
+    """Mini-batch SGD on ``(inputs, targets)``; returns one curve row per epoch.
 
-    Each row is ``(epoch, mean_loss)``, plus the eval-mode validation MSE
-    when ``val_samples`` is given.
+    Each epoch shuffles the samples with a stream seeded by ``cfg.seed`` and
+    sends every mini-batch through one :class:`ParallelTrainer` on
+    ``cfg.workers`` workers.  Each row is ``(epoch, mean_loss)``, the
+    sample-weighted mean, plus the eval-mode validation MSE when
+    ``val_samples`` is given.
     """
     epochs = cfg.epochs if epochs is None else epochs
-    state = TrainState()
+    x_all, y_all = _as_arrays(samples, net.dtype)
+    n = x_all.shape[0]
+    if n < 1:
+        raise ParameterError("need at least one sample")
+    trainer = ParallelTrainer(net, cfg.workers, cfg)
     shuffle_rng = np.random.default_rng(cfg.seed)
-    for _ in range(epochs):
-        train_epoch(net, samples, cfg, shuffle_rng, state)
+    state = TrainState()
+    for epoch in range(1, epochs + 1):
+        order = shuffle_rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            total += trainer.step(x_all[idx], y_all[idx]) * len(idx)
+        row = (epoch, total / n)
         if val_samples is not None:
-            state.curve[-1] += (eval_mse(net, val_samples, cfg.batch_size),)
-    # A finished run frees its trainer: the replicas and the activations that
-    # every worker caches for backward would otherwise live as long as the
-    # returned state.
-    state.trainer = None
+            row += (eval_mse(net, val_samples, cfg.batch_size),)
+        state.curve.append(row)
     return state
 
 

@@ -38,10 +38,6 @@ class ToneMap:
         h, w = data.shape[:2]
         return cls(width=w, height=h, data=data)
 
-    def validate(self) -> None:
-        if np.any(self.data < 0) or np.any(self.data > 1):
-            raise ValidationError("tone map values outside [0, 1]")
-
 
 def _scale_colors(rgb: np.ndarray, lum: np.ndarray, lum_display: np.ndarray) -> np.ndarray:
     """Rescale colors by lum_display/lum, preserving channel ratios."""

@@ -9,6 +9,9 @@ of the NCHW tensor.
 The whole-batch GEMM layers and network are the bitwise f32 oracle for the
 N-sliced engine that replaced them.
 
+``relu``, ``relu_backward`` and ``dropout`` are the standalone operations
+that a block's one fused mask multiply replaced, bitwise, in each direction.
+
 Each class inherits its parameters and gradient buffers from the engine's
 layer, so both can be loaded with the same weights and compared.
 """
@@ -98,6 +101,37 @@ class FourAxisBatchNorm(BatchNorm):
             - mean_dxhat[None, :, None, None]
             - xhat * mean_dxhat_xhat[None, :, None, None]
         )
+
+
+def relu(x: np.ndarray, gate=None) -> tuple[np.ndarray, np.ndarray]:
+    """``x * gate`` with ``gate = x > 0`` unless one is given; returns (y, gate).
+
+    Passing the gate of an earlier pass keeps the network on the same linear
+    piece (the frozen-gate gradient check).  Negative entries become -0.0,
+    not the +0.0 that ``np.maximum(x, 0)`` would give.
+    """
+    if gate is None:
+        gate = x > 0
+    return x * gate, gate
+
+
+def relu_backward(dy: np.ndarray, gate: np.ndarray) -> np.ndarray:
+    """Gradient passes where the forward input was strictly positive."""
+    return dy * gate
+
+
+def dropout(x: np.ndarray, p: float, train: bool, rng=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Inverted dropout: returns (x * scale, scale), where scale is the
+    :func:`keep_mask` times 1/(1-p) and also the backward multiplier, or
+    (x, None) when nothing is dropped."""
+    if not 0.0 <= p < 1.0:
+        raise ParameterError(f"dropout p must be in [0, 1), got {p}")
+    if not train or p == 0.0:
+        return x, None
+    if rng is None:
+        raise ParameterError("train-mode dropout needs an rng")
+    scale = np.multiply(keep_mask(x.shape, p, rng), x.dtype.type(1.0 / (1.0 - p)))
+    return x * scale, scale
 
 
 # ---------------------------------------------------------------------------

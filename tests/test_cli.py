@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hdrkit
+from hdrkit import cli
 from hdrkit.camera import format_crf, gamma_crf
 from hdrkit.cli import run
 from hdrkit.image_io import (
@@ -290,6 +291,22 @@ class TestConfigPrecedence:
         assert proc.returncode != 0
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
         assert not list(tmp_path.rglob("*.ckpt"))
+
+    @pytest.mark.parametrize("flag, value", [("--momentum", "1.5"), ("--dropout-p", "1.0"),
+                                             ("--seed", "-1"), ("--seed", "9223372036854775806")])
+    def test_bad_train_value_fails_before_any_work(self, tmp_path, capsys, monkeypatch, flag, value):
+        """One error line, before the manifest is read or a checkpoint written.
+        (The largest seed passes 2**63 only as the seed of the B net.)"""
+        data, out = tmp_path / "data", tmp_path / "o"
+        run(["synth", "--out", str(data), "--count", "1", "--size", "16", "--seed", "2"])
+        read, real = [], cli._read_manifest
+        monkeypatch.setattr(cli, "_read_manifest", lambda path: read.append(path) or real(path))
+        capsys.readouterr()
+        code = run(["train-ldr2hdr", "--manifest", str(data), "--out", str(out), flag, value,
+                    "--epochs", "1", "--patch", "16", "--batch-size", "4"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:validation:") and err.count("\n") == 1, err
+        assert read == [] and not list(tmp_path.rglob("*.ckpt"))
 
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -3,7 +3,14 @@ import sys
 
 import numpy as np
 import pytest
-from nn_reference import EinsumConv, FourAxisBatchNorm, WholeBatchNetwork
+from nn_reference import (
+    EinsumConv,
+    FourAxisBatchNorm,
+    WholeBatchNetwork,
+    dropout,
+    relu,
+    relu_backward,
+)
 
 from hdrkit import nn
 from hdrkit.errors import (
@@ -19,13 +26,10 @@ from hdrkit.nn import (
     LayerSpec,
     Network,
     NetworkSpec,
-    dropout,
     grad_check,
     keep_mask,
     load_checkpoint,
     mse_loss,
-    relu,
-    relu_backward,
     _Block,
     _DRAW_CHUNK,
     _keep_drawer,
@@ -141,7 +145,7 @@ class TestBatchNorm:
     def test_eval_uses_running_stats(self, rng):
         bn = BatchNorm(2, np.float64)
         x = rng.normal(size=(2, 2, 4, 4))
-        y = bn.forward(x, train=False)  # before any training step: mu=0, var=1
+        y = bn.forward(x.copy(), train=False)  # before any training step: mu=0, var=1
         assert np.allclose(y, x / np.sqrt(1 + bn.eps))
 
     def test_gradcheck(self):
@@ -185,17 +189,29 @@ class TestDropout:
         x = rng.normal(size=(4, 4))
         assert np.array_equal(dropout(x, 0.7, train=False)[0], x)
 
+    @staticmethod
+    def passthrough_net():
+        """Unit-weight 1x1 layers around one dropout: the output is the
+        dropout of a positive input."""
+        net = Network(NetworkSpec(layers=(LayerSpec("conv1x1", 1, 1, dropout_p=0.4),
+                                          LayerSpec("output1x1", 1, 1))))
+        for block in net.blocks:
+            block.conv.w[...] = 1.0
+        return net
+
     def test_statistics(self):
-        rng = np.random.default_rng(123)
-        x = np.ones(1_000_000)
-        y, scale = dropout(x, 0.4, train=True, rng=rng)
-        assert np.array_equal(y, x * scale)
+        x = np.ones((4, 1, 500, 500), np.float32)
+        y = self.passthrough_net().forward(x, train=True, rng=np.random.default_rng(123))
+        ref, _ = dropout(x, 0.4, train=True, rng=np.random.default_rng(123))
+        assert y.tobytes() == ref.tobytes()
         assert abs(y.mean() - 1.0) < 0.01  # within 1% of 1.0
         assert abs((y == 0).mean() - 0.4) < 0.004  # within 1% of 0.4
 
     def test_needs_rng_in_train(self):
+        net = self.passthrough_net()
         with pytest.raises(ParameterError):
-            dropout(np.ones(4), 0.5, train=True)
+            net.forward(np.ones((1, 1, 4, 4), np.float32), train=True)
+        assert np.all(net.forward(np.ones((1, 1, 4, 4), np.float32), train=False) == 1.0)
 
     @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 3 * 65536 + 5])
     def test_keep_mask_is_the_full_draw(self, size):
@@ -269,8 +285,9 @@ class TestMatchesEinsumReference:
             layer.beta[...] = np.linspace(-1.0, 1.0, 6)
             layer.running_mean[...] = np.linspace(-0.3, 0.4, 6)
             layer.running_var[...] = np.linspace(0.8, 1.7, 6)
-        assert_close(bn.forward(x, train), ref.forward(x, train))
-        assert_close(bn.backward(dy), ref.backward(dy))
+        # the engine centres x and writes its input gradient over dy
+        assert_close(bn.forward(x.copy(), train), ref.forward(x, train))
+        assert_close(bn.backward(dy.copy()), ref.backward(dy))
         for name in ("dgamma", "dbeta", "running_mean", "running_var"):
             assert_close(getattr(bn, name), getattr(ref, name))
 
@@ -292,7 +309,7 @@ class TestMatchesEinsumReference:
         y_ref, scale = dropout(y_ref, 0.4, train=True, rng=np.random.default_rng(5))
         assert y.tobytes() == y_ref.tobytes()
 
-        dx = block.backward(dy)
+        dx = block.backward(dy.copy())
         d = relu_backward(dy * scale, gate)
         if batchnorm:
             d = ref.bn.backward(d)
@@ -567,6 +584,20 @@ class TestNetwork:
             assert np.array_equal(a, b)
         net.blocks[0].conv.w += 1.0
         assert not np.array_equal(net.blocks[0].conv.w, other.blocks[0].conv.w)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_caller_arrays_unchanged(self, rng, monkeypatch, cpus):
+        """Layers centre and overwrite their own buffers in place, never the
+        caller's input or loss gradient."""
+        monkeypatch.setattr(nn, "_cpu_count", lambda: cpus)
+        net = Network(build_ldr2hdr_net("R", seed=5), dtype=np.float32)
+        x = rng.random((2, 5, 64, 64)).astype(np.float32)
+        dy = rng.normal(size=(2, 1, 64, 64)).astype(np.float32)
+        x_bytes, dy_bytes = x.tobytes(), dy.tobytes()
+        net.forward(x, train=True, rng=np.random.default_rng(1))
+        net.backward(dy)
+        net.forward(x, train=False)
+        assert x.tobytes() == x_bytes and dy.tobytes() == dy_bytes
 
     def test_finite_activations_reported(self, rng):
         net = Network(two_layer_net(batchnorm=True), dtype=np.float64)

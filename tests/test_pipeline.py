@@ -1,4 +1,9 @@
+import os
+import platform
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +16,10 @@ from hdrkit.image_io import RadianceMap
 from hdrkit.imgproc import luminance, rgb_to_lab
 from hdrkit.nn import Network, mse_loss
 from hdrkit.pipeline import (
+    LDR2HDR_CHANNELS,
+    TONEMAP_CHANNELS,
     ParallelTrainer,
     TrainConfig,
-    TrainState,
     _blas_thread_control,
     build_ldr2hdr_net,
     build_ldr2hdr_samples,
@@ -32,7 +38,6 @@ from hdrkit.pipeline import (
     recompose_tonemap,
     split_base_detail,
     train,
-    train_epoch,
 )
 from hdrkit.synth import synth_scenes
 from hdrkit.tmo import reinhard_global
@@ -52,6 +57,22 @@ class TestTrainConfig:
             TrainConfig(workers=0)
         with pytest.raises(ValidationError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("momentum", 1.0), ("momentum", 2.0), ("momentum", -0.1), ("momentum", np.nan),
+        ("dropout_p", 1.0), ("dropout_p", 1.5), ("dropout_p", -0.1), ("dropout_p", np.nan),
+        ("seed", -1), ("seed", 2**63 - 3), ("seed", 2**63),
+    ])
+    def test_rejects_values_that_would_fail_later(self, key, value):
+        with pytest.raises(ValidationError, match=key):
+            TrainConfig(**{key: value})
+
+    def test_largest_seed_fits_every_channel_net(self):
+        seed = TrainConfig(seed=2**63 - 4).seed
+        for ch in TONEMAP_CHANNELS:
+            build_tonemap_net(ch, seed)
+        for ch in LDR2HDR_CHANNELS:
+            build_ldr2hdr_net(ch, seed)
 
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ValidationError):
@@ -208,12 +229,15 @@ def tiny_spec(channels=2, p=0.0, seed=0):
 
 
 class TestTrainEpoch:
+    """The epochs of one ``train`` run."""
+
     def test_zero_lr_keeps_params(self, rng):
         x, y = tiny_samples(rng)
         cfg = TrainConfig(lr=0.0, momentum=0.9, batch_size=4, dropout_p=0.0, seed=1, dtype="f64")
         net = Network(tiny_spec(), dtype=np.float64)
         before = [arr.copy() for _, arr in net.tensors() if "running" not in _]
-        losses = [train_epoch(net, (x, y), cfg, np.random.default_rng(0)) for _ in range(3)]
+        # every run shuffles with the same stream
+        losses = [train(net, (x, y), cfg, epochs=1).curve[0][1] for _ in range(3)]
         after = [arr for _, arr in net.tensors() if "running" not in _]
         for a, b in zip(before, after):
             assert np.array_equal(a, b)
@@ -225,19 +249,15 @@ class TestTrainEpoch:
         runs = []
         for _ in range(2):
             net = Network(tiny_spec(p=0.4, seed=2), dtype=np.float64)
-            state = TrainState()
-            r = np.random.default_rng(cfg.seed)
-            runs.append([train_epoch(net, (x, y), cfg, r, state) for _ in range(4)])
+            runs.append(train(net, (x, y), cfg, epochs=4).curve)
         assert runs[0] == runs[1]
+        assert len(set(row[1] for row in runs[0])) == 4
 
     def test_curve_one_row_per_epoch(self, rng):
         x, y = tiny_samples(rng)
         cfg = TrainConfig(lr=1e-3, momentum=0.9, batch_size=4, dropout_p=0.0, seed=1, dtype="f64")
         net = Network(tiny_spec(), dtype=np.float64)
-        state = TrainState()
-        r = np.random.default_rng(0)
-        for _ in range(5):
-            train_epoch(net, (x, y), cfg, r, state)
+        state = train(net, (x, y), cfg, epochs=5)
         assert [row[0] for row in state.curve] == [1, 2, 3, 4, 5]
 
     def test_divergence_aborts_with_diagnostics(self, rng):
@@ -246,15 +266,13 @@ class TestTrainEpoch:
         cfg = TrainConfig(lr=1e-2, momentum=0.9, batch_size=6, dropout_p=0.0, seed=1, dtype="f64")
         net = Network(tiny_spec(), dtype=np.float64)
         with pytest.raises(ValidationError, match="diverged"):
-            train_epoch(net, (x, y), cfg, np.random.default_rng(0))
+            train(net, (x, y), cfg, epochs=1)
 
     def test_loss_decreases_on_learnable_problem(self, rng):
         x, y = tiny_samples(rng, n=12)
         cfg = TrainConfig(lr=1e-2, momentum=0.9, batch_size=6, dropout_p=0.0, seed=3, dtype="f64")
         net = Network(tiny_spec(seed=4), dtype=np.float64)
-        state = TrainState()
-        r = np.random.default_rng(1)
-        losses = [train_epoch(net, (x, y), cfg, r, state) for _ in range(20)]
+        losses = [row[1] for row in train(net, (x, y), cfg, epochs=20).curve]
         assert losses[-1] < 0.5 * losses[0]
 
 
@@ -264,10 +282,14 @@ class TestParallel:
         cfg = TrainConfig(lr=1e-2, momentum=0.9, batch_size=5, dropout_p=0.4, seed=9, dtype="f64")
         n1 = Network(tiny_spec(p=0.4, seed=2), dtype=np.float64)
         n2 = n1.clone()
-        l1 = train_epoch(n1, (x, y), cfg, np.random.default_rng(0))
-        order = np.random.default_rng(0).permutation(5)
+        l1 = [row[1] for row in train(n1, (x, y), cfg, epochs=2).curve]
+        # one trainer (momentum, step count) and one shuffle stream for the run
+        shuffle = np.random.default_rng(cfg.seed)
         trainer = ParallelTrainer(n2, 1, cfg)
-        l2 = trainer.step(x[order], y[order])
+        l2 = []
+        for _ in range(2):
+            order = shuffle.permutation(5)
+            l2.append(trainer.step(x[order], y[order]))
         assert l1 == l2
         for (_, a), (_, b) in zip(n1.tensors(), n2.tensors()):
             assert np.array_equal(a, b)
@@ -431,6 +453,40 @@ class TestBlasThreads:
         with pytest.raises(ValidationError, match="diverged"):
             trainer.step(x, y)
         assert get() == threads
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not Path("/proc/self/status").exists(),
+                    reason="needs glibc and /proc")
+def test_trainer_unmaps_freed_large_buffers():
+    """Once a trainer is built, a freed 24 MiB buffer leaves the resident set
+    at once.  glibc's default would keep the second one in its heap, since
+    freeing the first raises the mmap threshold past 24 MiB."""
+    code = textwrap.dedent(
+        """
+        import numpy as np
+        from hdrkit.nn import Network
+        from hdrkit.pipeline import ParallelTrainer, TrainConfig, build_tonemap_net
+
+        def rss_kib():
+            with open("/proc/self/status") as f:
+                return next(int(line.split()[1]) for line in f if line.startswith("VmRSS:"))
+
+        ParallelTrainer(Network(build_tonemap_net("L_base", 0)), 1, TrainConfig())
+        grown = []
+        for _ in range(3):
+            before = rss_kib()
+            a = np.ones(3 << 20)  # 24 MiB, every page touched
+            del a
+            grown.append(rss_kib() - before)
+        print(max(grown))
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1024  # KiB
 
 
 class TestDivergence:

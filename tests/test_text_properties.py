@@ -199,6 +199,10 @@ def test_config_valid_or_one_error_line(workdir):
     @example(json.dumps({**SMALL_RUN, "seed": 2**64}).encode())
     @example(json.dumps({**SMALL_RUN, "lr": math.nan}).encode())
     @example(json.dumps({**SMALL_RUN, "lr": 1e300}).encode())  # the weights overflow
+    @example(json.dumps({**SMALL_RUN, "momentum": 2.0}).encode())
+    @example(json.dumps({**SMALL_RUN, "dropout_p": 1.5}).encode())
+    @example(json.dumps({**SMALL_RUN, "seed": -1}).encode())
+    @example(json.dumps({**SMALL_RUN, "seed": 2**63 - 2}).encode())  # the B net's seed is 2**63
     def check(config):
         (workdir / "cfg.json").write_bytes(config)
         out = workdir / "out_config"
