@@ -531,6 +531,9 @@ def run(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"error:io: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        print(f"error:memory: {e}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -167,16 +167,12 @@ def _channel_total(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Bitwise ``x.sum(axis=(0, 2))`` of an (N, C, L) array, given its row
     sums ``rows = x.sum(axis=2)``.
 
-    numpy adds each (n, c) row's pairwise sum to the total in n order, so
-    the row sums are added here in n order.  With one channel numpy may sum
-    the batch as one run, so that is summed whole.
+    numpy adds each (n, c) row's pairwise sum to the total in n order, and
+    so does the axis-0 sum of ``rows``, as in batchnorm's variance and the
+    conv's dW.  With one channel numpy may sum the batch as one run, so that
+    is summed whole.
     """
-    if x.shape[1] == 1:
-        return x.sum(axis=(0, 2))
-    total = np.zeros(x.shape[1], dtype=rows.dtype)
-    for row in rows:
-        total += row
-    return total
+    return x.sum(axis=(0, 2)) if x.shape[1] == 1 else rows.sum(axis=0)
 
 
 class Conv:
@@ -387,41 +383,29 @@ class BatchNorm:
 
 _DRAW_CHUNK = 1 << 16  # doubles per draw: 512 KiB, which stays in cache
 
-
-def _draw_keep(out: np.ndarray, p: float, rng: np.random.Generator, draws: np.ndarray) -> None:
-    """Fill the flat bool array ``out`` with ``rng.random(out.size) >= p``,
-    drawing through ``draws``, ``min(out.size, _DRAW_CHUNK)`` doubles."""
-    for start in range(0, out.size, _DRAW_CHUNK):
-        part = draws[: min(_DRAW_CHUNK, out.size - start)]
-        rng.random(out=part)
-        np.greater_equal(part, p, out=out[start : start + part.size])
+# advance(k) of these skips exactly the k 64-bit outputs that k doubles use;
+# Philox's advance counts blocks of four outputs, and MT19937 has none.
+_SKIPPABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
 
-def keep_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Bitwise ``rng.random(shape) >= p``, leaving ``rng`` in the same state.
-
-    The uniform doubles are drawn in chunks of the same stream straight
-    into a bool array, so no f64 array of the full shape is made.
-    """
-    keep = np.empty(shape, dtype=bool)
-    _draw_keep(keep.reshape(-1), p, rng, np.empty(min(keep.size, _DRAW_CHUNK)))
-    return keep
+def _check_dropout_rng(rng) -> None:
+    """Refuse a dropout generator that slices cannot skip ahead in."""
+    if not isinstance(getattr(rng, "bit_generator", None), _SKIPPABLE):
+        raise ParameterError("train-mode dropout needs a PCG64 or PCG64DXSM Generator")
 
 
 def _keep_drawer(shape, p: float, rng: np.random.Generator, slices: _Slices):
-    """A :func:`keep_mask` and the task that draws slice ``sl`` of it.
+    """A bool keep mask, bitwise ``rng.random(shape) >= p``, and the task
+    that draws slice ``sl`` of it.
 
-    With a PCG64 stream and more than one slice, each slice draws from a
-    copy of the stream advanced to its first element, and ``rng`` is moved
-    past the whole draw at once.  Otherwise the whole mask is drawn here,
-    on the calling thread, and the task does nothing.
+    Each slice draws from a copy of the PCG64 stream advanced to its first
+    element, in chunks of ``_DRAW_CHUNK`` doubles straight into the mask, so
+    no f64 array of the full shape is made.  ``rng`` is moved past the whole
+    draw at once, to where one draw would leave it.  Any other generator is
+    refused before it is touched: Philox would give a wrong mask silently.
     """
+    _check_dropout_rng(rng)
     bitgen = rng.bit_generator
-    # advance(k) of PCG64 skips exactly the k 64-bit outputs that k doubles
-    # use; Philox's advance counts blocks of four outputs.
-    skippable = isinstance(bitgen, (np.random.PCG64, np.random.PCG64DXSM))
-    if len(slices.parts) == 1 or not skippable:
-        return keep_mask(shape, p, rng), lambda sl: None
     keep = np.empty(shape, dtype=bool)
     rows = keep.reshape(shape[0], -1)
     streams = {}
@@ -435,7 +419,15 @@ def _keep_drawer(shape, p: float, rng: np.random.Generator, slices: _Slices):
     # advance() drops a buffered 32-bit half, which drawing doubles keeps.
     bitgen.state = {**bitgen.state, "has_uint32": state["has_uint32"],
                     "uinteger": state["uinteger"]}
-    return keep, lambda sl: _draw_keep(rows[sl].reshape(-1), p, *streams[sl.start])
+
+    def draw(sl: slice) -> None:
+        out, (stream, draws) = rows[sl].reshape(-1), streams[sl.start]
+        for start in range(0, out.size, _DRAW_CHUNK):
+            part = draws[: min(_DRAW_CHUNK, out.size - start)]
+            stream.random(out=part)
+            np.greater_equal(part, p, out=out[start : start + part.size])
+
+    return keep, draw
 
 
 class _Block:
@@ -478,8 +470,6 @@ class _Block:
         p = self.spec.dropout_p
         keep = scale = None
         if train and apply_dropout and p > 0.0:
-            if rng is None:
-                raise ParameterError("train-mode dropout needs an rng")
             keep, draw = _keep_drawer(y.shape, p, rng, slices)
             scale = y.dtype.type(1.0 / (1.0 - p))
 
@@ -535,10 +525,6 @@ class Network:
         self.blocks = [_Block(ls, i, rng, self.dtype) for i, ls in enumerate(spec.layers)]
         self.blocks[0].conv.input_grad = False
 
-    @property
-    def in_depth(self) -> int:
-        return self.spec.layers[0].in_depth
-
     def forward(
         self,
         x: np.ndarray,
@@ -552,13 +538,13 @@ class Network:
         """Run every block on ``min(N, threads)`` slices of the batch, one
         thread each (``threads`` defaults to one per CPU), with at least
         ``_SLICE_PIXELS`` pixels per slice.  The result does not depend on
-        the number of slices."""
+        the number of slices.  Train-mode dropout draws from ``rng``, a
+        PCG64 or PCG64DXSM Generator."""
         x = check_tensor4(x, "input").astype(self.dtype, copy=False)
         if bn_train is None:
             bn_train = train
-        if train and apply_dropout and rng is None:
-            if any(b.spec.dropout_p > 0 for b in self.blocks):
-                raise ParameterError("train-mode forward with dropout needs an rng")
+        if train and apply_dropout and any(b.spec.dropout_p > 0 for b in self.blocks):
+            _check_dropout_rng(rng)
         with _Slices(x.shape[0], _slice_threads(x, threads)) as slices:
             for block in self.blocks:
                 x = block.forward(x, train, rng, bn_train, apply_dropout, frozen_gates, slices)

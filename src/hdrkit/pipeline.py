@@ -16,8 +16,7 @@ gradients concurrently on a thread pool, sums them in ascending worker
 order scaled to the whole-batch mean, updates worker 0, and broadcasts the
 result; with one worker it is the plain serial step.  Each shard's network
 splits its part of the batch over an equal share of the CPUs.  While engine
-threads run (training steps, eval forwards), OpenBLAS gets an equal share of
-its threads per engine thread.
+threads run (training steps, eval forwards), OpenBLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -446,25 +445,24 @@ def _blas_thread_control():
 
 
 @contextmanager
-def _blas_threads_shared(threads: int):
-    """Give each of ``threads`` concurrent engine threads ``default // threads``
-    (at least one) of BLAS's threads, and restore the default on exit.
+def _blas_one_thread():
+    """Run BLAS on one thread, and restore the caller's count on exit.
 
-    The engine's slice threads replace BLAS's own.  The count is
-    process-wide, so two callers on different threads would race on it;
-    hdrkit steps one trainer or runs one tiled forward at a time.
+    The engine's slice threads, about one per CPU, replace BLAS's own.  The
+    count is process-wide, so two callers on different threads would race
+    on it; hdrkit steps one trainer or runs one tiled forward at a time.
     """
     control = _blas_thread_control()
     if control is None:
         yield
         return
     get, put = control
-    default = get()
-    put(max(1, default // threads))
+    before = get()
+    put(1)
     try:
         yield
     finally:
-        put(default)
+        put(before)
 
 
 @functools.cache
@@ -481,7 +479,7 @@ def eval_mse(net: Network, samples, batch_size: int = 40) -> float:
     x_all, y_all = _as_arrays(samples, net.dtype)
     n = x_all.shape[0]
     total = 0.0
-    with _blas_threads_shared(_cpu_count()):
+    with _blas_one_thread():
         for start in range(0, n, batch_size):
             xb = x_all[start : start + batch_size]
             yb = y_all[start : start + batch_size]
@@ -501,11 +499,9 @@ class ParallelTrainer:
 
     The non-empty shards run on a pool of ``min(shards, CPUs)`` threads,
     and each shard's network on ``max(1, CPUs // shards)`` slice threads,
-    with BLAS capped to its default thread count divided by the number of
-    engine threads.
-    Losses, the divergence check and the gradient sum wait for every shard
-    and go in worker order, so the result is bitwise that of running the
-    shards one after another.
+    with BLAS on one thread.  Losses, the divergence check and the gradient
+    sum wait for every shard and go in worker order, so the result is
+    bitwise that of running the shards one after another.
     """
 
     def __init__(self, net: Network, workers: int, cfg: TrainConfig) -> None:
@@ -559,8 +555,7 @@ class ParallelTrainer:
                 worker.backward(dpred, threads=slice_threads)
             return loss
 
-        engine_threads = pool_size * slice_threads
-        with _blas_threads_shared(engine_threads), ThreadPoolExecutor(pool_size) as pool:
+        with _blas_one_thread(), ThreadPoolExecutor(pool_size) as pool:
             futures = [pool.submit(run, shard) for shard in shards]
         losses = [f.result() for f in futures]
 
@@ -675,7 +670,7 @@ def _forward_tiled(net: Network, planes: np.ndarray, patch: int, batch_size: int
     """Eval-mode forward of (C, H, W) planes through patch tiling."""
     grid, patches = extract_patches(planes.astype(net.dtype, copy=False), patch)
     preds = []
-    with _blas_threads_shared(_cpu_count()):
+    with _blas_one_thread():
         for start in range(0, patches.shape[0], batch_size):
             out = net.forward(patches[start : start + batch_size], train=False)
             preds.append(out[:, 0])

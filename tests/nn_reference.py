@@ -10,7 +10,8 @@ The whole-batch GEMM layers and network are the bitwise f32 oracle for the
 N-sliced engine that replaced them.
 
 ``relu``, ``relu_backward`` and ``dropout`` are the standalone operations
-that a block's one fused mask multiply replaced, bitwise, in each direction.
+that a block's one fused mask multiply replaced, bitwise, in each direction;
+``keep_mask`` is the one-draw dropout mask that the engine draws in slices.
 
 Each class inherits its parameters and gradient buffers from the engine's
 layer, so both can be loaded with the same weights and compared.
@@ -19,7 +20,7 @@ layer, so both can be loaded with the same weights and compared.
 import numpy as np
 
 from hdrkit.errors import ParameterError, ValidationError
-from hdrkit.nn import BatchNorm, Conv, Network, _Block, check_tensor4, keep_mask
+from hdrkit.nn import BatchNorm, Conv, Network, _Block, check_tensor4
 
 
 class EinsumConv(Conv):
@@ -118,6 +119,12 @@ def relu(x: np.ndarray, gate=None) -> tuple[np.ndarray, np.ndarray]:
 def relu_backward(dy: np.ndarray, gate: np.ndarray) -> np.ndarray:
     """Gradient passes where the forward input was strictly positive."""
     return dy * gate
+
+
+def keep_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
+    """The dropout keep mask, as one draw: the engine's sliced, chunked draw
+    gives these bytes and leaves ``rng`` in the same state."""
+    return rng.random(shape) >= p
 
 
 def dropout(x: np.ndarray, p: float, train: bool, rng=None) -> tuple[np.ndarray, np.ndarray | None]:

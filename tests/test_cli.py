@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hdrkit
-from hdrkit import cli
+from hdrkit import cli, pipeline
 from hdrkit.camera import format_crf, gamma_crf
 from hdrkit.cli import run
 from hdrkit.image_io import (
@@ -22,7 +22,7 @@ from hdrkit.image_io import (
     write_ppm,
 )
 from hdrkit.nn import LayerSpec, Network, NetworkSpec, save_checkpoint
-from hdrkit.pipeline import LDR2HDR_CHANNELS, TONEMAP_CHANNELS, normalize_hdr
+from hdrkit.pipeline import LDR2HDR_CHANNELS, TONEMAP_CHANNELS, build_tonemap_net, normalize_hdr
 from hdrkit.synth import synth_scenes
 from test_reader_properties import VALID, edit
 
@@ -394,6 +394,34 @@ def _with_raw_metadata(raw: bytes) -> bytes:
     """A checkpoint whose metadata field holds ``raw`` in place of ``{}``."""
     empty = struct.pack("<I", 2) + b"{}"
     return _checkpoint().replace(empty, struct.pack("<I", len(raw)) + raw)
+
+
+@pytest.mark.parametrize("command", ["train-ldr2hdr", "infer-tonemap"])
+def test_request_too_large_for_memory_is_one_error_line(tmp_path, capsys, monkeypatch, command):
+    """``--patch 200000`` on 16x16 scenes asks numpy for 745 GiB of padded
+    planes, and a checkpoint's ``patch`` does the same for inference.  The
+    MemoryError is raised here, not provoked: an overcommitting kernel may
+    grant that allocation and then kill the process when it is touched."""
+    data = tmp_path / "data"
+    run(["synth", "--out", str(data), "--count", "1", "--size", "16", "--seed", "2"])
+    if command == "train-ldr2hdr":
+        argv = ["--manifest", str(data), "--patch", "200000", "--epochs", "1"]
+    else:
+        ckpts = tmp_path / "ckpt"
+        ckpts.mkdir()
+        for ch in TONEMAP_CHANNELS:
+            blob = save_checkpoint(Network(build_tonemap_net(ch, 0)), {"patch": 200000, "final_loss": 0.0})
+            (ckpts / f"tonemap_{ch}.ckpt").write_bytes(blob)
+        argv = ["--checkpoints", str(ckpts), "--input", str(data / "scene_000.pfm")]
+
+    def refuse(planes, patch):
+        raise MemoryError(f"Unable to allocate planes padded to {patch}x{patch}")
+
+    monkeypatch.setattr(pipeline, "extract_patches", refuse)
+    capsys.readouterr()
+    code = run([command, *argv, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error:memory:") and err.count("\n") == 1, err
 
 
 def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):

@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from nn_reference import (
     EinsumConv,
     FourAxisBatchNorm,
@@ -27,10 +29,10 @@ from hdrkit.nn import (
     Network,
     NetworkSpec,
     grad_check,
-    keep_mask,
     load_checkpoint,
     mse_loss,
     _Block,
+    _channel_total,
     _DRAW_CHUNK,
     _keep_drawer,
     _Slices,
@@ -213,37 +215,64 @@ class TestDropout:
             net.forward(np.ones((1, 1, 4, 4), np.float32), train=True)
         assert np.all(net.forward(np.ones((1, 1, 4, 4), np.float32), train=False) == 1.0)
 
+    @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox])
+    def test_refuses_generators_it_cannot_advance(self, bitgen):
+        """Dropout slices skip ahead in a PCG64 stream; any other generator is
+        refused before any block runs, so no tensor changes."""
+        net = Network(SLICED_SPEC)
+        before = [arr.tobytes() for _, arr in net.tensors()]
+        x = np.random.default_rng(3).normal(size=(4, 3, 64, 64)).astype(np.float32)
+        with pytest.raises(ParameterError, match="PCG64"):
+            net.forward(x, train=True, rng=np.random.Generator(bitgen(23)))
+        assert [arr.tobytes() for _, arr in net.tensors()] == before  # BN running stats too
+        assert all(b.conv._cols is None and b._mask is None for b in net.blocks)
+
     @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 3 * 65536 + 5])
     def test_keep_mask_is_the_full_draw(self, size):
-        """Chunked draws give bitwise the one-array mask and rng state."""
+        """One slice drawing a row across chunk boundaries gives bitwise the
+        one-array mask and rng state."""
         chunked, whole = np.random.default_rng(21), np.random.default_rng(21)
-        keep = keep_mask((size,), 0.4, chunked)
+        keep, draw = _keep_drawer((1, size), 0.4, chunked, _Slices(1))
+        draw(slice(0, 1))
         assert keep.dtype == bool
-        assert keep.tobytes() == (whole.random((size,)) >= 0.4).tobytes()
+        assert keep.tobytes() == (whole.random((1, size)) >= 0.4).tobytes()
         assert chunked.bit_generator.state == whole.bit_generator.state
         assert chunked.random() == whole.random()
 
     def test_keep_mask_keeps_shape(self):
         chunked, whole = np.random.default_rng(22), np.random.default_rng(22)
-        keep = keep_mask((3, 5, 70, 80), 0.25, chunked)
+        slices = _Slices(3, 2)
+        keep, draw = _keep_drawer((3, 5, 70, 80), 0.25, chunked, slices)
+        slices.run(draw)
         assert np.array_equal(keep, whole.random((3, 5, 70, 80)) >= 0.25)
 
     @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.PCG64DXSM,
                                         np.random.MT19937, np.random.Philox])
     @pytest.mark.parametrize("shape, threads", [((5, 3, 70, 80), 3), ((3, 1, 300, 301), 2),
-                                                ((7, 2, 1, 3), 5), ((2, 4, 5), 5)])
+                                                ((7, 2, 1, 3), 5), ((2, 4, 5), 5),
+                                                ((5, 3, 70, 80), 1), ((1, 4, 9, 7), 3),
+                                                ((1, 2, 200, 201), 2)])
     def test_keep_mask_slices_are_the_full_draw(self, bitgen, shape, threads):
-        """Slices drawing at offsets that are not chunk multiples, from
-        advanced PCG64 copies or (other generators) on the calling thread,
-        give the one-array mask, and leave rng where the whole draw does,
-        even with a buffered 32-bit half."""
+        """Slices drawing from advanced PCG64 copies, at offsets that are not
+        chunk multiples or as one slice (one thread, one sample, or one row
+        of several chunks), give the one-array mask, and leave rng where the
+        whole draw does, even with a buffered 32-bit half.  MT19937 (no
+        advance) and Philox (advance in blocks of four) are refused with rng
+        untouched."""
         sliced = np.random.Generator(bitgen(23))
         whole = np.random.Generator(bitgen(23))
         for g in (sliced, whole):
             g.integers(0, 2**32, dtype=np.uint32)
         per_sample = int(np.prod(shape[1:]))
         with _Slices(shape[0], threads) as slices:
-            assert any(sl.start * per_sample % _DRAW_CHUNK for sl in slices.parts)
+            assert len(slices.parts) == 1 or any(
+                sl.start * per_sample % _DRAW_CHUNK for sl in slices.parts)
+            if bitgen in (np.random.MT19937, np.random.Philox):
+                with pytest.raises(ParameterError, match="PCG64"):
+                    _keep_drawer(shape, 0.4, sliced, slices)
+                np.testing.assert_equal(sliced.bit_generator.state, whole.bit_generator.state)
+                assert sliced.random() == whole.random()
+                return
             keep, draw = _keep_drawer(shape, 0.4, sliced, slices)
             slices.run(draw)
         assert keep.tobytes() == (whole.random(shape) >= 0.4).tobytes()
@@ -440,6 +469,16 @@ class TestSlicedEngine:
             with pytest.raises(ValueError, match="first slice"):
                 slices.run(task)
             assert sorted(finished) == [2, 4]
+
+    @settings(max_examples=300, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), n=st.integers(1, 300),
+           c=st.integers(1, 40), length=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    def test_channel_total_is_the_whole_batch_sum(self, dtype, n, c, length, seed):
+        """The axis-0 sum of the row sums (one channel: the whole sum) is
+        bitwise numpy's sum over (N, L), on values of mixed magnitudes."""
+        data = np.random.default_rng(seed)
+        x = (data.normal(size=(n, c, length)) * 10.0 ** data.integers(-4, 5, (n, c, length))).astype(dtype)
+        assert _channel_total(x, x.sum(axis=2)).tobytes() == x.sum(axis=(0, 2)).tobytes()
 
 
 class TestMseLoss:

@@ -371,9 +371,10 @@ class TestParallel:
 
 @pytest.mark.skipif(_blas_thread_control() is None, reason="no OpenBLAS thread control found")
 class TestBlasThreads:
-    """While engine threads run, BLAS gets its thread count over their number:
-    a step runs min(K, CPUs) shards on max(1, CPUs // K) slice threads each,
-    and an eval forward one slice thread per CPU."""
+    """While engine threads run, BLAS runs on one thread, and the caller's
+    count comes back after: a step runs min(K, CPUs) shards on
+    max(1, CPUs // K) slice threads each, and an eval forward one slice
+    thread per CPU."""
 
     @pytest.fixture(params=[1, 2])
     def threads(self, request):
@@ -395,6 +396,8 @@ class TestBlasThreads:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("cpus", [None, 1, 4])
     def test_cap_follows_engine_threads(self, rng, monkeypatch, threads, workers, cpus):
+        """One BLAS thread whatever the CPU and worker counts; the slice
+        threads follow them."""
         if cpus is not None:
             monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
         self._step_and_check(rng, monkeypatch, threads, workers)
@@ -422,7 +425,7 @@ class TestBlasThreads:
         trainer.step(x, y)
         per_shard = max(1, cpus // workers)
         assert slice_threads == [per_shard] * workers
-        assert seen == [max(1, threads // (min(workers, cpus) * per_shard))] * workers
+        assert seen == [1] * workers
         assert get() == threads
 
     @pytest.mark.parametrize("cpus", [None, 1, 4])
@@ -443,7 +446,7 @@ class TestBlasThreads:
         pipeline._forward_tiled(net, rng.random((2, 20, 20)), 8, batch_size=4)
         x, y = tiny_samples(rng, n=3)
         eval_mse(net, (x, y), batch_size=2)
-        assert seen == [max(1, threads // cpus)] * 5
+        assert seen == [1] * 5
         assert get() == threads
 
     def test_restored_after_diverged_shard(self, rng, threads):
@@ -452,6 +455,21 @@ class TestBlasThreads:
         x[3, 0, 0, 0] = np.nan  # only the second shard's loss is non-finite
         with pytest.raises(ValidationError, match="diverged"):
             trainer.step(x, y)
+        assert get() == threads
+
+    def test_restored_after_a_shard_raises(self, rng, monkeypatch, threads):
+        get, _ = _blas_thread_control()
+        seen = []
+        trainer, x, y = self._trainer(rng)
+
+        def backward(net, dy, threads=None):
+            seen.append(get())
+            raise MemoryError("shard backward")
+
+        monkeypatch.setattr(Network, "backward", backward)
+        with pytest.raises(MemoryError, match="shard backward"):
+            trainer.step(x, y)
+        assert seen == [1, 1]
         assert get() == threads
 
 
