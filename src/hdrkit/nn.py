@@ -7,9 +7,10 @@ Everything runs in float32 for training or float64 for gradient checking.
 Convolutions are GEMMs on (N, C, H*W) views: a 3x3 layer gathers its nine
 shifted inputs into one column buffer first (im2col, as in Chellapilla, Puri
 & Simard 2006).  Batchnorm works on the same views and centres the conv
-output in place.  A block caches one bool mask, dropout keep AND ReLU gate,
-and applies it with the 1/(1-p) factor in each direction.  The first layer
-skips its input gradient, which no caller reads.
+output in place; an eval forward folds it into the conv weights instead
+(Jacob et al. 2018, section 3.2).  A block caches one bool mask, dropout
+keep AND ReLU gate, and applies it with the 1/(1-p) factor in each
+direction.  The first layer skips its input gradient, which no caller reads.
 
 A network's forward and backward split the batch into contiguous N-slices
 on one thread each.  Every per-sample result is computed as on the whole
@@ -53,6 +54,8 @@ def check_tensor4(x: np.ndarray, name: str = "tensor") -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 4:
         raise ValidationError(f"{name} must be 4-D (N, C, H, W), got shape {x.shape}")
+    if x.size == 0:
+        raise ValidationError(f"{name} is empty: shape {x.shape}")
     return x
 
 
@@ -184,6 +187,9 @@ class Conv:
 
     With ``input_grad`` false, backward fills dW and db only and returns
     None; a :class:`Network` sets that on its first layer.
+
+    ``forward`` uses ``weight`` and ``bias`` instead of ``w`` and ``b``
+    when given: the batchnorm-folded ones of an eval block.
     """
 
     input_grad = True
@@ -199,14 +205,17 @@ class Conv:
         self.db = np.zeros_like(self.b)
         self._cols: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, slices: _Slices | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, slices: _Slices | None = None,
+                weight: np.ndarray | None = None, bias: np.ndarray | None = None) -> np.ndarray:
         n, c, h, w = x.shape
         if c != self.w.shape[1]:
             raise ValidationError(
                 f"conv expects {self.w.shape[1]} input channels, got {c}"
             )
         slices = slices or _Slices(n)
-        w2 = self.w.reshape(self.w.shape[0], -1)
+        weight = self.w if weight is None else weight
+        bias = (self.b if bias is None else bias)[:, None]
+        w2 = weight.reshape(weight.shape[0], -1)
         if self.ksize == 1:
             cols = x.reshape(n, c, h * w)
         else:
@@ -220,7 +229,7 @@ class Conv:
                 for k in range(9):
                     cols9[sl, :, k] = xp[sl, :, k // 3 : k // 3 + h, k % 3 : k % 3 + w]
             ys = np.matmul(w2, cols[sl], out=y[sl])
-            ys += self.b[:, None]
+            ys += bias
 
         slices.run(run)
         self._cols = cols
@@ -278,6 +287,8 @@ class BatchNorm:
 
     The batch statistics are per-sample sums added in n order.  The
     train-mode input gradient reuses ``dbeta`` and ``dgamma`` as its means.
+    The eval branch serves train-mode forwards with ``bn_train`` false; an
+    eval forward folds batchnorm into the conv (:class:`_Block`) instead.
     """
 
     eps = 1e-5
@@ -440,6 +451,12 @@ class _Block:
     ``relu`` and ``dropout`` oracles in ``tests/nn_reference.py``).  A
     frozen-gate pass reuses the mask of a dropout-free pass as its gate.  An
     eval forward (``train`` false) keeps nothing for backward.
+
+    With ``bn_train`` false too, batchnorm folds into the conv: its weights
+    ``s*W`` and bias ``s*(b - running_mean) + beta``, ``s = gamma /
+    sqrt(running_var + eps)``, are made on each call and passed to
+    ``Conv.forward``, never stored, so that checkpoints and concurrent
+    forwards see only the stored parameters.
     """
 
     def __init__(self, spec: LayerSpec, index: int, rng, dtype) -> None:
@@ -455,15 +472,24 @@ class _Block:
     def forward(self, x, train: bool, rng, bn_train: bool, apply_dropout: bool,
                 frozen_gates: bool = False, slices: _Slices | None = None):
         slices = slices or _Slices(x.shape[0])
-        y = self.conv.forward(x, slices)
+        conv, bn = self.conv, self.bn
+        if bn is not None and not (train or bn_train):
+            # Eval batchnorm folded into the conv: s*(W*x + b - mu) + beta.
+            s = bn.gamma / np.sqrt(bn.running_var + bn.eps)
+            y = conv.forward(x, slices, conv.w * s[:, None, None, None],
+                             (conv.b - bn.running_mean) * s + bn.beta)
+            bn._cache = None
+            bn = None
+        else:
+            y = conv.forward(x, slices)
         if not train:
-            self.conv._cols = None
+            conv._cols = None
         if self.is_output:
             return y
-        if self.bn is not None:
-            y = self.bn.forward(y, train=bn_train, slices=slices)
+        if bn is not None:
+            y = bn.forward(y, train=bn_train, slices=slices)
             if not train:
-                self.bn._cache = None
+                bn._cache = None
         if frozen_gates and (self._mask is None or self._scale is not None):
             raise ValidationError("frozen-gate forward before a dropout-free reference pass")
         gate = self._mask if frozen_gates else np.empty(y.shape, dtype=bool)

@@ -478,6 +478,8 @@ def eval_mse(net: Network, samples, batch_size: int = 40) -> float:
     """Sample-weighted mean MSE in eval mode (no dropout, running BN stats)."""
     x_all, y_all = _as_arrays(samples, net.dtype)
     n = x_all.shape[0]
+    if n == 0:
+        raise ValidationError("eval_mse needs at least one sample")
     total = 0.0
     with _blas_one_thread():
         for start in range(0, n, batch_size):

@@ -7,7 +7,9 @@ padded input per 3x3 layer, and batchnorm reducing over the (0, 2, 3) axes
 of the NCHW tensor.
 
 The whole-batch GEMM layers and network are the bitwise f32 oracle for the
-N-sliced engine that replaced them.
+N-sliced engine that replaced them.  Their eval forward folds batchnorm into
+the conv weights, as the engine's does; the fold itself is checked against
+the unfolded batchnorm in f64.
 
 ``relu``, ``relu_backward`` and ``dropout`` are the standalone operations
 that a block's one fused mask multiply replaced, bitwise, in each direction;
@@ -150,7 +152,7 @@ def dropout(x: np.ndarray, p: float, train: bool, rng=None) -> tuple[np.ndarray,
 
 
 class WholeBatchConv(Conv):
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, weight=None, bias=None) -> np.ndarray:
         n, c, h, w = x.shape
         if c != self.w.shape[1]:
             raise ValidationError(
@@ -165,8 +167,9 @@ class WholeBatchConv(Conv):
                 cols[:, :, k] = xp[:, :, k // 3 : k // 3 + h, k % 3 : k % 3 + w]
             cols = cols.reshape(n, c * 9, h * w)
         self._cols = cols
-        y = np.matmul(self.w.reshape(self.w.shape[0], -1), cols)
-        y += self.b[:, None]
+        weight = self.w if weight is None else weight
+        y = np.matmul(weight.reshape(weight.shape[0], -1), cols)
+        y += (self.b if bias is None else bias)[:, None]
         return y.reshape(n, -1, h, w)
 
     def backward(self, dy: np.ndarray) -> np.ndarray | None:
@@ -231,11 +234,18 @@ class WholeBatchBatchNorm(BatchNorm):
 class WholeBatchBlock(_Block):
     def forward(self, x, train: bool, rng, bn_train: bool, apply_dropout: bool,
                 frozen_gates: bool = False):
-        y = self.conv.forward(x)
+        bn = self.bn
+        if bn is not None and not train and not bn_train:  # the eval fold
+            s = bn.gamma / np.sqrt(bn.running_var + bn.eps)
+            y = self.conv.forward(x, self.conv.w * s[:, None, None, None],
+                                  (self.conv.b - bn.running_mean) * s + bn.beta)
+            bn = None
+        else:
+            y = self.conv.forward(x)
         if self.is_output:
             return y
-        if self.bn is not None:
-            y = self.bn.forward(y, train=bn_train, inplace=True)
+        if bn is not None:
+            y = bn.forward(y, train=bn_train, inplace=True)
         if frozen_gates:
             if self._mask is None or self._scale is not None:
                 raise ValidationError("frozen-gate forward before a dropout-free reference pass")

@@ -1,5 +1,6 @@
 import struct
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -481,6 +482,91 @@ class TestSlicedEngine:
         assert _channel_total(x, x.sum(axis=2)).tobytes() == x.sum(axis=(0, 2)).tobytes()
 
 
+def _with_stats(net, seed):
+    """Non-zero biases, and gamma, beta and running statistics away from 1,
+    0, 0 and 1 in every batchnorm."""
+    data = np.random.default_rng(seed)
+    for block in net.blocks:
+        block.conv.b[...] = data.normal(0.0, 0.2, block.conv.b.size)
+        if block.bn is not None:
+            c = block.bn.gamma.size
+            block.bn.gamma[...] = data.uniform(0.5, 2.0, c)
+            block.bn.beta[...] = data.normal(0.0, 0.5, c)
+            block.bn.running_mean[...] = data.normal(0.0, 0.3, c)
+            block.bn.running_var[...] = data.uniform(0.2, 3.0, c)
+    return net
+
+
+class TestEvalFold:
+    """An eval forward runs each batchnormed block as one conv whose weights
+    fold in the running statistics, without storing them."""
+
+    @pytest.mark.parametrize("spec", [build_ldr2hdr_net("R", seed=3),
+                                      build_tonemap_net("L_base", seed=4)],
+                             ids=["ldr2hdr", "tonemap"])
+    def test_matches_unfolded_batchnorm(self, spec):
+        net = _with_stats(Network(spec, dtype=np.float64), 5)
+        x = np.random.default_rng(6).random((3, spec.layers[0].in_depth, 20, 16))
+        folded = net.forward(x, train=False)
+        # Train mode with running statistics and no dropout is the same
+        # function, through BatchNorm's eval branch.
+        unfolded = net.forward(x, train=True, bn_train=False, apply_dropout=False)
+        assert_close(folded, unfolded, rtol=1e-12)
+
+    def test_skips_batchnorm(self, monkeypatch):
+        net = _with_stats(Network(SLICED_SPEC), 1)
+        x = np.random.default_rng(2).normal(size=(2, 3, 6, 5)).astype(np.float32)
+        net.forward(x, train=True, rng=np.random.default_rng(3))  # leaves batchnorm caches
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("BatchNorm.forward ran in an eval forward")
+
+        monkeypatch.setattr(BatchNorm, "forward", refuse)
+        net.forward(x, train=False)
+        assert all(b.bn._cache is None for b in net.blocks if b.bn is not None)
+
+    def test_leaves_every_tensor_unchanged(self):
+        net = _with_stats(Network(build_tonemap_net("L_base", seed=4)), 7)
+        arrays = [arr for _, arr in net.tensors()]
+        before, checkpoint = _tensor_bytes(net), save_checkpoint(net)
+        net.forward(np.random.default_rng(8).random((2, 1, 16, 16)).astype(np.float32))
+        assert all(a is b for a, b in zip(arrays, (arr for _, arr in net.tensors())))
+        assert _tensor_bytes(net) == before
+        assert save_checkpoint(net) == checkpoint
+
+    def test_concurrent_forwards_on_one_net_match_one_thread(self):
+        net = _with_stats(Network(build_ldr2hdr_net("R", seed=3)), 5)
+        xs = [np.random.default_rng(s).random((2, 5, 16, 16)).astype(np.float32) for s in (1, 2)]
+        want = [net.forward(x).tobytes() for x in xs]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two forwards as often as possible
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                for _ in range(50):
+                    assert list(pool.map(lambda x: net.forward(x).tobytes(), xs)) == want
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_train_mode_with_running_statistics_is_not_folded(self, monkeypatch):
+        """``bn_train=False`` with ``train=True`` runs BatchNorm's eval branch,
+        whose cache backward needs, bitwise as the whole-batch engine does."""
+        calls = []
+        real = BatchNorm.forward
+        monkeypatch.setattr(BatchNorm, "forward", lambda self, x, train, slices=None: (
+            calls.append(train) or real(self, x, train, slices)))
+        data = np.random.default_rng(9)
+        x = data.normal(size=(3, 3, 7, 6)).astype(np.float32)
+        dy = data.normal(size=(3, 1, 7, 6)).astype(np.float32)
+        net, ref = _with_stats(Network(SLICED_SPEC), 4), _with_stats(WholeBatchNetwork(SLICED_SPEC), 4)
+        outs = []
+        for model in (net, ref):
+            outs.append(model.forward(x, train=True, rng=np.random.default_rng(10), bn_train=False))
+            model.backward(dy)
+        assert calls == [False, False]  # the whole-batch engine's BatchNorm is its own
+        assert outs[0].tobytes() == outs[1].tobytes()
+        assert _tensor_bytes(net) == _tensor_bytes(ref)
+
+
 class TestMseLoss:
     def test_equal_inputs(self, rng):
         x = rng.normal(size=(2, 1, 3, 3))
@@ -615,6 +701,15 @@ class TestNetwork:
         net = Network(build_ldr2hdr_net("B", seed=0, dropout_p=0.4))
         with pytest.raises(ParameterError):
             net.forward(np.zeros((1, 5, 8, 8), np.float32), train=True)
+
+    @pytest.mark.parametrize("shape", [(0, 5, 8, 8), (1, 5, 0, 8), (1, 5, 8, 0)])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_empty_input_refused_before_any_block(self, shape, train):
+        net = Network(build_ldr2hdr_net("R", seed=0, dropout_p=0.4))
+        before = _tensor_bytes(net)
+        with pytest.raises(ValidationError, match="empty"):
+            net.forward(np.zeros(shape, np.float32), train=train, rng=np.random.default_rng(0))
+        assert _tensor_bytes(net) == before  # train mode would have moved the BN running stats
 
     def test_clone_is_independent(self, rng):
         net = Network(two_layer_net(batchnorm=True), dtype=np.float64)

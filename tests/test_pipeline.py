@@ -700,6 +700,11 @@ class TestTrainLoop:
         state = train(net, (x, y), cfg)
         assert len(state.curve) == 2
 
+    def test_eval_mse_refuses_no_samples(self):
+        net = Network(tiny_spec(), dtype=np.float64)
+        with pytest.raises(ValidationError, match="at least one sample"):
+            eval_mse(net, (np.zeros((0, 2, 8, 8)), np.zeros((0, 1, 8, 8))))
+
     def test_eval_mse_matches_manual(self, rng):
         x, y = tiny_samples(rng, n=5)
         net = Network(tiny_spec(), dtype=np.float64)
