@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ParameterError, ValidationError
 from .image_io import LdrImage, RadianceMap
-from .imgproc import entropy, round_half_up
+from .imgproc import entropy
 
 FIXED_EXPOSURES = (1.0, 8.0, 64.0, 512.0, 4096.0)
 STACK_SIZE = 5
@@ -159,21 +159,23 @@ def inverse_lut(crf: Crf) -> np.ndarray:
     return out
 
 
-def apply_crf(crf: Crf, x: np.ndarray) -> np.ndarray:
-    """Evaluate the forward curve at normalized exposures x in [0, 1]."""
-    out = np.empty_like(x, dtype=np.float64)
-    for c in range(3):
-        out[..., c] = np.interp(x[..., c], _CODE_GRID, crf.forward[:, c])
-    return out
-
-
 def expose(m: RadianceMap, dt: float, crf: Crf) -> LdrImage:
-    """Simulate one exposure: Z = round(255 * f(clip(E * dt, 0, 1)))."""
+    """Simulate one exposure: Z = round(255 * f(clip(E * dt, 0, 1))).
+
+    One f64 working buffer carries every step in place; the rounding is
+    :func:`~hdrkit.imgproc.round_half_up`'s floor(v + 0.5).
+    """
     if dt <= 0:
         raise ParameterError(f"exposure time must be > 0, got {dt}")
-    x = np.clip(m.data.astype(np.float64) * dt, 0.0, 1.0)
-    codes = round_half_up(255.0 * apply_crf(crf, x)).astype(np.uint8)
-    return LdrImage(width=m.width, height=m.height, data=codes, exposure=float(dt))
+    v = m.data.astype(np.float64)
+    v *= dt
+    np.clip(v, 0.0, 1.0, out=v)
+    for c in range(3):
+        v[..., c] = np.interp(v[..., c], _CODE_GRID, crf.forward[:, c])
+    v *= 255.0
+    v += 0.5
+    np.floor(v, out=v)
+    return LdrImage(width=m.width, height=m.height, data=v.astype(np.uint8), exposure=float(dt))
 
 
 def geometric_ladder() -> ExposureLadder:

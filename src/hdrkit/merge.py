@@ -42,19 +42,30 @@ def debevec_merge(stack: ExposureStack, crf: Crf) -> RadianceMap:
     with :func:`hat_weight` confidences."""
     weights = hat_weight().values
     inv = inverse_lut(crf)  # (256, 3)
-    channels = np.arange(3)
     h, w = stack.height, stack.width
-    mid = len(stack.images) // 2
+    mid = stack.images[len(stack.images) // 2]
 
-    num = np.zeros((h, w, 3), dtype=np.float64)
-    den = np.zeros((h, w, 3), dtype=np.float64)
-    for i, img in enumerate(stack.images):
-        estimate = inv[img.data, channels] / img.exposure
-        wgt = weights[img.data]
-        num += wgt * estimate
-        den += wgt
-        if i == mid:
-            fallback = estimate
-
-    out = np.where(den > 0, num / np.where(den > 0, den, 1.0), fallback)
-    return RadianceMap(width=w, height=h, data=out.astype(np.float32))
+    # One channel at a time, every term is a gather from a 256-entry table.
+    # Codes are 0..255, so mode="clip" changes no index; it lets np.take write
+    # into `term` directly, where the default mode buffers its out= array.
+    out = np.empty((h, w, 3), dtype=np.float32)
+    codes = np.empty((h, w), dtype=np.intp)
+    term = np.empty((h, w), dtype=np.float64)
+    num = np.empty((h, w), dtype=np.float64)
+    den = np.empty((h, w), dtype=np.float64)
+    for c in range(3):
+        num.fill(0.0)
+        den.fill(0.0)
+        for img in stack.images:
+            codes[...] = img.data[..., c]
+            num += np.take(weights * (inv[:, c] / img.exposure), codes, out=term, mode="clip")
+            den += np.take(weights, codes, out=term, mode="clip")
+        # Where no observation carries weight, the middle exposure's estimate.
+        unseen = den <= 0
+        den[unseen] = 1.0
+        num /= den
+        codes[...] = mid.data[..., c]
+        np.copyto(num, np.take(inv[:, c] / mid.exposure, codes, out=term, mode="clip"),
+                  where=unseen)
+        out[..., c] = num
+    return RadianceMap(width=w, height=h, data=out)

@@ -92,33 +92,44 @@ def mertens_weights(stack: ExposureStack) -> np.ndarray:
     guard keeps the per-pixel normalization well defined, so the maps sum to
     one everywhere.
     """
-    raw = []
-    for img in stack.images:
-        rgb = img.data.astype(np.float64) / 255.0
+    out = np.empty((len(stack.images), stack.height, stack.width), dtype=np.float64)
+    for wgt, img in zip(out, stack.images):
+        rgb = img.data.astype(np.float64)
+        rgb /= 255.0
         luma = luminance(rgb)
         padded = np.pad(luma, 1, mode="reflect")
-        lap = (
-            padded[:-2, 1:-1]
-            + padded[2:, 1:-1]
-            + padded[1:-1, :-2]
-            + padded[1:-1, 2:]
-            - 4.0 * luma
-        )
-        contrast = np.abs(lap)
-        saturation = rgb.std(axis=2)
-        exposedness = np.exp(-((rgb - 0.5) ** 2) / (2.0 * 0.2**2)).prod(axis=2)
-        raw.append(contrast * saturation * exposedness + WEIGHT_GUARD)
-    stacked = np.stack(raw)
-    return stacked / stacked.sum(axis=0, keepdims=True)
+        np.add(padded[:-2, 1:-1], padded[2:, 1:-1], out=wgt)
+        wgt += padded[1:-1, :-2]
+        wgt += padded[1:-1, 2:]
+        luma *= 4.0
+        wgt -= luma
+        np.abs(wgt, out=wgt)  # contrast
+        del luma, padded  # freed before std's temporaries
+        wgt *= rgb.std(axis=2)  # saturation
+        rgb -= 0.5
+        np.square(rgb, out=rgb)
+        np.negative(rgb, out=rgb)
+        rgb /= 2.0 * 0.2**2
+        np.exp(rgb, out=rgb)
+        wgt *= rgb.prod(axis=2)  # exposedness
+        wgt += WEIGHT_GUARD
+    out /= out.sum(axis=0, keepdims=True)
+    return out
 
 
 def mertens_fuse(stack: ExposureStack) -> ToneMap:
     """Single-scale exposure fusion: weighted per-pixel average of the stack."""
     weights = mertens_weights(stack)
     fused = np.zeros((stack.height, stack.width, 3), dtype=np.float64)
+    term = np.empty((stack.height, stack.width), dtype=np.float64)
     for wgt, img in zip(weights, stack.images):
-        fused += wgt[..., None] * (img.data.astype(np.float64) / 255.0)
-    return ToneMap(stack.width, stack.height, np.clip(fused, 0.0, 1.0).astype(np.float32))
+        for c in range(3):
+            term[...] = img.data[..., c]
+            term /= 255.0
+            term *= wgt
+            fused[..., c] += term
+    np.clip(fused, 0.0, 1.0, out=fused)
+    return ToneMap(stack.width, stack.height, fused.astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +205,15 @@ _ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.2048953980
            1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 
 
+def _horner(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    """``np.polyval(coeffs, x)``: the same steps y = y * x + c, in one buffer."""
+    y = np.zeros_like(x)
+    for c in coeffs:
+        y *= x
+        y += c
+    return y
+
+
 def _ndtr(z: np.ndarray) -> np.ndarray:
     """Standard normal CDF Phi(z) = erfc(-x)/2 with x = z/sqrt(2), elementwise.
 
@@ -202,16 +222,26 @@ def _ndtr(z: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(z, dtype=np.float64) * math.sqrt(0.5)
     a = np.minimum(np.abs(x), 30.0)
+    # erfc(|x|) / 2 = exp(-x^2) / 2 * (P/Q below 8, R/S beyond)
+    out = _horner(_ERFC_R, a)
+    out /= _horner(_ERFC_S, a)
+    near = _horner(_ERFC_P, a)
+    near /= _horner(_ERFC_Q, a)
+    np.copyto(out, near, where=a < 8.0)
+    del near
+    out *= 0.5 * np.exp(-a * a)
+    np.subtract(1.0, out, out=out, where=x > 0)
+    # 0.5 + 0.5 * erf(x), with erf(x) = x T(x^2) / U(x^2)
     inner = a < 1.0
     xi = np.where(inner, x, 0.0)
-    erf = xi * np.polyval(_ERF_T, xi * xi) / np.polyval(_ERF_U, xi * xi)
-    ratio = np.where(
-        a < 8.0,
-        np.polyval(_ERFC_P, a) / np.polyval(_ERFC_Q, a),
-        np.polyval(_ERFC_R, a) / np.polyval(_ERFC_S, a),
-    )
-    half_erfc = 0.5 * np.exp(-a * a) * ratio
-    return np.where(inner, 0.5 + 0.5 * erf, np.where(x > 0, 1.0 - half_erfc, half_erfc))
+    xi2 = xi * xi
+    erf = _horner(_ERF_T, xi2)
+    erf *= xi
+    erf /= _horner(_ERF_U, xi2)
+    erf *= 0.5
+    erf += 0.5
+    np.copyto(out, erf, where=inner)
+    return out
 
 
 def _rescale_255(plane: np.ndarray) -> np.ndarray:
@@ -221,6 +251,60 @@ def _rescale_255(plane: np.ndarray) -> np.ndarray:
     return 255.0 * (plane - lo) / (hi - lo)
 
 
+def _check_tmqi_size(shape: tuple[int, ...]) -> None:
+    k = DEFAULT_TMQI.window_size
+    if min(shape) < k:
+        raise ParameterError(f"images must be at least {k}x{k} for TMQI")
+
+
+def _local_stats(lum: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One side of the structural-fidelity comparison.
+
+    Returns the plane rescaled to [0, 255], its windowed mean and standard
+    deviation, and that deviation mapped through the visual-sensitivity
+    normal CDF: a contrast-sensitivity threshold at the working spatial
+    frequency, spread over three standard deviations.
+    """
+    c = DEFAULT_TMQI
+    g = _gaussian_window(c.window_size, c.window_sigma)
+    x = _rescale_255(lum.astype(np.float64))
+    mu = _filter_valid(x, g)
+    sig = _filter_valid(x * x, g)
+    sig -= mu * mu
+    np.maximum(sig, 0.0, out=sig)
+    np.sqrt(sig, out=sig)
+    sf = c.spatial_freq
+    csf = 100.0 * 2.6 * (0.0192 + 0.114 * sf) * math.exp(-((0.114 * sf) ** 1.1))
+    thresh = 128.0 / (1.4 * csf)
+    z = sig - thresh
+    z /= thresh / 3.0
+    return x, mu, sig, _ndtr(z)
+
+
+def _fidelity(hdr: tuple[np.ndarray, ...], lum_tm: np.ndarray) -> float:
+    """Structural fidelity of a tone-mapped plane against the HDR side's
+    :func:`_local_stats`."""
+    c = DEFAULT_TMQI
+    x, mu_x, sig_x, sig_x_p = hdr
+    y, mu_y, sig_y, sig_y_p = _local_stats(lum_tm)
+    # s = (2 sx' sy' + c1) / (sx'^2 + sy'^2 + c1) * (sxy + c2) / (sx sy + c2)
+    s_map = 2.0 * sig_x_p
+    s_map *= sig_y_p
+    s_map += c.c1
+    den = np.square(sig_x_p)
+    den += np.square(sig_y_p)
+    den += c.c1
+    s_map /= den
+    sig_xy = _filter_valid(x * y, _gaussian_window(c.window_size, c.window_sigma))
+    sig_xy -= mu_x * mu_y
+    sig_xy += c.c2
+    np.multiply(sig_x, sig_y, out=den)
+    den += c.c2
+    sig_xy /= den
+    s_map *= sig_xy
+    return float(np.clip(np.mean(s_map), 0.0, 1.0))
+
+
 def structural_fidelity(lum_hdr: np.ndarray, lum_tm: np.ndarray) -> float:
     """Single-scale structural fidelity between two luminance planes.
 
@@ -228,36 +312,10 @@ def structural_fidelity(lum_hdr: np.ndarray, lum_tm: np.ndarray) -> float:
     deviations pass through a visual-sensitivity normal CDF before the
     SSIM-style comparison, making the term contrast- and scale-tolerant.
     """
-    c = DEFAULT_TMQI
-    k = c.window_size
     if lum_hdr.shape != lum_tm.shape:
         raise ValidationError("luminance planes must share dimensions")
-    if min(lum_hdr.shape) < k:
-        raise ParameterError(f"images must be at least {k}x{k} for TMQI")
-    x = _rescale_255(lum_hdr.astype(np.float64))
-    y = _rescale_255(lum_tm.astype(np.float64))
-    g = _gaussian_window(k, c.window_sigma)
-
-    mu_x = _filter_valid(x, g)
-    mu_y = _filter_valid(y, g)
-    sig_x = np.sqrt(np.maximum(_filter_valid(x * x, g) - mu_x * mu_x, 0.0))
-    sig_y = np.sqrt(np.maximum(_filter_valid(y * y, g) - mu_y * mu_y, 0.0))
-    sig_xy = _filter_valid(x * y, g) - mu_x * mu_y
-
-    # Contrast sensitivity at the working spatial frequency; local stds are
-    # mapped through a normal CDF centered on the modulation threshold.
-    sf = c.spatial_freq
-    csf = 100.0 * 2.6 * (0.0192 + 0.114 * sf) * math.exp(-((0.114 * sf) ** 1.1))
-    thresh = 128.0 / (1.4 * csf)
-    spread = thresh / 3.0
-    sig_x_p = _ndtr((sig_x - thresh) / spread)
-    sig_y_p = _ndtr((sig_y - thresh) / spread)
-
-    c1, c2 = c.c1, c.c2
-    s_map = ((2.0 * sig_x_p * sig_y_p + c1) / (sig_x_p**2 + sig_y_p**2 + c1)) * (
-        (sig_xy + c2) / (sig_x * sig_y + c2)
-    )
-    return float(np.clip(np.mean(s_map), 0.0, 1.0))
+    _check_tmqi_size(lum_hdr.shape)
+    return _fidelity(_local_stats(lum_hdr), lum_tm)
 
 
 def statistical_naturalness(lum_tm_255: np.ndarray) -> float:
@@ -291,19 +349,22 @@ def statistical_naturalness(lum_tm_255: np.ndarray) -> float:
     return float(np.clip(p_mean * p_std, 0.0, 1.0))
 
 
+def _score(s: float, lum_tm: np.ndarray) -> TmqiScore:
+    """Q from the fidelity S and the tone map's luminance on the 0..255 scale."""
+    n = statistical_naturalness(lum_tm)
+    c = DEFAULT_TMQI
+    q = c.a * s**c.alpha + (1.0 - c.a) * n**c.beta
+    return TmqiScore(S=s, N=n, Q=float(np.clip(q, 0.0, 1.0)))
+
+
 def tmqi(m: RadianceMap, tm: ToneMap) -> TmqiScore:
     """Score a tone map against its source radiance map."""
     if (m.width, m.height) != (tm.width, tm.height):
         raise ValidationError(
             f"dimension mismatch: map {m.width}x{m.height}, tone map {tm.width}x{tm.height}"
         )
-    lum_hdr = luminance(m.data).astype(np.float64)
     lum_tm = luminance(tm.data).astype(np.float64) * 255.0
-    s = structural_fidelity(lum_hdr, lum_tm)
-    n = statistical_naturalness(lum_tm)
-    c = DEFAULT_TMQI
-    q = c.a * s**c.alpha + (1.0 - c.a) * n**c.beta
-    return TmqiScore(S=s, N=n, Q=float(np.clip(q, 0.0, 1.0)))
+    return _score(structural_fidelity(luminance(m.data).astype(np.float64), lum_tm), lum_tm)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +399,17 @@ def select_best_tmo(
     """
     if not operators:
         raise ParameterError("need at least one operator")
-    scored: list[tuple[str, ToneMap, TmqiScore]] = []
+    # The HDR side of TMQI is the same for every operator: compute it once.
+    _check_tmqi_size((m.height, m.width))
+    hdr = _local_stats(luminance(m.data).astype(np.float64))
+    scores: list[tuple[str, TmqiScore]] = []
+    best = None
     for op in operators:
         tm = apply_operator(m, op, crf=crf)
-        scored.append((op, tm, tmqi(m, tm)))
-    # max() keeps the first of equal keys, which is the documented tie rule
-    op, tm, score = max(scored, key=lambda item: item[2].Q)
-    return tm, op, score, [(s[0], s[2]) for s in scored]
+        lum_tm = luminance(tm.data).astype(np.float64) * 255.0
+        score = _score(_fidelity(hdr, lum_tm), lum_tm)
+        scores.append((op, score))
+        # Only a strictly higher Q replaces the best: the first of equal scores wins.
+        if best is None or score.Q > best[2].Q:
+            best = (tm, op, score)
+    return (*best, scores)

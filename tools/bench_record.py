@@ -7,7 +7,11 @@ once with ``--trace 0`` (the end-to-end metrics) and once with ``--trace 1``
 (the per-layer metrics), one run at a time, each for BENCHMARK.json's
 ``run_seconds`` on seed 2024, so that records of different trees compare.
 The output file holds the machine block of the first run's record line, the
-seed, and each run's exit status, record and metrics.
+seed, and each run's exit status, record and metrics.  Each run also stores
+the CPU steal of the whole machine over the run, from ``/proc/stat`` before
+and after it: seconds summed over all CPUs and the share of all CPU time
+(``null`` where the file is missing), so that a reader can tell a busy hour
+from a slow tree.
 
 Exit status: 0 when every run passed its checks, 1 otherwise (the file is
 still written).
@@ -17,18 +21,43 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 2024
+PROC_STAT = Path("/proc/stat")
+
+
+def cpu_times() -> tuple[float, float] | None:
+    """(steal, total) CPU seconds of the machine since boot, summed over CPUs,
+    from the first line of /proc/stat; None where it cannot be read."""
+    try:
+        fields = PROC_STAT.read_text().splitlines()[0].split()
+    except (OSError, IndexError):
+        return None
+    if fields[0] != "cpu" or len(fields) < 9:
+        return None
+    ticks = [int(v) for v in fields[1:9]]  # user nice system idle iowait irq softirq steal
+    hz = os.sysconf("SC_CLK_TCK")
+    return ticks[7] / hz, sum(ticks) / hz
+
+
+def steal_between(before, after) -> dict | None:
+    if before is None or after is None:
+        return None
+    steal, total = after[0] - before[0], after[1] - before[1]
+    return {"steal_s": steal, "steal_share": steal / total if total > 0 else None}
 
 
 def run(workload: str, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
+    before = cpu_times()
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    cpu_steal = steal_between(before, cpu_times())
     lines = done.stdout.strip().splitlines()
     record, result = {}, {}
     if len(lines) >= 2:
@@ -45,6 +74,7 @@ def run(workload: str, seconds: float, trace: int) -> dict:
         "failed": result.get("failed"),
         "metrics": result.get("metrics", {}),
         "record": record,
+        "cpu_steal": cpu_steal,
     }
 
 
