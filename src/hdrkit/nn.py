@@ -20,17 +20,23 @@ each slice draws its part of the dropout stream from a PCG64 copy advanced
 to its offset.  So the result is bitwise the same on any number of threads.
 
 Nothing here is shared between networks, so replicas of one network can
-run forward and backward on separate threads.
+run forward and backward on separate threads.  The one process-wide state
+is BLAS's thread count, which every engine call caps at one thread
+(``_blas_one_thread``).
 """
 
 from __future__ import annotations
 
 import copy
+import ctypes
+import functools
 import io
 import json
 import math
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +54,65 @@ CHECKPOINT_MAGIC = b"HDRNN1"
 # 2-CPU x86-64 VM; below one 64x64 patch per slice the hand-offs cost more
 # than the second thread saves.
 _SLICE_PIXELS = 64 * 64
+
+
+@functools.cache
+def _blas_thread_control():
+    """OpenBLAS's (get, set) thread-count functions, or None if not found.
+
+    ``dlsym`` on numpy's core extension also searches the BLAS it links, so
+    the functions are found by name; the names below cover the symbol
+    suffixes of the numpy wheels' scipy-openblas and of a plain OpenBLAS.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                           ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+# The BLAS count is process-wide, so the cap's state is too.
+_blas_lock = threading.Lock()
+_blas_depth = 0  # callers inside the cap, on every thread
+_blas_saved = 1  # the count before the first of them entered
+
+
+@contextmanager
+def _blas_one_thread():
+    """Run BLAS on one thread, and restore the caller's count on exit.
+
+    The engine's slice threads, about one per CPU, replace BLAS's own.  On
+    more threads, OpenBLAS's workers would also busy-wait after each call
+    and take a CPU from whatever runs next.  The cap nests and is shared by
+    all threads: the first caller in saves the count and sets one thread,
+    and the last one out puts the saved count back, returning or raising.
+    """
+    global _blas_depth, _blas_saved
+    control = _blas_thread_control()
+    if control is None:
+        yield
+        return
+    get, put = control
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            put(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                put(_blas_saved)
 
 
 def check_tensor4(x: np.ndarray, name: str = "tensor") -> np.ndarray:
@@ -565,13 +630,13 @@ class Network:
         thread each (``threads`` defaults to one per CPU), with at least
         ``_SLICE_PIXELS`` pixels per slice.  The result does not depend on
         the number of slices.  Train-mode dropout draws from ``rng``, a
-        PCG64 or PCG64DXSM Generator."""
+        PCG64 or PCG64DXSM Generator.  BLAS runs on one thread."""
         x = check_tensor4(x, "input").astype(self.dtype, copy=False)
         if bn_train is None:
             bn_train = train
         if train and apply_dropout and any(b.spec.dropout_p > 0 for b in self.blocks):
             _check_dropout_rng(rng)
-        with _Slices(x.shape[0], _slice_threads(x, threads)) as slices:
+        with _blas_one_thread(), _Slices(x.shape[0], _slice_threads(x, threads)) as slices:
             for block in self.blocks:
                 x = block.forward(x, train, rng, bn_train, apply_dropout, frozen_gates, slices)
         return x
@@ -584,7 +649,7 @@ class Network:
         ``dy`` itself is only read, by the output conv; each hidden block's
         mask multiply overwrites the fresh input gradient of the conv above it.
         """
-        with _Slices(dy.shape[0], _slice_threads(dy, threads)) as slices:
+        with _blas_one_thread(), _Slices(dy.shape[0], _slice_threads(dy, threads)) as slices:
             for block in reversed(self.blocks):
                 dy = block.backward(dy, slices)
 
@@ -625,17 +690,18 @@ class Network:
         divergence diagnostics."""
         x = check_tensor4(x).astype(self.dtype, copy=False)
         stats = []
-        for block in self.blocks:
-            x = block.forward(x, train=True, rng=None, bn_train=True, apply_dropout=False)
-            stats.append(
-                {
-                    "layer": block.name,
-                    "min": float(x.min()),
-                    "max": float(x.max()),
-                    "mean": float(x.mean()),
-                    "finite": bool(np.all(np.isfinite(x))),
-                }
-            )
+        with _blas_one_thread():
+            for block in self.blocks:
+                x = block.forward(x, train=True, rng=None, bn_train=True, apply_dropout=False)
+                stats.append(
+                    {
+                        "layer": block.name,
+                        "min": float(x.min()),
+                        "max": float(x.max()),
+                        "mean": float(x.mean()),
+                        "finite": bool(np.all(np.isfinite(x))),
+                    }
+                )
         return stats
 
 

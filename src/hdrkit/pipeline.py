@@ -15,8 +15,9 @@ identical parameter replicas on ``cfg.workers`` workers, computes shard
 gradients concurrently on a thread pool, sums them in ascending worker
 order scaled to the whole-batch mean, updates worker 0, and broadcasts the
 result; with one worker it is the plain serial step.  Each shard's network
-splits its part of the batch over an equal share of the CPUs.  While engine
-threads run (training steps, eval forwards), OpenBLAS runs on one thread.
+splits its part of the batch over an equal share of the CPUs.  BLAS runs on
+one thread inside every engine call, and the trainer holds that cap around
+its shard pool.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +42,7 @@ from .camera import (
 from .errors import ParameterError, ValidationError
 from .image_io import RadianceMap
 from .imgproc import LabImage, _cpu_count, bilateral_filter, lab_to_rgb, luminance, rgb_to_lab
-from .nn import LayerSpec, Network, NetworkSpec, mse_loss, sgd_step
+from .nn import LayerSpec, Network, NetworkSpec, _blas_one_thread, mse_loss, sgd_step
 from .tmo import TmqiScore, ToneMap, select_best_tmo
 
 LDR2HDR_CHANNELS = ("R", "G", "B")
@@ -422,50 +422,6 @@ def _diverged(net: Network, x: np.ndarray, what: str = "loss") -> ValidationErro
 
 
 @functools.cache
-def _blas_thread_control():
-    """OpenBLAS's (get, set) thread-count functions, or None if not found.
-
-    ``dlsym`` on numpy's core extension also searches the BLAS it links, so
-    the functions are found by name; the names below cover the symbol
-    suffixes of the numpy wheels' scipy-openblas and of a plain OpenBLAS.
-    """
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except (AttributeError, OSError):
-        return None
-    for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
-                           ("openblas", "64_"), ("openblas", "")):
-        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-        if get is not None and put is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
-
-
-@contextmanager
-def _blas_one_thread():
-    """Run BLAS on one thread, and restore the caller's count on exit.
-
-    The engine's slice threads, about one per CPU, replace BLAS's own.  The
-    count is process-wide, so two callers on different threads would race
-    on it; hdrkit steps one trainer or runs one tiled forward at a time.
-    """
-    control = _blas_thread_control()
-    if control is None:
-        yield
-        return
-    get, put = control
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
-@functools.cache
 def _unmap_large_buffers() -> None:
     """Fix glibc's mmap threshold at 16 MiB, process-wide.  By default glibc
     raises it as buffers are freed, then keeps freed activations in the arenas
@@ -481,12 +437,11 @@ def eval_mse(net: Network, samples, batch_size: int = 40) -> float:
     if n == 0:
         raise ValidationError("eval_mse needs at least one sample")
     total = 0.0
-    with _blas_one_thread():
-        for start in range(0, n, batch_size):
-            xb = x_all[start : start + batch_size]
-            yb = y_all[start : start + batch_size]
-            loss, _ = mse_loss(net.forward(xb, train=False), yb)
-            total += loss * xb.shape[0]
+    for start in range(0, n, batch_size):
+        xb = x_all[start : start + batch_size]
+        yb = y_all[start : start + batch_size]
+        loss, _ = mse_loss(net.forward(xb, train=False), yb)
+        total += loss * xb.shape[0]
     return total / n
 
 
@@ -672,10 +627,9 @@ def _forward_tiled(net: Network, planes: np.ndarray, patch: int, batch_size: int
     """Eval-mode forward of (C, H, W) planes through patch tiling."""
     grid, patches = extract_patches(planes.astype(net.dtype, copy=False), patch)
     preds = []
-    with _blas_one_thread():
-        for start in range(0, patches.shape[0], batch_size):
-            out = net.forward(patches[start : start + batch_size], train=False)
-            preds.append(out[:, 0])
+    for start in range(0, patches.shape[0], batch_size):
+        out = net.forward(patches[start : start + batch_size], train=False)
+        preds.append(out[:, 0])
     return reassemble(grid, np.concatenate(preds))
 
 

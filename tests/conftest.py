@@ -3,6 +3,7 @@ import pytest
 
 from hdrkit.camera import gamma_crf
 from hdrkit.image_io import RadianceMap
+from hdrkit.nn import _blas_thread_control
 from hdrkit.pipeline import normalize_hdr
 from hdrkit.synth import synth_scenes
 
@@ -28,3 +29,15 @@ def rng():
 @pytest.fixture()
 def random_map(rng):
     return RadianceMap.from_array(rng.random((12, 10, 3)).astype(np.float32) * 3.0)
+
+
+@pytest.fixture(params=[1, 2])
+def blas_threads(request):
+    """BLAS set to one thread, then two, for the test; put back after."""
+    if _blas_thread_control() is None:
+        pytest.skip("no OpenBLAS thread control found")
+    get, put = _blas_thread_control()
+    before = get()
+    put(request.param)
+    yield request.param
+    put(before)

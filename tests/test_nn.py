@@ -1,5 +1,6 @@
 import struct
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -37,6 +38,7 @@ from hdrkit.nn import (
     _DRAW_CHUNK,
     _keep_drawer,
     _Slices,
+    _blas_thread_control,
     save_checkpoint,
     sgd_step,
 )
@@ -565,6 +567,89 @@ class TestEvalFold:
         assert calls == [False, False]  # the whole-batch engine's BatchNorm is its own
         assert outs[0].tobytes() == outs[1].tobytes()
         assert _tensor_bytes(net) == _tensor_bytes(ref)
+
+
+class TestBlasCap:
+    """Every engine call runs BLAS on one thread, read inside its convs, and
+    puts the caller's count (``blas_threads``) back after, also when calls
+    run concurrently or raise.  The trainer tests in test_pipeline.py cover
+    calls nested in the trainer's cap."""
+
+    ROUNDS = 1000
+
+    @staticmethod
+    def _record(monkeypatch, seen, failing=None):
+        """Make both conv directions append (direction, BLAS count) to
+        ``seen``; the backward of conv ``failing`` then raises MemoryError."""
+        get, _ = _blas_thread_control()
+        real = {"forward": Conv.forward, "backward": Conv.backward}
+
+        def recorded(direction):
+            def call(conv, *args, **kwargs):
+                seen.append((direction, get()))
+                if direction == "backward" and conv is failing:
+                    raise MemoryError("conv backward")
+                return real[direction](conv, *args, **kwargs)
+            return call
+
+        for direction in real:
+            monkeypatch.setattr(Conv, direction, recorded(direction))
+
+    @pytest.mark.parametrize("call, directions", [
+        ("forward", {"forward"}), ("backward", {"backward"}),
+        ("activation_stats", {"forward"}), ("grad_check", {"forward", "backward"})])
+    def test_direct_call_runs_on_one_thread(self, monkeypatch, blas_threads, call, directions):
+        get, _ = _blas_thread_control()
+        net = Network(two_layer_net(batchnorm=True), dtype=np.float64)
+        data = np.random.default_rng(11)
+        x, t = data.normal(size=(2, 3, 5, 5)), data.normal(size=(2, 1, 5, 5))
+        net.forward(x, train=True, apply_dropout=False)  # the caches backward needs
+        seen = []
+        self._record(monkeypatch, seen)
+        {"forward": lambda: net.forward(x),
+         "backward": lambda: net.backward(t),
+         "activation_stats": lambda: net.activation_stats(x),
+         "grad_check": lambda: grad_check(net, x, t, max_samples=2)}[call]()
+        assert {direction for direction, _ in seen} == directions
+        assert {count for _, count in seen} == {1}
+        assert get() == blas_threads
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    def test_concurrent_calls_share_one_cap(self, monkeypatch, blas_threads, raises):
+        """Two threads run forward and backward on their own nets at once,
+        the second one's backward raising in every round when ``raises``."""
+        get, _ = _blas_thread_control()
+        nets = [Network(two_layer_net(batchnorm=True, seed=s), dtype=np.float64) for s in (1, 2)]
+        data = np.random.default_rng(12)
+        x, dy = data.normal(size=(2, 3, 5, 5)), data.normal(size=(2, 1, 5, 5))
+        seen = []
+        self._record(monkeypatch, seen, nets[1].blocks[-1].conv if raises else None)
+
+        start = threading.Barrier(2)
+
+        def rounds(net):
+            start.wait(timeout=60)  # so that the threads overlap from the first round
+            raised = 0
+            for _ in range(self.ROUNDS):
+                net.forward(x, train=True, apply_dropout=False)
+                try:
+                    net.backward(dy)
+                except MemoryError:
+                    raised += 1
+            return raised
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two threads as often as possible
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                futures = [pool.submit(rounds, net) for net in nets]
+                raised = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        assert raised == [0, self.ROUNDS * raises]
+        assert len(seen) == self.ROUNDS * (8 - raises)  # 2 convs, 2 directions, 2 nets
+        assert {count for _, count in seen} == {1}
+        assert get() == blas_threads
 
 
 class TestMseLoss:

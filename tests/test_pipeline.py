@@ -14,13 +14,12 @@ from hdrkit.camera import fixed_stack
 from hdrkit.errors import ParameterError, ValidationError
 from hdrkit.image_io import RadianceMap
 from hdrkit.imgproc import luminance, rgb_to_lab
-from hdrkit.nn import Network, mse_loss
+from hdrkit.nn import Conv, Network, _blas_thread_control, mse_loss
 from hdrkit.pipeline import (
     LDR2HDR_CHANNELS,
     TONEMAP_CHANNELS,
     ParallelTrainer,
     TrainConfig,
-    _blas_thread_control,
     build_ldr2hdr_net,
     build_ldr2hdr_samples,
     build_tonemap_net,
@@ -374,16 +373,11 @@ class TestBlasThreads:
     """While engine threads run, BLAS runs on one thread, and the caller's
     count comes back after: a step runs min(K, CPUs) shards on
     max(1, CPUs // K) slice threads each, and an eval forward one slice
-    thread per CPU."""
+    thread per CPU.  ``threads`` is the caller's BLAS count."""
 
-    @pytest.fixture(params=[1, 2])
-    def threads(self, request):
-        """BLAS set to one thread, then two, for the test; put back after."""
-        get, put = _blas_thread_control()
-        before = get()
-        put(request.param)
-        yield request.param
-        put(before)
+    @pytest.fixture
+    def threads(self, blas_threads):
+        return blas_threads
 
     def _trainer(self, rng, workers=2):
         x, y = tiny_samples(rng, n=4)
@@ -430,23 +424,25 @@ class TestBlasThreads:
 
     @pytest.mark.parametrize("cpus", [None, 1, 4])
     def test_capped_during_eval_forwards(self, rng, monkeypatch, threads, cpus):
+        """The count read inside the engine, at every conv of 3 tiled and 2
+        validation forwards."""
         if cpus is not None:
             monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
         cpus = pipeline._cpu_count()
         get, _ = _blas_thread_control()
         net = Network(tiny_spec(), dtype=np.float32)
         seen = []
-        real_forward = net.forward
+        real_forward = Conv.forward
 
         def forward(*args, **kwargs):
             seen.append(get())
             return real_forward(*args, **kwargs)
 
-        net.forward = forward
+        monkeypatch.setattr(Conv, "forward", forward)
         pipeline._forward_tiled(net, rng.random((2, 20, 20)), 8, batch_size=4)
         x, y = tiny_samples(rng, n=3)
         eval_mse(net, (x, y), batch_size=2)
-        assert seen == [1] * 5
+        assert seen == [1] * (5 * len(net.blocks))
         assert get() == threads
 
     def test_restored_after_diverged_shard(self, rng, threads):
