@@ -18,6 +18,8 @@ batch; the sums across samples (batchnorm statistics, dW, db) add
 per-sample partials in n order, as numpy's whole-batch reductions do, and
 each slice draws its part of the dropout stream from a PCG64 copy advanced
 to its offset.  So the result is bitwise the same on any number of threads.
+Each keep-mask element reads one 16-bit lane, a quarter of a raw PCG64
+output, and drops with probability p rounded up to a multiple of 2**-16.
 
 Nothing here is shared between networks, so replicas of one network can
 run forward and backward on separate threads.  The one process-wide state
@@ -457,10 +459,10 @@ class BatchNorm:
         return [self.dgamma, self.dbeta]
 
 
-_DRAW_CHUNK = 1 << 16  # doubles per draw: 512 KiB, which stays in cache
+_DRAW_CHUNK = 1 << 16  # 16-bit lanes per draw: 128 KiB, which stays in cache
 
-# advance(k) of these skips exactly the k 64-bit outputs that k doubles use;
-# Philox's advance counts blocks of four outputs, and MT19937 has none.
+# advance(k) of these skips exactly k 64-bit outputs; Philox's advance counts
+# blocks of four outputs, and MT19937 has none.
 _SKIPPABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
 
@@ -471,37 +473,45 @@ def _check_dropout_rng(rng) -> None:
 
 
 def _keep_drawer(shape, p: float, rng: np.random.Generator, slices: _Slices):
-    """A bool keep mask, bitwise ``rng.random(shape) >= p``, and the task
-    that draws slice ``sl`` of it.
+    """A bool keep mask drawn from 16-bit lanes of the raw stream, and the
+    task that draws slice ``sl`` of it.
 
-    Each slice draws from a copy of the PCG64 stream advanced to its first
-    element, in chunks of ``_DRAW_CHUNK`` doubles straight into the mask, so
-    no f64 array of the full shape is made.  ``rng`` is moved past the whole
-    draw at once, to where one draw would leave it.  Any other generator is
+    Element i of the mask, in C order, reads lane i: slot ``i % 4`` of the
+    little-endian ``uint16`` view of raw output ``i // 4``.  It keeps when
+    its lane is at least ``T = ceil(p * 2**16)``, so an element drops with
+    probability p rounded up to a multiple of 2**-16.  The test is
+    ``lane > T - 1`` in ``uint16``, so that T = 2**16 drops every element.
+    Each slice draws from a copy of the PCG64 stream advanced to the output
+    that holds its first lane, in chunks of ``_DRAW_CHUNK`` lanes that start
+    on an output, straight into the mask.  ``rng`` is moved past the
+    ceil(n / 4) outputs of the whole draw at once.  Any other generator is
     refused before it is touched: Philox would give a wrong mask silently.
     """
     _check_dropout_rng(rng)
     bitgen = rng.bit_generator
     keep = np.empty(shape, dtype=bool)
     rows = keep.reshape(shape[0], -1)
+    below = np.uint16(math.ceil(p * 2**16) - 1)
     streams = {}
     for sl in slices.parts:
         stream = copy.deepcopy(bitgen)
-        stream.advance(sl.start * rows.shape[1])
-        draws = np.empty(min(rows[sl].size, _DRAW_CHUNK))
-        streams[sl.start] = (np.random.Generator(stream), draws)
+        stream.advance(sl.start * rows.shape[1] // 4)
+        streams[sl.start] = stream
     state = bitgen.state
-    bitgen.advance(keep.size)
-    # advance() drops a buffered 32-bit half, which drawing doubles keeps.
+    bitgen.advance(-(-keep.size // 4))
+    # advance() drops a buffered 32-bit half, which raw output keeps.
     bitgen.state = {**bitgen.state, "has_uint32": state["has_uint32"],
                     "uinteger": state["uinteger"]}
 
     def draw(sl: slice) -> None:
-        out, (stream, draws) = rows[sl].reshape(-1), streams[sl.start]
-        for start in range(0, out.size, _DRAW_CHUNK):
-            part = draws[: min(_DRAW_CHUNK, out.size - start)]
-            stream.random(out=part)
-            np.greater_equal(part, p, out=out[start : start + part.size])
+        out, stream = rows[sl].reshape(-1), streams[sl.start]
+        # Lanes of this slice's first output that earlier slices use.
+        skip = sl.start * rows.shape[1] % 4
+        for start in range(-skip, out.size, _DRAW_CHUNK):
+            stop = min(start + _DRAW_CHUNK, out.size)
+            raw = stream.random_raw((stop - start + 3) // 4)
+            lanes = raw.astype("<u8", copy=False).view("<u2")
+            np.greater(lanes[max(0, -start) : stop - start], below, out=out[max(0, start) : stop])
 
     return keep, draw
 

@@ -13,11 +13,15 @@ the unfolded batchnorm in f64.
 
 ``relu``, ``relu_backward`` and ``dropout`` are the standalone operations
 that a block's one fused mask multiply replaced, bitwise, in each direction;
-``keep_mask`` is the one-draw dropout mask that the engine draws in slices.
+``keep_mask`` is the one-draw dropout mask that the engine draws in slices:
+one 16-bit lane of raw PCG64 output per element, cut out with shifts and
+compared as a wide integer, where the engine views the output as ``uint16``.
 
 Each class inherits its parameters and gradient buffers from the engine's
 layer, so both can be loaded with the same weights and compared.
 """
+
+import math
 
 import numpy as np
 
@@ -125,8 +129,15 @@ def relu_backward(dy: np.ndarray, gate: np.ndarray) -> np.ndarray:
 
 def keep_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     """The dropout keep mask, as one draw: the engine's sliced, chunked draw
-    gives these bytes and leaves ``rng`` in the same state."""
-    return rng.random(shape) >= p
+    gives these bytes and leaves ``rng`` in the same state.
+
+    Element i, in C order, keeps when bits 16*(i % 4) to 16*(i % 4) + 15 of
+    raw output i // 4, read as an integer, are at least ceil(p * 2**16).
+    """
+    n = math.prod(shape)
+    raw = rng.bit_generator.random_raw(-(-n // 4))
+    lanes = (raw[:, None] >> np.arange(0, 64, 16, dtype=np.uint64)) & np.uint64(0xFFFF)
+    return (lanes.reshape(-1)[:n] >= math.ceil(p * 2**16)).reshape(shape)
 
 
 def dropout(x: np.ndarray, p: float, train: bool, rng=None) -> tuple[np.ndarray, np.ndarray | None]:

@@ -1,3 +1,5 @@
+import copy
+import math
 import struct
 import sys
 import threading
@@ -12,6 +14,7 @@ from nn_reference import (
     FourAxisBatchNorm,
     WholeBatchNetwork,
     dropout,
+    keep_mask,
     relu,
     relu_backward,
 )
@@ -230,7 +233,28 @@ class TestDropout:
         assert [arr.tobytes() for _, arr in net.tensors()] == before  # BN running stats too
         assert all(b.conv._cols is None and b._mask is None for b in net.blocks)
 
-    @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 3 * 65536 + 5])
+    def test_keep_fraction(self):
+        """Each element drops with probability p rounded up to a multiple of
+        2**-16: the keep fraction is within 4 sigma of 1 - T / 2**16."""
+        for p in (2.0**-20, 0.4, 0.9):
+            kept = 1.0 - math.ceil(p * 2**16) / 2**16
+            with _Slices(4, 2) as slices:
+                keep, draw = _keep_drawer((4, 1, 1000, 1000), p, np.random.default_rng(25), slices)
+                slices.run(draw)
+            assert abs(keep.mean() - kept) < 4 * math.sqrt(kept * (1.0 - kept) / keep.size)
+
+    def test_drops_everything_above_the_last_lane(self):
+        """For p > 1 - 2**-16 no lane passes, without the threshold wrapping."""
+        net = Network(NetworkSpec(layers=(LayerSpec("conv1x1", 1, 1, dropout_p=1.0 - 2.0**-20),
+                                          LayerSpec("output1x1", 1, 1))))
+        for block in net.blocks:
+            block.conv.w[...] = 1.0
+        y = net.forward(np.ones((4, 1, 100, 100), np.float32), train=True,
+                        rng=np.random.default_rng(26))
+        assert not net.blocks[0]._mask.any()
+        assert np.isfinite(y).all() and not y.any()
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 65535, 65536, 65537, 3 * 65536 + 5])
     def test_keep_mask_is_the_full_draw(self, size):
         """One slice drawing a row across chunk boundaries gives bitwise the
         one-array mask and rng state."""
@@ -238,7 +262,7 @@ class TestDropout:
         keep, draw = _keep_drawer((1, size), 0.4, chunked, _Slices(1))
         draw(slice(0, 1))
         assert keep.dtype == bool
-        assert keep.tobytes() == (whole.random((1, size)) >= 0.4).tobytes()
+        assert keep.tobytes() == keep_mask((1, size), 0.4, whole).tobytes()
         assert chunked.bit_generator.state == whole.bit_generator.state
         assert chunked.random() == whole.random()
 
@@ -247,21 +271,24 @@ class TestDropout:
         slices = _Slices(3, 2)
         keep, draw = _keep_drawer((3, 5, 70, 80), 0.25, chunked, slices)
         slices.run(draw)
-        assert np.array_equal(keep, whole.random((3, 5, 70, 80)) >= 0.25)
+        assert np.array_equal(keep, keep_mask((3, 5, 70, 80), 0.25, whole))
 
     @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.PCG64DXSM,
                                         np.random.MT19937, np.random.Philox])
     @pytest.mark.parametrize("shape, threads", [((5, 3, 70, 80), 3), ((3, 1, 300, 301), 2),
                                                 ((7, 2, 1, 3), 5), ((2, 4, 5), 5),
                                                 ((5, 3, 70, 80), 1), ((1, 4, 9, 7), 3),
-                                                ((1, 2, 200, 201), 2)])
+                                                ((1, 2, 200, 201), 2), ((4, 1, 3, 3), 4),
+                                                ((5, 1, 2, 3), 5), ((3, 1, 5, 7), 3),
+                                                ((3, 1, 257, 257), 3)])
     def test_keep_mask_slices_are_the_full_draw(self, bitgen, shape, threads):
         """Slices drawing from advanced PCG64 copies, at offsets that are not
-        chunk multiples or as one slice (one thread, one sample, or one row
-        of several chunks), give the one-array mask, and leave rng where the
-        whole draw does, even with a buffered 32-bit half.  MT19937 (no
-        advance) and Philox (advance in blocks of four) are refused with rng
-        untouched."""
+        chunk multiples, or that start inside a raw output (per-sample sizes
+        1, 2 and 3 mod 4, rows of several chunks among them), or as one slice
+        (one thread, one sample, or one row of several chunks), give the
+        one-array mask, and leave rng where the whole draw does, even with a
+        buffered 32-bit half.  MT19937 (no advance) and Philox (advance in
+        blocks of four) are refused with rng untouched."""
         sliced = np.random.Generator(bitgen(23))
         whole = np.random.Generator(bitgen(23))
         for g in (sliced, whole):
@@ -278,11 +305,27 @@ class TestDropout:
                 return
             keep, draw = _keep_drawer(shape, 0.4, sliced, slices)
             slices.run(draw)
-        assert keep.tobytes() == (whole.random(shape) >= 0.4).tobytes()
+        assert keep.tobytes() == keep_mask(shape, 0.4, whole).tobytes()
         np.testing.assert_equal(sliced.bit_generator.state, whole.bit_generator.state)
         assert sliced.integers(0, 2**32, dtype=np.uint32) == whole.integers(0, 2**32, dtype=np.uint32)
         assert sliced.random() == whole.random()
 
+    @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.PCG64DXSM])
+    @pytest.mark.parametrize("shape, threads", [((1, 1), 1), ((1, 4), 1), ((3, 1, 1, 1), 3),
+                                                ((2, 1, 1, 3), 2), ((5, 1, 2, 3), 5),
+                                                ((3, 1, 257, 257), 3)])
+    def test_draw_advances_a_quarter_output_per_element(self, bitgen, shape, threads):
+        """A draw of n elements moves rng past ceil(n / 4) raw outputs and
+        keeps a buffered 32-bit half."""
+        rng = np.random.Generator(bitgen(24))
+        rng.integers(0, 2**32, dtype=np.uint32)  # buffers the other half
+        advanced = copy.deepcopy(rng.bit_generator)
+        advanced.advance(-(-math.prod(shape) // 4))
+        buffered = rng.bit_generator.state["uinteger"]
+        with _Slices(shape[0], threads) as slices:
+            _, draw = _keep_drawer(shape, 0.4, rng, slices)
+            slices.run(draw)
+        assert rng.bit_generator.state == {**advanced.state, "has_uint32": 1, "uinteger": buffered}
 
 def assert_close(actual, reference, rtol=1e-12):
     """Max abs difference within ``rtol`` of the reference's largest value."""
@@ -540,12 +583,18 @@ class TestEvalFold:
         net = _with_stats(Network(build_ldr2hdr_net("R", seed=3)), 5)
         xs = [np.random.default_rng(s).random((2, 5, 16, 16)).astype(np.float32) for s in (1, 2)]
         want = [net.forward(x).tobytes() for x in xs]
+        start = threading.Barrier(2)
+
+        def forward(x):
+            start.wait(timeout=60)  # so that the two forwards of a round overlap
+            return net.forward(x).tobytes()
+
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the two forwards as often as possible
         try:
             with ThreadPoolExecutor(2) as pool:
                 for _ in range(50):
-                    assert list(pool.map(lambda x: net.forward(x).tobytes(), xs)) == want
+                    assert list(pool.map(forward, xs, timeout=120)) == want
         finally:
             sys.setswitchinterval(switch)
 
