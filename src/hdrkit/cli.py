@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .camera import (
     Crf,
+    ExposureStack,
     adaptive_stack,
     fixed_stack,
     gamma_crf,
@@ -34,8 +35,9 @@ from .image_io import (
     save_radiance,
     write_ppm,
 )
+from .imgproc import round_half_up
 from .merge import debevec_merge
-from .nn import Network, grad_check, load_checkpoint, save_checkpoint
+from .nn import LayerSpec, Network, NetworkSpec, grad_check, load_checkpoint, save_checkpoint
 from .pipeline import (
     LDR2HDR_CHANNELS,
     TONEMAP_CHANNELS,
@@ -52,8 +54,7 @@ from .pipeline import (
     train,
 )
 from .synth import synth_scenes
-from .tmo import OPERATORS, apply_operator, select_best_tmo, tmqi
-from .imgproc import round_half_up
+from .tmo import OPERATORS, ToneMap, apply_operator, select_best_tmo, tmqi
 
 
 class _Parser(argparse.ArgumentParser):
@@ -263,8 +264,6 @@ def _cmd_expose(args) -> int:
 
 
 def _load_stack(paths: list[str]):
-    from .camera import ExposureStack
-
     images = sorted((load_ldr(p) for p in paths), key=lambda im: im.exposure)
     return ExposureStack(images=list(images))
 
@@ -308,8 +307,6 @@ def _cmd_select_tmo(args) -> int:
 def _cmd_tmqi(args) -> int:
     m = _load_input_map(args.hdr, not args.no_normalize)
     ldr = load_ldr(args.tm)
-    from .tmo import ToneMap
-
     tm = ToneMap.from_array(ldr.data.astype(np.float32) / 255.0)
     score = tmqi(m, tm)
     line = f"{Path(args.hdr).stem},{Path(args.tm).stem},{score.S:.6f},{score.N:.6f},{score.Q:.6f}"
@@ -481,8 +478,6 @@ def _cmd_gradcheck(args) -> int:
     elif args.arch == "tonemap":
         spec = build_tonemap_net("L_base", args.seed, dropout_p=0.0)
     else:
-        from .nn import LayerSpec, NetworkSpec
-
         spec = NetworkSpec(layers=(LayerSpec("output1x1", 3, 1),), seed=args.seed)
     net = Network(spec, dtype=np.float64)
     x = rng.normal(size=(2, spec.layers[0].in_depth, args.size, args.size))

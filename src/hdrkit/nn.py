@@ -14,10 +14,10 @@ direction.  The first layer skips its input gradient, which no caller reads.
 
 A network's forward and backward split the batch into contiguous N-slices
 on one thread each.  Every per-sample result is computed as on the whole
-batch; the sums across samples (batchnorm statistics, dW, db) add
-per-sample partials in n order, as numpy's whole-batch reductions do, and
-each slice draws its part of the dropout stream from a PCG64 copy advanced
-to its offset.  So the result is bitwise the same on any number of threads.
+batch; the sums across samples (batchnorm statistics, dW) add per-sample
+partials in n order, as numpy's whole-batch reductions do, and each slice
+draws its part of the dropout stream from a PCG64 copy advanced to its
+offset.  So the result is bitwise the same on any number of threads.
 Each keep-mask element reads one 16-bit lane, a quarter of a raw PCG64
 output, and drops with probability p rounded up to a multiple of 2**-16.
 
@@ -50,7 +50,7 @@ from .imgproc import _cpu_count
 LAYER_KINDS = ("conv3x3", "conv1x1", "output1x1")
 _KIND_CODE = {k: i for i, k in enumerate(LAYER_KINDS)}
 
-CHECKPOINT_MAGIC = b"HDRNN1"
+CHECKPOINT_MAGIC = b"HDRNN2"
 
 # Each slice pass hands work to another thread and back, 0.05-0.25 ms on a
 # 2-CPU x86-64 VM; below one 64x64 patch per slice the hand-offs cost more
@@ -166,13 +166,12 @@ class NetworkSpec:
             raise ValidationError("output layer takes no batchnorm or dropout")
 
     def parameter_count(self) -> int:
-        """Weights + biases + 2 BN parameters per normalized channel."""
+        """Weights, plus per output channel either a bias or, with batchnorm,
+        its gamma and beta."""
         total = 0
         for spec in self.layers:
             k = 3 if spec.kind == "conv3x3" else 1
-            total += spec.out_depth * spec.in_depth * k * k + spec.out_depth
-            if spec.batchnorm:
-                total += 2 * spec.out_depth
+            total += spec.out_depth * (spec.in_depth * k * k + (2 if spec.batchnorm else 1))
         return total
 
 
@@ -250,7 +249,9 @@ class Conv:
 
     The 3x3 column buffer is (N, 9C, H*W); row c*9 + 3*di + dj matches
     ``w.reshape(O, 9C)``, so both sizes are one ``matmul`` per sample each
-    way.  dW is summed from per-sample products in n order.
+    way.  dW is summed from per-sample products in n order, db over the
+    whole batch.  Without ``bias`` there is no ``b`` or ``db``: batchnorm's
+    mean subtraction would cancel it.
 
     With ``input_grad`` false, backward fills dW and db only and returns
     None; a :class:`Network` sets that on its first layer.
@@ -261,15 +262,15 @@ class Conv:
 
     input_grad = True
 
-    def __init__(self, in_ch: int, out_ch: int, ksize: int, rng, dtype) -> None:
+    def __init__(self, in_ch: int, out_ch: int, ksize: int, rng, dtype, bias: bool = True) -> None:
         if ksize not in (1, 3):
             raise ParameterError(f"kernel size must be 1 or 3, got {ksize}")
         self.ksize = ksize
         fan_in = in_ch * ksize * ksize
         self.w = rng.normal(0.0, math.sqrt(2.0 / fan_in), (out_ch, in_ch, ksize, ksize)).astype(dtype)
-        self.b = np.zeros(out_ch, dtype=dtype)
+        self.b = np.zeros(out_ch, dtype=dtype) if bias else None
         self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
+        self.db = np.zeros_like(self.b) if bias else None
         self._cols: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, slices: _Slices | None = None,
@@ -281,7 +282,7 @@ class Conv:
             )
         slices = slices or _Slices(n)
         weight = self.w if weight is None else weight
-        bias = (self.b if bias is None else bias)[:, None]
+        bias = self.b if bias is None else bias
         w2 = weight.reshape(weight.shape[0], -1)
         if self.ksize == 1:
             cols = x.reshape(n, c, h * w)
@@ -296,7 +297,8 @@ class Conv:
                 for k in range(9):
                     cols9[sl, :, k] = xp[sl, :, k // 3 : k // 3 + h, k % 3 : k % 3 + w]
             ys = np.matmul(w2, cols[sl], out=y[sl])
-            ys += bias
+            if bias is not None:
+                ys += bias[:, None]
 
         slices.run(run)
         self._cols = cols
@@ -311,7 +313,6 @@ class Conv:
         dy = dy.reshape(n, o, h * w)
         w2 = self.w.reshape(o, -1)
         c = self.w.shape[1]
-        rows = np.empty((n, o), dtype=dy.dtype)
         dws = np.empty((n,) + w2.shape, dtype=np.result_type(dy, cols))
         dcols = dxp = None
         if self.input_grad:
@@ -320,7 +321,6 @@ class Conv:
                 dxp = np.zeros((n, c, h + 2, w + 2), dtype=dcols.dtype)
 
         def run(sl: slice) -> None:
-            dy[sl].sum(axis=2, out=rows[sl])
             np.matmul(dy[sl], cols[sl].transpose(0, 2, 1), out=dws[sl])
             if dcols is not None:
                 np.matmul(w2.T, dy[sl], out=dcols[sl])
@@ -330,7 +330,8 @@ class Conv:
                     dp[:, :, k // 3 : k // 3 + h, k % 3 : k % 3 + w] += d9[:, :, k]
 
         slices.run(run)
-        self.db[...] = _channel_total(dy, rows)
+        if self.db is not None:
+            self.db[...] = dy.sum(axis=(0, 2))
         self.dw.reshape(o, -1)[...] = dws.sum(axis=0)
         self._cols = None  # spent; for 1x1 this frees the layer below's output
         if dcols is None:
@@ -340,13 +341,13 @@ class Conv:
         return dxp[:, :, 1 : h + 1, 1 : w + 1]
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
-        return [("w", self.w), ("b", self.b)]
+        return [("w", self.w)] if self.b is None else [("w", self.w), ("b", self.b)]
 
     def params(self) -> list[np.ndarray]:
-        return [self.w, self.b]
+        return [arr for _, arr in self.tensors()]
 
     def grads(self) -> list[np.ndarray]:
-        return [self.dw, self.db]
+        return [self.dw] if self.db is None else [self.dw, self.db]
 
 
 class BatchNorm:
@@ -527,18 +528,18 @@ class _Block:
     frozen-gate pass reuses the mask of a dropout-free pass as its gate.  An
     eval forward (``train`` false) keeps nothing for backward.
 
-    With ``bn_train`` false too, batchnorm folds into the conv: its weights
-    ``s*W`` and bias ``s*(b - running_mean) + beta``, ``s = gamma /
-    sqrt(running_var + eps)``, are made on each call and passed to
-    ``Conv.forward``, never stored, so that checkpoints and concurrent
-    forwards see only the stored parameters.
+    A batchnormed block's conv has no bias.  With ``bn_train`` false too,
+    batchnorm folds into the conv: its weights ``s*W`` and bias ``beta -
+    running_mean*s``, ``s = gamma / sqrt(running_var + eps)``, are made on
+    each call and passed to ``Conv.forward``, never stored, so that
+    checkpoints and concurrent forwards see only the stored parameters.
     """
 
     def __init__(self, spec: LayerSpec, index: int, rng, dtype) -> None:
         self.spec = spec
         self.name = f"{index}:{spec.kind}({spec.in_depth}->{spec.out_depth})"
         ksize = 3 if spec.kind == "conv3x3" else 1
-        self.conv = Conv(spec.in_depth, spec.out_depth, ksize, rng, dtype)
+        self.conv = Conv(spec.in_depth, spec.out_depth, ksize, rng, dtype, bias=not spec.batchnorm)
         self.bn = BatchNorm(spec.out_depth, dtype) if spec.batchnorm else None
         self.is_output = spec.kind == "output1x1"
         self._mask: np.ndarray | None = None
@@ -549,10 +550,10 @@ class _Block:
         slices = slices or _Slices(x.shape[0])
         conv, bn = self.conv, self.bn
         if bn is not None and not (train or bn_train):
-            # Eval batchnorm folded into the conv: s*(W*x + b - mu) + beta.
+            # Eval batchnorm folded into the conv: s*(W*x - mu) + beta.
             s = bn.gamma / np.sqrt(bn.running_var + bn.eps)
             y = conv.forward(x, slices, conv.w * s[:, None, None, None],
-                             (conv.b - bn.running_mean) * s + bn.beta)
+                             bn.beta - bn.running_mean * s)
             bn._cache = None
             bn = None
         else:
@@ -615,8 +616,8 @@ class _Block:
 class Network:
     """A stack of blocks built from a :class:`NetworkSpec`.
 
-    Weights are He-initialized from the spec seed; biases start at zero,
-    batchnorm at gamma=1, beta=0.
+    Weights are He-initialized from the spec seed; biases, on the convs
+    without batchnorm, start at zero; batchnorm at gamma=1, beta=0.
     """
 
     def __init__(self, spec: NetworkSpec, dtype=np.float32) -> None:
@@ -793,8 +794,7 @@ class GradCheckReport:
 
 def _rel_err(a: float, n: float) -> float:
     # Both sides negligible means they agree the gradient is zero; comparing
-    # pure float noise against the 1e-8 floor would be meaningless.  (A conv
-    # bias feeding batchnorm has exactly zero gradient, for example.)
+    # pure float noise against the 1e-8 floor would be meaningless.
     if abs(a) < 1e-10 and abs(n) < 1e-10:
         return 0.0
     return abs(a - n) / max(abs(a), abs(n), 1e-8)

@@ -11,6 +11,11 @@ N-sliced engine that replaced them.  Their eval forward folds batchnorm into
 the conv weights, as the engine's does; the fold itself is checked against
 the unfolded batchnorm in f64.
 
+A conv adds a bias only when it has one: in a network, the convs without
+batchnorm.  The einsum conv can still carry one in front of batchnorm, which
+is how the engine's bias-free batchnormed conv is checked against the
+earlier conv -> batchnorm pair.
+
 ``relu``, ``relu_backward`` and ``dropout`` are the standalone operations
 that a block's one fused mask multiply replaced, bitwise, in each direction;
 ``keep_mask`` is the one-draw dropout mask that the engine draws in slices:
@@ -52,7 +57,8 @@ class EinsumConv(Conv):
                     xp[:, :, di : di + h, dj : dj + w],
                     optimize=True,
                 )
-        y += self.b[None, :, None, None]
+        if self.b is not None:
+            y += self.b[None, :, None, None]
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -61,7 +67,8 @@ class EinsumConv(Conv):
             raise ValidationError("conv backward before forward")
         n, o, h, w = dy.shape
         k, p = self.ksize, self.pad
-        self.db[...] = dy.sum(axis=(0, 2, 3))
+        if self.db is not None:
+            self.db[...] = dy.sum(axis=(0, 2, 3))
         dxp = np.zeros_like(xp)
         for di in range(k):
             for dj in range(k):
@@ -179,8 +186,10 @@ class WholeBatchConv(Conv):
             cols = cols.reshape(n, c * 9, h * w)
         self._cols = cols
         weight = self.w if weight is None else weight
+        bias = self.b if bias is None else bias
         y = np.matmul(weight.reshape(weight.shape[0], -1), cols)
-        y += (self.b if bias is None else bias)[:, None]
+        if bias is not None:
+            y += bias[:, None]
         return y.reshape(n, -1, h, w)
 
     def backward(self, dy: np.ndarray) -> np.ndarray | None:
@@ -189,7 +198,8 @@ class WholeBatchConv(Conv):
             raise ValidationError("conv backward before forward")
         n, o, h, w = dy.shape
         dy = dy.reshape(n, o, h * w)
-        self.db[...] = dy.sum(axis=(0, 2))
+        if self.db is not None:
+            self.db[...] = dy.sum(axis=(0, 2))
         self.dw.reshape(o, -1)[...] = np.matmul(dy, cols.transpose(0, 2, 1)).sum(axis=0)
         self._cols = None  # spent; for 1x1 this frees the layer below's output
         if not self.input_grad:
@@ -249,7 +259,7 @@ class WholeBatchBlock(_Block):
         if bn is not None and not train and not bn_train:  # the eval fold
             s = bn.gamma / np.sqrt(bn.running_var + bn.eps)
             y = self.conv.forward(x, self.conv.w * s[:, None, None, None],
-                                  (self.conv.b - bn.running_mean) * s + bn.beta)
+                                  bn.beta - bn.running_mean * s)
             bn = None
         else:
             y = self.conv.forward(x)

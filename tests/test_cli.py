@@ -481,6 +481,8 @@ def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):
         cases[name] = [*infer_tonemap, checkpoints("tonemap", blob)], category
     domain = checkpoints("ldr2hdr", _checkpoint({"target_domain": "exp"}))
     cases["ckpt-domain"] = ["infer-ldr2hdr", "--inputs", *stack, "--checkpoints", domain], "validation"
+    earlier = checkpoints("ldr2hdr", b"HDRNN1" + _checkpoint()[6:])  # an earlier version's magic
+    cases["ckpt-hdrnn1"] = ["infer-ldr2hdr", "--inputs", *stack, "--checkpoints", earlier], "format"
 
     capsys.readouterr()
     for name, (argv, category) in cases.items():

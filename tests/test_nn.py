@@ -83,18 +83,18 @@ class TestSpecs:
             LayerSpec("conv1x1", 3, 4, dropout_p=1.0)
 
     def test_parameter_counts_ldr2hdr(self):
-        # layer-by-layer arithmetic: out*in*k*k + out, plus 2 BN params/channel
+        # layer-by-layer arithmetic: out*(in*k*k + 2) with batchnorm (gamma
+        # and beta, no bias), out*(in*k*k + 1) without (a bias)
         spec = build_ldr2hdr_net("R", seed=0)
-        per_layer = [5 * 60 * 9 + 60, 60 * 40 + 40, 40 * 20 + 20, 20 * 20 + 20, 20 * 20 + 20, 20 + 1]
-        assert per_layer == [2760, 2440, 820, 420, 420, 21]
-        bn = 2 * (60 + 40 + 20 + 20 + 20)
-        assert spec.parameter_count() == sum(per_layer) + bn
+        per_layer = [60 * (5 * 9 + 2), 40 * (60 + 2), 20 * (40 + 2), 20 * (20 + 2), 20 * (20 + 2),
+                     1 * (20 + 1)]
+        assert per_layer == [2820, 2480, 840, 440, 440, 21]
+        assert spec.parameter_count() == sum(per_layer) == 7041
 
     def test_parameter_counts_tonemap(self):
         spec = build_tonemap_net("L_base", seed=0)
-        per_layer = [1 * 100 * 9 + 100, 100 * 80 + 80, 80 * 50 + 50, 50 * 10 + 10, 10 + 1]
-        bn = 2 * (100 + 80 + 50 + 10)
-        assert spec.parameter_count() == sum(per_layer) + bn
+        per_layer = [100 * (1 * 9 + 2), 80 * (100 + 2), 50 * (80 + 2), 10 * (50 + 2), 1 * (10 + 1)]
+        assert spec.parameter_count() == sum(per_layer) == 13891
 
     def test_network_param_arrays_match_count(self):
         spec = build_ldr2hdr_net("R", seed=0)
@@ -528,11 +528,12 @@ class TestSlicedEngine:
 
 
 def _with_stats(net, seed):
-    """Non-zero biases, and gamma, beta and running statistics away from 1,
-    0, 0 and 1 in every batchnorm."""
+    """Non-zero biases where a conv has one, and gamma, beta and running
+    statistics away from 1, 0, 0 and 1 in every batchnorm."""
     data = np.random.default_rng(seed)
     for block in net.blocks:
-        block.conv.b[...] = data.normal(0.0, 0.2, block.conv.b.size)
+        if block.conv.b is not None:
+            block.conv.b[...] = data.normal(0.0, 0.2, block.conv.b.size)
         if block.bn is not None:
             c = block.bn.gamma.size
             block.bn.gamma[...] = data.uniform(0.5, 2.0, c)
@@ -540,6 +541,42 @@ def _with_stats(net, seed):
             block.bn.running_mean[...] = data.normal(0.0, 0.3, c)
             block.bn.running_var[...] = data.uniform(0.2, 3.0, c)
     return net
+
+
+class TestBatchnormCancelsConvBias:
+    """Train-mode batchnorm subtracts the batch mean, so a conv bias in front
+    of it changes no output and no other gradient: a batchnormed block's conv
+    has none."""
+
+    @pytest.mark.parametrize("c,o,k", [(5, 60, 3), (1, 100, 3), (60, 40, 1), (100, 80, 1)])
+    def test_bias_free_conv_matches_biased_einsum_conv(self, c, o, k):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(3, c, 13, 7))
+        dy = rng.normal(size=(3, o, 13, 7))
+        conv = Conv(c, o, k, np.random.default_rng(0), np.float64, bias=False)
+        ref = EinsumConv(c, o, k, np.random.default_rng(0), np.float64)
+        ref.b[...] = rng.normal(0.0, 3.0, o)
+        bn, ref_bn = BatchNorm(o, np.float64), FourAxisBatchNorm(o, np.float64)
+        for layer in (bn, ref_bn):
+            layer.gamma[...] = np.linspace(0.5, 2.0, o)
+            layer.beta[...] = np.linspace(-1.0, 1.0, o)
+        # the engine's batchnorm centres its input and writes over dy
+        y = bn.forward(conv.forward(x), train=True)
+        assert_close(y, ref_bn.forward(ref.forward(x), train=True))
+        assert_close(conv.backward(bn.backward(dy.copy())), ref.backward(ref_bn.backward(dy)))
+        assert_close(conv.dw, ref.dw)
+        assert_close(bn.dgamma, ref_bn.dgamma)
+        assert_close(bn.dbeta, ref_bn.dbeta)
+        assert_close(bn.running_var, ref_bn.running_var)
+        # Only the running mean sees the bias, through its momentum update.
+        assert_close(ref_bn.running_mean - bn.running_mean, BatchNorm.momentum * ref.b)
+
+    def test_batchnormed_blocks_hold_no_bias(self):
+        net = Network(SLICED_SPEC)
+        names = [name for name, _ in net.tensors()]
+        for block in net.blocks:
+            assert (f"{block.name}.b" in names) == (block.bn is None), block.name
+            assert len(block.conv.params()) == len(block.conv.grads()) == (1 if block.bn is not None else 2)
 
 
 class TestEvalFold:
@@ -897,6 +934,14 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(b"NOPE!!" + bytes(64))
 
+    def test_earlier_format_refused(self):
+        """HDRNN1 checkpoints held a bias for every conv; they are refused,
+        not read."""
+        blob = save_checkpoint(Network(two_layer_net(batchnorm=True)), None)
+        assert blob.startswith(b"HDRNN2")
+        with pytest.raises(FormatError, match="magic"):
+            load_checkpoint(b"HDRNN1" + blob[6:])
+
     def test_truncated(self):
         net = Network(single_layer_net())
         blob = save_checkpoint(net, None)
@@ -936,7 +981,7 @@ class TestCheckpoint:
     def test_non_finite_weight_rejected(self, bad):
         net = Network(two_layer_net(batchnorm=True))
         net.blocks[0].bn.running_var[2] = bad
-        with pytest.raises(ValidationError, match=r"tensor 5 \(4,\) holds NaN or Inf"):
+        with pytest.raises(ValidationError, match=r"tensor 4 \(4,\) holds NaN or Inf"):
             load_checkpoint(save_checkpoint(net, None))
 
     def test_non_finite_bytes_rejected_on_load(self):

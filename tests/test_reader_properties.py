@@ -21,7 +21,14 @@ from hdrkit.image_io import (
     write_pfm,
     write_ppm,
 )
-from hdrkit.nn import LayerSpec, Network, NetworkSpec, load_checkpoint, save_checkpoint
+from hdrkit.nn import (
+    CHECKPOINT_MAGIC,
+    LayerSpec,
+    Network,
+    NetworkSpec,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 BOUNDED = settings(max_examples=200, deadline=None)
 
@@ -53,7 +60,7 @@ VALID = {
         {"patch": 8},
     ),
 }
-MAGIC = {"hdr": b"#?RADIANCE\n", "pfm": b"PF\n", "ppm": b"P6\n", "ckpt": b"HDRNN1"}
+MAGIC = {"hdr": b"#?RADIANCE\n", "pfm": b"PF\n", "ppm": b"P6\n", "ckpt": CHECKPOINT_MAGIC}
 
 
 def edit(buf: bytes, at: int, value: int) -> bytes:
