@@ -12,7 +12,6 @@ from .camera import (
     fixed_stack,
     gamma_crf,
     geometric_ladder,
-    invert_crf,
     load_crf,
 )
 from .image_io import (
@@ -32,10 +31,8 @@ from .imgproc import (
     lab_to_rgb,
     luminance,
     rgb_to_lab,
-    srgb_decode,
-    srgb_encode,
 )
-from .merge import WeightFn, debevec_merge, hat_weight
+from .merge import debevec_merge, hat_weight
 from .nn import (
     GradCheckReport,
     LayerSpec,

@@ -130,13 +130,6 @@ def format_crf(crf: Crf) -> str:
     return "\n".join(lines) + "\n"
 
 
-def invert_crf(crf: Crf, code: int, channel: int) -> float:
-    """Normalized exposure x with forward(x) == code/255 on one channel."""
-    if not 0 <= code <= 255:
-        raise ParameterError(f"code must be in [0, 255], got {code}")
-    return float(inverse_lut(crf)[code, channel])
-
-
 def inverse_lut(crf: Crf) -> np.ndarray:
     """(256, 3) normalized exposures x with forward(x) == code/255, per channel.
 

@@ -1,4 +1,4 @@
-"""Color-space conversions, luminance, histogram entropy, bilateral filter."""
+"""CIELAB conversions, luminance, histogram entropy, bilateral filter."""
 
 from __future__ import annotations
 
@@ -52,32 +52,12 @@ def round_half_up(x: np.ndarray | float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sRGB transfer
-# ---------------------------------------------------------------------------
-
-
-def srgb_decode(codes: np.ndarray | int) -> np.ndarray:
-    """Map 8-bit sRGB codes to linear light in [0, 1]."""
-    u = np.asarray(codes, dtype=np.float64) / 255.0
-    return np.where(u <= 0.04045, u / 12.92, ((u + 0.055) / 1.055) ** 2.4)
-
-
-def srgb_encode(linear: np.ndarray | float) -> np.ndarray:
-    """Map linear light to 8-bit sRGB codes (clamped, round-half-up)."""
-    y = np.clip(np.asarray(linear, dtype=np.float64), 0.0, 1.0)
-    v = np.where(y <= 0.0031308, 12.92 * y, 1.055 * y ** (1.0 / 2.4) - 0.055)
-    return round_half_up(255.0 * v).astype(np.uint8)
-
-
-# ---------------------------------------------------------------------------
 # Luminance and CIELAB
 # ---------------------------------------------------------------------------
 
 
-def luminance(rgb: np.ndarray | RadianceMap) -> np.ndarray:
-    """Rec.709 luminance: 0.2126 R + 0.7152 G + 0.0722 B."""
-    if isinstance(rgb, RadianceMap):
-        rgb = rgb.data
+def luminance(rgb: np.ndarray) -> np.ndarray:
+    """Rec.709 luminance of an (..., 3) array: 0.2126 R + 0.7152 G + 0.0722 B."""
     return rgb @ LUMA_WEIGHTS.astype(rgb.dtype)
 
 
@@ -85,13 +65,12 @@ def _lab_f(t: np.ndarray) -> np.ndarray:
     return np.where(t > _LAB_DELTA3, np.cbrt(t), (_LAB_KAPPA * t + 16.0) / 116.0)
 
 
-def rgb_to_lab(rgb: np.ndarray | RadianceMap) -> LabImage:
-    """Convert linear RGB (white level 1.0) to CIE L*a*b* relative to D65.
+def rgb_to_lab(rgb: np.ndarray) -> LabImage:
+    """Convert an (H, W, 3) linear RGB array (white level 1.0) to CIE L*a*b*
+    relative to D65.
 
     Negative channel values are clamped to zero; the clamp count is logged.
     """
-    if isinstance(rgb, RadianceMap):
-        rgb = rgb.data
     arr = np.asarray(rgb, dtype=np.float64)
     negatives = int(np.count_nonzero(arr < 0))
     if negatives:

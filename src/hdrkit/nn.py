@@ -698,21 +698,30 @@ class Network:
 
     def activation_stats(self, x: np.ndarray) -> list[dict]:
         """Per-block train-mode output statistics, without dropout, for
-        divergence diagnostics."""
+        divergence diagnostics.  The batchnorm running statistics that the
+        train-mode forwards update are put back when the call returns or
+        raises, so the diagnosis leaves the network's state as it was."""
         x = check_tensor4(x).astype(self.dtype, copy=False)
         stats = []
-        with _blas_one_thread():
-            for block in self.blocks:
-                x = block.forward(x, train=True, rng=None, bn_train=True, apply_dropout=False)
-                stats.append(
-                    {
-                        "layer": block.name,
-                        "min": float(x.min()),
-                        "max": float(x.max()),
-                        "mean": float(x.mean()),
-                        "finite": bool(np.all(np.isfinite(x))),
-                    }
-                )
+        bns = [b.bn for b in self.blocks if b.bn is not None]
+        saved = [(bn.running_mean.copy(), bn.running_var.copy()) for bn in bns]
+        try:
+            with _blas_one_thread():
+                for block in self.blocks:
+                    x = block.forward(x, train=True, rng=None, bn_train=True, apply_dropout=False)
+                    stats.append(
+                        {
+                            "layer": block.name,
+                            "min": float(x.min()),
+                            "max": float(x.max()),
+                            "mean": float(x.mean()),
+                            "finite": bool(np.all(np.isfinite(x))),
+                        }
+                    )
+        finally:
+            for bn, (mean, var) in zip(bns, saved):
+                bn.running_mean[...] = mean
+                bn.running_var[...] = var
         return stats
 
 

@@ -56,6 +56,8 @@ CHANNEL_SCALINGS: dict[str, tuple[float, float]] = {
     "b": (128.0, 255.0),
 }
 
+# The tone-map base/detail split's sigmas.  Checkpoints do not store them, so
+# training and inference both use these and cannot disagree.
 BILATERAL_SIGMA_S = 8.0
 BILATERAL_SIGMA_R = 10.0
 
@@ -268,24 +270,20 @@ def split_base_detail(
     return base, detail
 
 
-def _lab_planes(rgb: np.ndarray, sigma_s: float, sigma_r: float) -> dict[str, np.ndarray]:
-    """The unscaled L_base, L_detail, a and b planes of a linear RGB array."""
+def _lab_planes(rgb: np.ndarray) -> dict[str, np.ndarray]:
+    """The unscaled L_base, L_detail, a and b planes of a linear RGB array,
+    split at ``BILATERAL_SIGMA_S`` and ``BILATERAL_SIGMA_R``."""
     lab = rgb_to_lab(rgb)
-    base, detail = split_base_detail(lab.L, sigma_s, sigma_r)
+    base, detail = split_base_detail(lab.L)
     return {"L_base": base, "L_detail": detail, "a": lab.a, "b": lab.b}
 
 
-def decompose_tonemap_channels(
-    m: RadianceMap,
-    tm: ToneMap,
-    sigma_s: float = BILATERAL_SIGMA_S,
-    sigma_r: float = BILATERAL_SIGMA_R,
-) -> list[ChannelPlanes]:
+def decompose_tonemap_channels(m: RadianceMap, tm: ToneMap) -> list[ChannelPlanes]:
     """Lab-split a (normalized HDR, tone map) pair into four regression channels."""
     if (m.width, m.height) != (tm.width, tm.height):
         raise ValidationError("map and tone map dimensions differ")
-    inputs = _lab_planes(m.data, sigma_s, sigma_r)
-    targets = _lab_planes(tm.data, sigma_s, sigma_r)
+    inputs = _lab_planes(m.data)
+    targets = _lab_planes(tm.data)
     return [
         ChannelPlanes(name, inputs[name], targets[name], *CHANNEL_SCALINGS[name])
         for name in TONEMAP_CHANNELS
@@ -375,8 +373,6 @@ def build_tonemap_samples(
     scenes: list[RadianceMap],
     cfg: TrainConfig,
     crf: Crf | None = None,
-    sigma_s: float = BILATERAL_SIGMA_S,
-    sigma_r: float = BILATERAL_SIGMA_R,
 ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], list[tuple[str, TmqiScore]]]:
     """Per-channel patch arrays targeting each scene's best tone map."""
     selections: list[tuple[str, TmqiScore]] = []
@@ -386,7 +382,7 @@ def build_tonemap_samples(
             norm, _ = normalize_hdr(scene)
             tm, op, score, _ = select_best_tmo(norm, crf=crf)
             selections.append((op, score))
-            for channel in decompose_tonemap_channels(norm, tm, sigma_s, sigma_r):
+            for channel in decompose_tonemap_channels(norm, tm):
                 yield channel.name, channel.scaled_input()[None], channel.scaled_target()[None]
 
     return _patch_samples(planes(), TONEMAP_CHANNELS, cfg.patch), selections
@@ -401,7 +397,7 @@ def build_tonemap_samples(
 class TrainState:
     """The result of :func:`train`: one curve row per epoch."""
 
-    curve: list[tuple] = field(default_factory=list)
+    curve: list[tuple[int, float]] = field(default_factory=list)
 
 
 def dropout_stream(seed: int, step: int, worker: int) -> np.random.Generator:
@@ -480,11 +476,7 @@ class ParallelTrainer:
         return [slice(min(i * size, n), min((i + 1) * size, n)) for i in range(len(self.workers))]
 
     def accumulate_gradients(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        bn_train: bool = True,
-        apply_dropout: bool = True,
+        self, x: np.ndarray, y: np.ndarray, bn_train: bool = True
     ) -> tuple[float, list[np.ndarray]]:
         """Forward/backward on all shards; returns (batch loss, summed grads)."""
         n = x.shape[0]
@@ -503,10 +495,8 @@ class ParallelTrainer:
         def run(shard) -> float:
             w, worker, sl = shard
             rng = dropout_stream(self.cfg.seed, self.step_index, w)
-            pred = worker.forward(
-                x[sl], train=True, rng=rng, bn_train=bn_train, apply_dropout=apply_dropout,
-                threads=slice_threads,
-            )
+            pred = worker.forward(x[sl], train=True, rng=rng, bn_train=bn_train,
+                                  threads=slice_threads)
             loss, dpred = mse_loss(pred, y[sl])
             if math.isfinite(loss):
                 worker.backward(dpred, threads=slice_threads)
@@ -531,16 +521,10 @@ class ParallelTrainer:
         assert agg is not None
         return loss_total, agg
 
-    def step(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        bn_train: bool = True,
-        apply_dropout: bool = True,
-    ) -> float:
+    def step(self, x: np.ndarray, y: np.ndarray, bn_train: bool = True) -> float:
         x = x.astype(self.master.dtype, copy=False)
         y = y.astype(self.master.dtype, copy=False)
-        loss, grads = self.accumulate_gradients(x, y, bn_train, apply_dropout)
+        loss, grads = self.accumulate_gradients(x, y, bn_train)
         self.velocity = sgd_step(
             self.master.params(), grads, self.cfg.lr, self.cfg.momentum, self.velocity
         )
@@ -552,20 +536,13 @@ class ParallelTrainer:
         return loss
 
 
-def train(
-    net: Network,
-    samples,
-    cfg: TrainConfig,
-    val_samples=None,
-    epochs: int | None = None,
-) -> TrainState:
+def train(net: Network, samples, cfg: TrainConfig, epochs: int | None = None) -> TrainState:
     """Mini-batch SGD on ``(inputs, targets)``; returns one curve row per epoch.
 
     Each epoch shuffles the samples with a stream seeded by ``cfg.seed`` and
     sends every mini-batch through one :class:`ParallelTrainer` on
     ``cfg.workers`` workers.  Each row is ``(epoch, mean_loss)``, the
-    sample-weighted mean, plus the eval-mode validation MSE when
-    ``val_samples`` is given.
+    sample-weighted mean training loss.
     """
     epochs = cfg.epochs if epochs is None else epochs
     x_all, y_all = _as_arrays(samples, net.dtype)
@@ -581,10 +558,7 @@ def train(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             total += trainer.step(x_all[idx], y_all[idx]) * len(idx)
-        row = (epoch, total / n)
-        if val_samples is not None:
-            row += (eval_mse(net, val_samples, cfg.batch_size),)
-        state.curve.append(row)
+        state.curve.append((epoch, total / n))
     return state
 
 
@@ -597,7 +571,7 @@ def train(
 class SearchResult:
     config_id: int
     val_error: float
-    curve: list[tuple]
+    curve: list[tuple[int, float]]
 
 
 def hyperparam_search(
@@ -650,15 +624,10 @@ def infer_ldr2hdr(
     return RadianceMap(width=stack.width, height=stack.height, data=out)
 
 
-def infer_tonemap(
-    nets: dict[str, Network],
-    m: RadianceMap,
-    patch: int = 64,
-    sigma_s: float = BILATERAL_SIGMA_S,
-    sigma_r: float = BILATERAL_SIGMA_R,
-) -> ToneMap:
-    """Predict a tone map from a normalized radiance map with the 4 channel nets."""
-    inputs = _lab_planes(m.data, sigma_s, sigma_r)
+def infer_tonemap(nets: dict[str, Network], m: RadianceMap, patch: int = 64) -> ToneMap:
+    """Predict a tone map from a normalized radiance map with the 4 channel nets,
+    on the bilateral split that training used."""
+    inputs = _lab_planes(m.data)
     preds: dict[str, np.ndarray] = {}
     for name in TONEMAP_CHANNELS:
         scaling = CHANNEL_SCALINGS[name]
@@ -672,10 +641,7 @@ def infer_tonemap(
 # ---------------------------------------------------------------------------
 
 
-def curve_csv(curve: list[tuple]) -> str:
-    """Render curve rows as ``epoch,mean_loss[,val_loss]`` CSV text."""
-    has_val = any(len(row) == 3 for row in curve)
-    lines = ["epoch,mean_loss,val_loss" if has_val else "epoch,mean_loss"]
-    for row in curve:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+def curve_csv(curve: list[tuple[int, float]]) -> str:
+    """Render ``(epoch, mean_loss)`` rows as ``epoch,mean_loss`` CSV text."""
+    lines = ["epoch,mean_loss"] + [f"{epoch},{loss!r}" for epoch, loss in curve]
     return "\n".join(lines) + "\n"

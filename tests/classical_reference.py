@@ -53,7 +53,7 @@ def expose(m: RadianceMap, dt: float, crf: Crf) -> LdrImage:
 
 
 def debevec_merge(stack: ExposureStack, crf: Crf) -> RadianceMap:
-    weights = hat_weight().values
+    weights = hat_weight()
     inv = inverse_lut(crf)  # (256, 3)
     channels = np.arange(3)
     h, w = stack.height, stack.width

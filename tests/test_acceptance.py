@@ -102,7 +102,7 @@ def test_criterion_2_merge_round_trip():
     t0 = time.monotonic()
     crf = gamma_crf(1.0)
     scenes = synth_scenes(16, 128, seed=7)
-    weights = hat_weight().values
+    weights = hat_weight()
     worst_unit = 0.0
     worst_ratio = 0.0
     for scene in scenes:
@@ -223,7 +223,7 @@ def test_criterion_5_data_parallel_equivalence():
     worst = 0.0
     for workers in (2, 4):
         trainer = ParallelTrainer(Network(spec, dtype=np.float64), workers, cfg)
-        _, got = trainer.accumulate_gradients(x, y, bn_train=False, apply_dropout=False)
+        _, got = trainer.accumulate_gradients(x, y, bn_train=False)
         for a, b in zip(got, expected):
             rel = np.abs(a - b) / np.maximum(np.abs(b), 1e-30)
             worst = max(worst, float(rel.max()))
@@ -232,7 +232,7 @@ def test_criterion_5_data_parallel_equivalence():
     trainer = ParallelTrainer(Network(spec, dtype=np.float64), 4, cfg)
     bitwise_ok = True
     for _ in range(10):
-        trainer.step(x, y, bn_train=False, apply_dropout=False)
+        trainer.step(x, y, bn_train=False)
         for replica in trainer.replicas:
             for (_, a), (_, b) in zip(trainer.master.tensors(), replica.tensors()):
                 if not np.array_equal(a, b):
@@ -324,7 +324,7 @@ def test_criterion_8_tonemap_decomposition():
     scene = synth_scenes(2, 48, seed=101)[1]
     norm, _ = normalize_hdr(scene)
     tm = reinhard_global(norm)
-    chans = {c.name: c for c in decompose_tonemap_channels(norm, tm, sigma_s=2.0)}
+    chans = {c.name: c for c in decompose_tonemap_channels(norm, tm)}
     lab_in = rgb_to_lab(norm.data)
     exact_ok = np.array_equal(chans["L_base"].input + chans["L_detail"].input, lab_in.L)
 
@@ -338,8 +338,8 @@ def test_criterion_8_tonemap_decomposition():
     scenes = synth_scenes(10, 64, seed=29)
     cfg_base = dict(momentum=0.9, epochs=2, batch_size=1, patch=64, dropout_p=0.0, seed=2, dtype="f32")
     cfg = TrainConfig(lr=1e-2, **cfg_base)
-    sets, _ = build_tonemap_samples(scenes[:8], cfg, crf=gamma_crf(2.2), sigma_s=2.0)
-    val_sets, _ = build_tonemap_samples(scenes[8:], cfg, crf=gamma_crf(2.2), sigma_s=2.0)
+    sets, _ = build_tonemap_samples(scenes[:8], cfg, crf=gamma_crf(2.2))
+    val_sets, _ = build_tonemap_samples(scenes[8:], cfg, crf=gamma_crf(2.2))
     spec = build_tonemap_net("L_base", seed=4, dropout_p=0.0)
     configs = [(spec, TrainConfig(lr=1e-2, **cfg_base)), (spec, TrainConfig(lr=0.0, **cfg_base))]
     results = hyperparam_search(configs, sets["L_base"], val_sets["L_base"])

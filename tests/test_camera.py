@@ -13,7 +13,7 @@ from hdrkit.camera import (
     format_crf,
     gamma_crf,
     geometric_ladder,
-    invert_crf,
+    inverse_lut,
     load_crf,
 )
 from hdrkit.errors import ParameterError, ValidationError
@@ -81,23 +81,23 @@ class TestLoadCrf:
 
 class TestInvertCrf:
     def test_identity(self):
-        assert invert_crf(gamma_crf(1.0), 128, 0) == 128 / 255
+        assert inverse_lut(gamma_crf(1.0))[128, 0] == 128 / 255
 
     def test_endpoints(self):
         crf = gamma_crf(2.2)
-        assert invert_crf(crf, 0, 0) == 0.0
-        assert invert_crf(crf, 255, 2) == 1.0
+        assert inverse_lut(crf)[0, 0] == 0.0
+        assert inverse_lut(crf)[255, 2] == 1.0
 
     def test_gamma_two_forward_then_invert(self):
         crf = gamma_crf(2.0)
         code = int(np.floor(255 * math.sqrt(0.25) + 0.5))
-        assert invert_crf(crf, code, 0) == pytest.approx(0.25, abs=1 / 255)
+        assert inverse_lut(crf)[code, 0] == pytest.approx(0.25, abs=1 / 255)
 
     def test_invert_forward_identity_all_codes(self):
         crf = gamma_crf(2.2)
         grid = np.arange(256) / 255.0
         for code in range(256):
-            x = invert_crf(crf, code, 0)
+            x = inverse_lut(crf)[code, 0]
             f = np.interp(x, grid, crf.forward[:, 0])
             assert abs(f - code / 255.0) < 1e-9
 
@@ -108,7 +108,7 @@ class TestInvertCrf:
         crf = Crf(forward=np.maximum.accumulate(table, axis=0))
         v = crf.forward[105, 0]
         code = int(round(v * 255))
-        got = invert_crf(crf, code, 0)
+        got = inverse_lut(crf)[code, 0]
         assert got == pytest.approx(105 / 255, abs=1e-9)
 
 

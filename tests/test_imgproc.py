@@ -15,27 +15,9 @@ from hdrkit.imgproc import (
     luma_histogram,
     luminance,
     rgb_to_lab,
-    srgb_decode,
-    srgb_encode,
 )
-from hdrkit.pipeline import BILATERAL_SIGMA_R, BILATERAL_SIGMA_S, _lab_planes, normalize_hdr
+from hdrkit.pipeline import _lab_planes, normalize_hdr
 from hdrkit.synth import synth_scenes
-
-
-class TestSrgb:
-    def test_endpoints(self):
-        assert srgb_decode(0) == 0.0
-        assert srgb_decode(255) == 1.0
-
-    def test_exhaustive_round_trip(self):
-        codes = np.arange(256)
-        assert np.array_equal(srgb_encode(srgb_decode(codes)), codes)
-
-    def test_knee_continuity(self):
-        # both branch formulas meet at the 0.04045 knee
-        lo = 0.04045 / 12.92
-        hi = ((0.04045 + 0.055) / 1.055) ** 2.4
-        assert abs(lo - hi) < 1e-6
 
 
 class TestLuminance:
@@ -173,10 +155,10 @@ class TestBilateralBlocks:
     def test_f32_lab_planes_match_reference_bitwise(self, monkeypatch):
         for scene in synth_scenes(3, 128, seed=31):
             rgb = normalize_hdr(scene)[0].data
-            planes = _lab_planes(rgb, BILATERAL_SIGMA_S, BILATERAL_SIGMA_R)
+            planes = _lab_planes(rgb)
             with monkeypatch.context() as m:
                 m.setattr(pipeline, "bilateral_filter", reference_bilateral)
-                want = _lab_planes(rgb, BILATERAL_SIGMA_S, BILATERAL_SIGMA_R)
+                want = _lab_planes(rgb)
             for name, plane in planes.items():
                 assert plane.dtype == np.float32
                 assert plane.tobytes() == want[name].tobytes(), name

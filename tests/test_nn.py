@@ -414,9 +414,27 @@ class TestSlicedEngine:
 
     @pytest.fixture
     def cpus(self, request, monkeypatch):
-        """The CPU count for the test, with tiny batches sliced as large ones are."""
+        """The CPU count for the test, with tiny batches sliced as large ones
+        are, and every slice of a pooled pass held until all of them can
+        start.  Without the hold the calling thread mostly finishes slice 0
+        before a pool thread wakes, so the slices run in order; with it,
+        pool slices mostly start first."""
         monkeypatch.setattr(nn, "_cpu_count", lambda: request.param)
         monkeypatch.setattr(nn, "_SLICE_PIXELS", 1)
+        real_run = _Slices.run
+
+        def run_together(self, task):
+            if self._pool is None:
+                return real_run(self, task)
+            start = threading.Barrier(len(self.parts))
+
+            def together(sl):
+                start.wait(timeout=60)
+                task(sl)
+
+            return real_run(self, together)
+
+        monkeypatch.setattr(_Slices, "run", run_together)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the slice threads as often as possible
         yield request.param
@@ -908,6 +926,33 @@ class TestNetwork:
         net = Network(two_layer_net(batchnorm=True), dtype=np.float64)
         stats = net.activation_stats(rng.normal(size=(2, 3, 6, 6)))
         assert len(stats) == 2 and all(s["finite"] for s in stats)
+
+    def test_activation_stats_leave_the_network_unchanged(self, rng):
+        """The diagnosis's train-mode batchnorm moves the running statistics;
+        they are put back, so checkpoints and eval outputs stay the same."""
+        net = Network(build_ldr2hdr_net("R", seed=6))
+        x = rng.random((2, 5, 16, 16)).astype(np.float32)
+        checkpoint, before = save_checkpoint(net), net.forward(x).tobytes()
+        # The statistics of a train-mode forward without dropout, as before.
+        want = net.clone().forward(x, train=True, apply_dropout=False)
+        stats = net.activation_stats(x)
+        assert save_checkpoint(net) == checkpoint
+        assert net.forward(x).tobytes() == before
+        assert [s["layer"] for s in stats] == [b.name for b in net.blocks]
+        assert stats[-1] == {"layer": net.blocks[-1].name, "min": float(want.min()),
+                             "max": float(want.max()), "mean": float(want.mean()), "finite": True}
+
+    def test_activation_stats_restore_running_statistics_on_error(self, rng, monkeypatch):
+        net = Network(build_tonemap_net("a", seed=6))
+        checkpoint = save_checkpoint(net)
+
+        def fail(*args, **kwargs):
+            raise FloatingPointError("output block")
+
+        monkeypatch.setattr(net.blocks[-1], "forward", fail)  # after every batchnorm ran
+        with pytest.raises(FloatingPointError):
+            net.activation_stats(rng.random((2, 1, 8, 8)))
+        assert save_checkpoint(net) == checkpoint
 
 
 class TestCheckpoint:

@@ -169,7 +169,7 @@ class TestPatches:
 class TestDecompose:
     def test_base_plus_detail_exact(self, small_scene):
         tm = reinhard_global(small_scene)
-        chans = {c.name: c for c in decompose_tonemap_channels(small_scene, tm, sigma_s=2.0)}
+        chans = {c.name: c for c in decompose_tonemap_channels(small_scene, tm)}
         lab_in = rgb_to_lab(small_scene.data)
         lab_out = rgb_to_lab(tm.data)
         assert np.array_equal(chans["L_base"].input + chans["L_detail"].input, lab_in.L)
@@ -180,20 +180,20 @@ class TestDecompose:
         from hdrkit.tmo import ToneMap
 
         tm = ToneMap.from_array(np.full((16, 16, 3), 0.6, np.float32))
-        chans = {c.name: c for c in decompose_tonemap_channels(m, tm, sigma_s=1.0)}
+        chans = {c.name: c for c in decompose_tonemap_channels(m, tm)}
         assert np.all(chans["L_detail"].input == 0)
         assert np.all(chans["L_detail"].target == 0)
 
     def test_recompose_identity(self, small_scene):
         tm = reinhard_global(small_scene)
-        chans = decompose_tonemap_channels(small_scene, tm, sigma_s=2.0)
+        chans = decompose_tonemap_channels(small_scene, tm)
         preds = {c.name: c.target.astype(np.float64) for c in chans}
         rec = recompose_tonemap(preds)
         assert np.abs(rec.data - tm.data).max() < 2e-3
 
     def test_scalings_recorded(self, small_scene):
         tm = reinhard_global(small_scene)
-        chans = {c.name: c for c in decompose_tonemap_channels(small_scene, tm, sigma_s=2.0)}
+        chans = {c.name: c for c in decompose_tonemap_channels(small_scene, tm)}
         assert (chans["L_base"].offset, chans["L_base"].divisor) == (0.0, 100.0)
         assert (chans["a"].offset, chans["a"].divisor) == (128.0, 255.0)
         scaled = chans["L_base"].scaled_input()
@@ -306,7 +306,7 @@ class TestParallel:
         expected = [g.copy() for g in serial.grads()]
 
         trainer = ParallelTrainer(Network(tiny_spec(seed=3), dtype=np.float64), workers, cfg)
-        got_loss, got = trainer.accumulate_gradients(x, y, bn_train=False, apply_dropout=False)
+        got_loss, got = trainer.accumulate_gradients(x, y, bn_train=False)
         for a, b in zip(got, expected):
             rel = np.abs(a - b) / np.maximum(np.abs(b), 1e-30)
             assert rel.max() < 1e-12
@@ -586,7 +586,7 @@ class TestInference:
             ch: Network(build_tonemap_net(ch, seed=2, dropout_p=0.0))
             for ch in ("L_base", "L_detail", "a", "b")
         }
-        tm = infer_tonemap(nets, small_scene, patch=16, sigma_s=2.0)
+        tm = infer_tonemap(nets, small_scene, patch=16)
         assert (tm.width, tm.height) == (small_scene.width, small_scene.height)
         assert tm.data.min() >= 0 and tm.data.max() <= 1
 
@@ -601,7 +601,7 @@ class TestInference:
         monkeypatch.setattr(
             pl, "extract_patches", lambda planes, patch: patched.append(planes) or real_extract(planes, patch)
         )
-        build_tonemap_samples([scene], TrainConfig(patch=16), sigma_s=2.0)
+        build_tonemap_samples([scene], TrainConfig(patch=16))
         monkeypatch.setattr(pl, "extract_patches", real_extract)
         trained = dict(zip(pl.TONEMAP_CHANNELS, patched[0::2]))  # calls alternate x, y
 
@@ -615,7 +615,7 @@ class TestInference:
 
         monkeypatch.setattr(pl, "_forward_tiled", spy)
         norm, _ = normalize_hdr(scene)
-        infer_tonemap(nets, norm, patch=16, sigma_s=2.0)
+        infer_tonemap(nets, norm, patch=16)
         for ch in pl.TONEMAP_CHANNELS:
             assert fed[ch].dtype == trained[ch].dtype and fed[ch].shape == trained[ch].shape, ch
             assert fed[ch].tobytes() == trained[ch].tobytes(), ch
@@ -652,7 +652,7 @@ class TestSampleBuilders:
     def test_tonemap_shapes_and_selection(self):
         scenes = synth_scenes(1, 32, seed=43)
         cfg = TrainConfig(patch=32, dropout_p=0.0)
-        sets, selections = build_tonemap_samples(scenes, cfg, sigma_s=2.0)
+        sets, selections = build_tonemap_samples(scenes, cfg)
         assert len(selections) == 1
         for ch in ("L_base", "L_detail", "a", "b"):
             x, y = sets[ch]
@@ -674,20 +674,16 @@ class TestCurveCsv:
         assert text.splitlines()[0] == "epoch,mean_loss"
         assert text.splitlines()[1].startswith("1,0.5")
 
-    def test_with_val(self):
-        text = curve_csv([(1, 0.5, 0.6)])
-        assert text.splitlines()[0] == "epoch,mean_loss,val_loss"
-
 
 class TestTrainLoop:
     def test_train_writes_monotone_curve(self, rng):
         x, y = tiny_samples(rng, n=8)
         cfg = TrainConfig(lr=1e-3, momentum=0.9, epochs=4, batch_size=4, dropout_p=0.0, seed=0, dtype="f64")
         net = Network(tiny_spec(), dtype=np.float64)
-        state = train(net, (x, y), cfg, val_samples=(x, y))
+        state = train(net, (x, y), cfg)
         epochs = [row[0] for row in state.curve]
         assert epochs == [1, 2, 3, 4]
-        assert all(len(row) == 3 for row in state.curve)
+        assert all(len(row) == 2 for row in state.curve)
 
     def test_train_with_workers_matches_contract(self, rng):
         x, y = tiny_samples(rng, n=8)
