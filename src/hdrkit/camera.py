@@ -77,10 +77,6 @@ class ExposureStack:
             raise ValidationError(f"stack images have mixed dimensions: {dims}")
 
     @property
-    def exposures(self) -> list[float]:
-        return [img.exposure for img in self.images]
-
-    @property
     def width(self) -> int:
         return self.images[0].width
 
@@ -120,14 +116,6 @@ def load_crf(text: str, name: str = "file") -> Crf:
     if not np.all((table[:, 1:] >= 0) & (table[:, 1:] <= 1)):  # NaN fails both
         raise ValidationError("CRF values must be finite and lie in [0, 1]")
     return Crf(forward=table[:, 1:], name=name)
-
-
-def format_crf(crf: Crf) -> str:
-    lines = [
-        f"{i} {crf.forward[i, 0]:.10f} {crf.forward[i, 1]:.10f} {crf.forward[i, 2]:.10f}"
-        for i in range(256)
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def inverse_lut(crf: Crf) -> np.ndarray:

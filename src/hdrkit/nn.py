@@ -4,6 +4,9 @@ The engine knows exactly three layer kinds: 3x3 convolution (zero padding 1),
 1x1 convolution, and a bare 1x1 output convolution.  Hidden layers may carry
 spatial batch normalization (before ReLU) and inverted dropout (after ReLU).
 Everything runs in float32 for training or float64 for gradient checking.
+A forward runs in one of two modes: train, with batchnorm on the batch's
+statistics and the spec's dropout, or eval, on the running statistics and
+without dropout.
 Convolutions are GEMMs on (N, C, H*W) views: a 3x3 layer gathers its nine
 shifted inputs into one column buffer first (im2col, as in Chellapilla, Puri
 & Simard 2006).  Batchnorm works on the same views and centres the conv
@@ -39,7 +42,7 @@ import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -351,12 +354,13 @@ class Conv:
 
 
 class BatchNorm:
-    """Spatial batch normalization over (N, H, W) per channel.
+    """Spatial batch normalization over (N, H, W) per channel, on the batch's
+    own statistics.
 
-    The batch statistics are per-sample sums added in n order.  The
-    train-mode input gradient reuses ``dbeta`` and ``dgamma`` as its means.
-    The eval branch serves train-mode forwards with ``bn_train`` false; an
-    eval forward folds batchnorm into the conv (:class:`_Block`) instead.
+    The batch statistics are per-sample sums added in n order, and blend
+    into the running statistics.  The input gradient reuses ``dbeta`` and
+    ``dgamma`` as its means.  An eval forward never runs this layer: it folds
+    the running statistics into the conv (:class:`_Block`).
     """
 
     eps = 1e-5
@@ -371,38 +375,33 @@ class BatchNorm:
         self.dbeta = np.zeros_like(self.beta)
         self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray, train: bool, slices: _Slices | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, slices: _Slices | None = None) -> np.ndarray:
         """Normalize x, centring it in place (a block's fresh conv output):
         the centred x is the cached ``xc``."""
         shape = x.shape
         x = x.reshape(shape[0], shape[1], -1)
         slices = slices or _Slices(shape[0])
         m = x.shape[0] * x.shape[2]
-        if train:
-            rows = np.empty(x.shape[:2], dtype=x.dtype)
-            slices.run(lambda sl: x[sl].sum(axis=2, out=rows[sl]))
-            mu = _channel_total(x, rows) / m
-            squares = np.empty(x.shape[:2], dtype=x.dtype)
+        rows = np.empty(x.shape[:2], dtype=x.dtype)
+        slices.run(lambda sl: x[sl].sum(axis=2, out=rows[sl]))
+        mu = _channel_total(x, rows) / m
+        squares = np.empty(x.shape[:2], dtype=x.dtype)
 
-            def centre(sl: slice) -> None:
-                xs = np.subtract(x[sl], mu[:, None], out=x[sl])
-                np.vecdot(xs, xs, out=squares[sl])
+        def centre(sl: slice) -> None:
+            xs = np.subtract(x[sl], mu[:, None], out=x[sl])
+            np.vecdot(xs, xs, out=squares[sl])
 
-            slices.run(centre)
-            var = squares.sum(axis=0) / m
-            mom = self.momentum
-            self.running_mean[...] = (1.0 - mom) * self.running_mean + mom * mu
-            self.running_var[...] = (1.0 - mom) * self.running_var + mom * var
-        else:
-            mu, var = self.running_mean, self.running_var
+        slices.run(centre)
+        var = squares.sum(axis=0) / m
+        mom = self.momentum
+        self.running_mean[...] = (1.0 - mom) * self.running_mean + mom * mu
+        self.running_var[...] = (1.0 - mom) * self.running_var + mom * var
         istd = 1.0 / np.sqrt(var + self.eps)
-        self._cache = (x, istd, train)
+        self._cache = (x, istd)
         scale = self.gamma * istd
         y = np.empty(x.shape, dtype=np.result_type(x, scale))
 
         def normalize(sl: slice) -> None:
-            if not train:  # eval centres here, in the same pass
-                np.subtract(x[sl], mu[:, None], out=x[sl])
             ys = np.multiply(x[sl], scale[:, None], out=y[sl])
             ys += self.beta[:, None]
 
@@ -414,7 +413,7 @@ class BatchNorm:
         cache, and its ``xc`` holds the mean-correction term."""
         if self._cache is None:
             raise ValidationError("batchnorm backward before forward")
-        xc, istd, train = self._cache  # xhat = xc * istd
+        xc, istd = self._cache  # xhat = xc * istd
         self._cache = None
         dy3 = dy.reshape(xc.shape)
         slices = slices or _Slices(xc.shape[0])
@@ -429,18 +428,16 @@ class BatchNorm:
         self.dbeta[...] = _channel_total(dy3, rows)
         self.dgamma[...] = dots.sum(axis=0) * istd
         scale = self.gamma * istd
-        if train:
-            m = xc.shape[0] * xc.shape[2]
-            x_term = (scale * istd * self.dgamma / m)[:, None]
-            mean_term = (scale * self.dbeta / m)[:, None]
+        m = xc.shape[0] * xc.shape[2]
+        x_term = (scale * istd * self.dgamma / m)[:, None]
+        mean_term = (scale * self.dbeta / m)[:, None]
 
         def run(sl: slice) -> None:
             ds = np.multiply(dy3[sl], scale[:, None], out=dy3[sl])
-            if train:
-                xs = xc[sl]
-                xs *= x_term
-                ds -= xs
-                ds -= mean_term
+            xs = xc[sl]
+            xs *= x_term
+            ds -= xs
+            ds -= mean_term
 
         slices.run(run)
         return dy3.reshape(dy.shape)
@@ -528,11 +525,12 @@ class _Block:
     frozen-gate pass reuses the mask of a dropout-free pass as its gate.  An
     eval forward (``train`` false) keeps nothing for backward.
 
-    A batchnormed block's conv has no bias.  With ``bn_train`` false too,
-    batchnorm folds into the conv: its weights ``s*W`` and bias ``beta -
-    running_mean*s``, ``s = gamma / sqrt(running_var + eps)``, are made on
-    each call and passed to ``Conv.forward``, never stored, so that
-    checkpoints and concurrent forwards see only the stored parameters.
+    A batchnormed block's conv has no bias.  A train forward normalizes on
+    the batch's statistics; an eval forward folds batchnorm into the conv:
+    its weights ``s*W`` and bias ``beta - running_mean*s``, ``s = gamma /
+    sqrt(running_var + eps)``, are made on each call and passed to
+    ``Conv.forward``, never stored, so that checkpoints and concurrent
+    forwards see only the stored parameters.
     """
 
     def __init__(self, spec: LayerSpec, index: int, rng, dtype) -> None:
@@ -545,11 +543,11 @@ class _Block:
         self._mask: np.ndarray | None = None
         self._scale = None
 
-    def forward(self, x, train: bool, rng, bn_train: bool, apply_dropout: bool,
-                frozen_gates: bool = False, slices: _Slices | None = None):
+    def forward(self, x, train: bool, rng, frozen_gates: bool = False,
+                slices: _Slices | None = None):
         slices = slices or _Slices(x.shape[0])
         conv, bn = self.conv, self.bn
-        if bn is not None and not (train or bn_train):
+        if bn is not None and not train:
             # Eval batchnorm folded into the conv: s*(W*x - mu) + beta.
             s = bn.gamma / np.sqrt(bn.running_var + bn.eps)
             y = conv.forward(x, slices, conv.w * s[:, None, None, None],
@@ -563,15 +561,13 @@ class _Block:
         if self.is_output:
             return y
         if bn is not None:
-            y = bn.forward(y, train=bn_train, slices=slices)
-            if not train:
-                bn._cache = None
+            y = bn.forward(y, slices)
         if frozen_gates and (self._mask is None or self._scale is not None):
             raise ValidationError("frozen-gate forward before a dropout-free reference pass")
         gate = self._mask if frozen_gates else np.empty(y.shape, dtype=bool)
         p = self.spec.dropout_p
         keep = scale = None
-        if train and apply_dropout and p > 0.0:
+        if train and p > 0.0:
             keep, draw = _keep_drawer(y.shape, p, rng, slices)
             scale = y.dtype.type(1.0 / (1.0 - p))
 
@@ -632,24 +628,22 @@ class Network:
         x: np.ndarray,
         train: bool = False,
         rng=None,
-        bn_train: bool | None = None,
-        apply_dropout: bool = True,
         frozen_gates: bool = False,
         threads: int | None = None,
     ) -> np.ndarray:
         """Run every block on ``min(N, threads)`` slices of the batch, one
         thread each (``threads`` defaults to one per CPU), with at least
         ``_SLICE_PIXELS`` pixels per slice.  The result does not depend on
-        the number of slices.  Train-mode dropout draws from ``rng``, a
-        PCG64 or PCG64DXSM Generator.  BLAS runs on one thread."""
+        the number of slices.  A train forward normalizes on the batch's
+        statistics and applies the spec's dropout, drawn from ``rng``, a
+        PCG64 or PCG64DXSM Generator; an eval forward uses the running
+        statistics and no dropout.  BLAS runs on one thread."""
         x = check_tensor4(x, "input").astype(self.dtype, copy=False)
-        if bn_train is None:
-            bn_train = train
-        if train and apply_dropout and any(b.spec.dropout_p > 0 for b in self.blocks):
+        if train and any(b.spec.dropout_p > 0 for b in self.blocks):
             _check_dropout_rng(rng)
         with _blas_one_thread(), _Slices(x.shape[0], _slice_threads(x, threads)) as slices:
             for block in self.blocks:
-                x = block.forward(x, train, rng, bn_train, apply_dropout, frozen_gates, slices)
+                x = block.forward(x, train, rng, frozen_gates, slices)
         return x
 
     def backward(self, dy: np.ndarray, threads: int | None = None) -> None:
@@ -698,31 +692,34 @@ class Network:
 
     def activation_stats(self, x: np.ndarray) -> list[dict]:
         """Per-block train-mode output statistics, without dropout, for
-        divergence diagnostics.  The batchnorm running statistics that the
-        train-mode forwards update are put back when the call returns or
-        raises, so the diagnosis leaves the network's state as it was."""
+        divergence diagnostics.  They are taken on a dropout-free copy
+        (:func:`_diagnostic_copy`), so the diagnosis leaves this network as
+        it was, whether it returns or raises."""
         x = check_tensor4(x).astype(self.dtype, copy=False)
         stats = []
-        bns = [b.bn for b in self.blocks if b.bn is not None]
-        saved = [(bn.running_mean.copy(), bn.running_var.copy()) for bn in bns]
-        try:
-            with _blas_one_thread():
-                for block in self.blocks:
-                    x = block.forward(x, train=True, rng=None, bn_train=True, apply_dropout=False)
-                    stats.append(
-                        {
-                            "layer": block.name,
-                            "min": float(x.min()),
-                            "max": float(x.max()),
-                            "mean": float(x.mean()),
-                            "finite": bool(np.all(np.isfinite(x))),
-                        }
-                    )
-        finally:
-            for bn, (mean, var) in zip(bns, saved):
-                bn.running_mean[...] = mean
-                bn.running_var[...] = var
+        with _blas_one_thread():
+            for block in _diagnostic_copy(self).blocks:
+                x = block.forward(x, train=True, rng=None)
+                stats.append(
+                    {
+                        "layer": block.name,
+                        "min": float(x.min()),
+                        "max": float(x.max()),
+                        "mean": float(x.mean()),
+                        "finite": bool(np.all(np.isfinite(x))),
+                    }
+                )
         return stats
+
+
+def _diagnostic_copy(net: Network) -> Network:
+    """A network of ``net``'s spec with every ``dropout_p`` set to 0, loaded
+    with ``net``'s tensors: what :func:`grad_check` and
+    :meth:`Network.activation_stats` run, so that neither changes ``net``."""
+    layers = tuple(replace(ls, dropout_p=0.0) for ls in net.spec.layers)
+    twin = Network(NetworkSpec(layers, net.spec.seed), dtype=net.dtype)
+    twin.load_tensors([arr for _, arr in net.tensors()])
+    return twin
 
 
 # ---------------------------------------------------------------------------
@@ -787,10 +784,6 @@ class GradCheckReport:
     def passed(self) -> bool:
         return all(r.max_rel_err < self.tolerance for r in self.layers)
 
-    @property
-    def worst(self) -> LayerGradReport:
-        return max(self.layers, key=lambda r: r.max_rel_err)
-
     def lines(self) -> list[str]:
         out = []
         for r in self.layers:
@@ -819,8 +812,9 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    Runs in 64-bit with dropout disabled and batchnorm in train mode on the
-    fixed batch.  The ReLU gates are frozen from the reference pass while
+    Runs in 64-bit, in train mode on the fixed batch, on a dropout-free
+    copy of ``net`` (:func:`_diagnostic_copy`), so ``net`` is left as it
+    was.  The ReLU gates are frozen from the reference pass while
     differencing: the network is piecewise linear in its gates, and the
     analytic gradient is the derivative of exactly that local smooth piece,
     so the difference quotient must be taken on the same piece (batchnorm
@@ -834,14 +828,15 @@ def grad_check(
     """
     if net.dtype != np.float64:
         raise ParameterError("grad_check requires a float64 network")
+    net = _diagnostic_copy(net)
     x = check_tensor4(x).astype(np.float64)
     target = np.asarray(target, dtype=np.float64)
 
     def loss_only() -> float:
-        pred = net.forward(x, train=True, apply_dropout=False, frozen_gates=True)
+        pred = net.forward(x, train=True, frozen_gates=True)
         return mse_loss(pred, target)[0]
 
-    pred = net.forward(x, train=True, apply_dropout=False)
+    pred = net.forward(x, train=True)
     _, dpred = mse_loss(pred, target)
     net.backward(dpred)
 

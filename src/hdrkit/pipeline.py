@@ -445,10 +445,12 @@ class ParallelTrainer:
     """Deterministic in-process data parallelism over K parameter replicas.
 
     Contract per step: replicas start identical; each computes gradients on
-    its shard independently (per-shard BN statistics and its own
-    :func:`dropout_stream`); worker 0 sums the shard gradients in ascending
-    worker order, scaled to the whole-batch mean; worker 0 applies the SGD
-    update; the new state is broadcast.
+    its shard independently, in train mode (batchnorm on the shard's own
+    statistics, dropout from its own :func:`dropout_stream`); worker 0 sums
+    the shard gradients in ascending worker order, scaled to the whole-batch
+    mean; worker 0 applies the SGD update; the new state is broadcast.
+    Without batchnorm or dropout, the sum is the serial whole-batch gradient
+    up to rounding.
 
     The non-empty shards run on a pool of ``min(shards, CPUs)`` threads,
     and each shard's network on ``max(1, CPUs // shards)`` slice threads,
@@ -475,9 +477,7 @@ class ParallelTrainer:
         size = math.ceil(n / len(self.workers))
         return [slice(min(i * size, n), min((i + 1) * size, n)) for i in range(len(self.workers))]
 
-    def accumulate_gradients(
-        self, x: np.ndarray, y: np.ndarray, bn_train: bool = True
-    ) -> tuple[float, list[np.ndarray]]:
+    def accumulate_gradients(self, x: np.ndarray, y: np.ndarray) -> tuple[float, list[np.ndarray]]:
         """Forward/backward on all shards; returns (batch loss, summed grads)."""
         n = x.shape[0]
         if n < 1:
@@ -495,8 +495,7 @@ class ParallelTrainer:
         def run(shard) -> float:
             w, worker, sl = shard
             rng = dropout_stream(self.cfg.seed, self.step_index, w)
-            pred = worker.forward(x[sl], train=True, rng=rng, bn_train=bn_train,
-                                  threads=slice_threads)
+            pred = worker.forward(x[sl], train=True, rng=rng, threads=slice_threads)
             loss, dpred = mse_loss(pred, y[sl])
             if math.isfinite(loss):
                 worker.backward(dpred, threads=slice_threads)
@@ -521,10 +520,10 @@ class ParallelTrainer:
         assert agg is not None
         return loss_total, agg
 
-    def step(self, x: np.ndarray, y: np.ndarray, bn_train: bool = True) -> float:
+    def step(self, x: np.ndarray, y: np.ndarray) -> float:
         x = x.astype(self.master.dtype, copy=False)
         y = y.astype(self.master.dtype, copy=False)
-        loss, grads = self.accumulate_gradients(x, y, bn_train)
+        loss, grads = self.accumulate_gradients(x, y)
         self.velocity = sgd_step(
             self.master.params(), grads, self.cfg.lr, self.cfg.momentum, self.velocity
         )

@@ -6,6 +6,9 @@ through a separate response-curve pass and rounding step, Mertens weights
 stacked from per-image temporaries, the Debevec merge gathering each
 estimate and weight per pixel, and TMQI scoring every operator from scratch,
 the HDR side included.
+
+``format_crf`` writes the ``index r g b`` text that ``load_crf`` parses;
+hdrkit itself only reads that format.
 """
 
 import math
@@ -33,6 +36,11 @@ from hdrkit.tmo import (
     _rescale_255,
     statistical_naturalness,
 )
+
+
+def format_crf(crf: Crf) -> str:
+    rows = (f"{i} {r:.10f} {g:.10f} {b:.10f}" for i, (r, g, b) in enumerate(crf.forward))
+    return "\n".join(rows) + "\n"
 
 
 def apply_crf(crf: Crf, x: np.ndarray) -> np.ndarray:

@@ -8,8 +8,10 @@ of the NCHW tensor.
 
 The whole-batch GEMM layers and network are the bitwise f32 oracle for the
 N-sliced engine that replaced them.  Their eval forward folds batchnorm into
-the conv weights, as the engine's does; the fold itself is checked against
-the unfolded batchnorm in f64.
+the conv weights, as the engine's does.  They also keep the earlier engine's
+two extra switches, ``bn_train`` and ``apply_dropout``, which the engine no
+longer has: a train-mode forward with both false runs batchnorm unfolded on
+the running statistics, the f64 oracle for the fold.
 
 A conv adds a bias only when it has one: in a network, the convs without
 batchnorm.  The einsum conv can still carry one in front of batchnorm, which

@@ -7,6 +7,7 @@ few minutes of CPU time between them.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -68,7 +69,7 @@ def test_criterion_1_gradient_correctness():
         x = rng.normal(size=(2, in_depth, 8, 8))
         t = rng.normal(size=(2, 1, 8, 8))
         rep = grad_check(net, x, t, h=1e-3, tolerance=1e-4)
-        results.append((label, rep.passed, rep.worst.max_rel_err))
+        results.append((label, rep.passed, max(r.max_rel_err for r in rep.layers)))
 
     # every layer kind in isolation (output1x1 is a bare conv)
     check("output1x1", NetworkSpec(layers=(LayerSpec("output1x1", 3, 1),), seed=1), 3)
@@ -210,20 +211,24 @@ def test_criterion_4_entropy_and_adaptive_selection():
 def test_criterion_5_data_parallel_equivalence():
     cfg = TrainConfig(lr=1e-2, momentum=0.9, batch_size=8, dropout_p=0.0, seed=9, dtype="f64")
     spec = build_ldr2hdr_net("R", seed=2, dropout_p=0.0)
+    # Train-mode batchnorm normalizes each shard on its own statistics, so
+    # the shard gradients sum to the serial whole-batch gradient on the
+    # same chain without batchnorm.
+    plain = NetworkSpec(tuple(replace(ls, batchnorm=False) for ls in spec.layers), spec.seed)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(8, 5, 16, 16))
     y = rng.normal(size=(8, 1, 16, 16))
 
-    serial = Network(spec, dtype=np.float64)
-    pred = serial.forward(x, train=True, bn_train=False, apply_dropout=False)
+    serial = Network(plain, dtype=np.float64)
+    pred = serial.forward(x, train=True)
     _, dp = mse_loss(pred, y)
     serial.backward(dp)
     expected = [g.copy() for g in serial.grads()]
 
     worst = 0.0
     for workers in (2, 4):
-        trainer = ParallelTrainer(Network(spec, dtype=np.float64), workers, cfg)
-        _, got = trainer.accumulate_gradients(x, y, bn_train=False)
+        trainer = ParallelTrainer(Network(plain, dtype=np.float64), workers, cfg)
+        _, got = trainer.accumulate_gradients(x, y)
         for a, b in zip(got, expected):
             rel = np.abs(a - b) / np.maximum(np.abs(b), 1e-30)
             worst = max(worst, float(rel.max()))
@@ -232,7 +237,7 @@ def test_criterion_5_data_parallel_equivalence():
     trainer = ParallelTrainer(Network(spec, dtype=np.float64), 4, cfg)
     bitwise_ok = True
     for _ in range(10):
-        trainer.step(x, y, bn_train=False)
+        trainer.step(x, y)
         for replica in trainer.replicas:
             for (_, a), (_, b) in zip(trainer.master.tensors(), replica.tensors()):
                 if not np.array_equal(a, b):

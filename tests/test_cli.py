@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from classical_reference import format_crf
 
 import hdrkit
 from hdrkit import cli, pipeline
-from hdrkit.camera import format_crf, gamma_crf
+from hdrkit.camera import gamma_crf
 from hdrkit.cli import run
 from hdrkit.image_io import (
     LdrImage,

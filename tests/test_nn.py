@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import struct
 import sys
@@ -140,21 +141,15 @@ class TestConv:
 class TestBatchNorm:
     def test_constant_input_maps_to_zero(self):
         bn = BatchNorm(2, np.float64)
-        y = bn.forward(np.full((2, 2, 4, 4), 7.0), train=True)
+        y = bn.forward(np.full((2, 2, 4, 4), 7.0))
         assert np.all(np.abs(y) < 1e-3)
 
     def test_train_mode_normalizes(self, rng):
         bn = BatchNorm(3, np.float64)
         x = rng.normal(2.0, 3.0, size=(4, 3, 16, 16))
-        y = bn.forward(x, train=True)
+        y = bn.forward(x)
         assert np.all(np.abs(y.mean(axis=(0, 2, 3))) < 1e-5)
         assert np.all(np.abs(y.var(axis=(0, 2, 3)) - 1.0) < 1e-2)
-
-    def test_eval_uses_running_stats(self, rng):
-        bn = BatchNorm(2, np.float64)
-        x = rng.normal(size=(2, 2, 4, 4))
-        y = bn.forward(x.copy(), train=False)  # before any training step: mu=0, var=1
-        assert np.allclose(y, x / np.sqrt(1 + bn.eps))
 
     def test_gradcheck(self):
         net = Network(two_layer_net(batchnorm=True), dtype=np.float64)
@@ -349,8 +344,7 @@ class TestMatchesEinsumReference:
         assert_close(conv.dw, ref.dw)
         assert_close(conv.db, ref.db)
 
-    @pytest.mark.parametrize("train", [True, False])
-    def test_batchnorm(self, train):
+    def test_batchnorm(self):
         rng = np.random.default_rng(12)
         x = rng.normal(2.0, 3.0, size=(3, 6, 13, 7))
         dy = rng.normal(size=x.shape)
@@ -361,7 +355,7 @@ class TestMatchesEinsumReference:
             layer.running_mean[...] = np.linspace(-0.3, 0.4, 6)
             layer.running_var[...] = np.linspace(0.8, 1.7, 6)
         # the engine centres x and writes its input gradient over dy
-        assert_close(bn.forward(x.copy(), train), ref.forward(x, train))
+        assert_close(bn.forward(x.copy()), ref.forward(x, train=True))
         assert_close(bn.backward(dy.copy()), ref.backward(dy))
         for name in ("dgamma", "dbeta", "running_mean", "running_var"):
             assert_close(getattr(bn, name), getattr(ref, name))
@@ -376,10 +370,10 @@ class TestMatchesEinsumReference:
         x = rng.normal(size=(2, 3, 9, 6)).astype(np.float32)
         dy = rng.normal(size=(2, 8, 9, 6)).astype(np.float32)
 
-        y = block.forward(x, True, np.random.default_rng(5), True, True)
+        y = block.forward(x, True, np.random.default_rng(5))
         pre = ref.conv.forward(x)
         if batchnorm:
-            pre = ref.bn.forward(pre, train=True)
+            pre = ref.bn.forward(pre)
         y_ref, gate = relu(pre)
         y_ref, scale = dropout(y_ref, 0.4, train=True, rng=np.random.default_rng(5))
         assert y.tobytes() == y_ref.tobytes()
@@ -404,71 +398,71 @@ SLICED_SPEC = NetworkSpec(
 )
 
 
+def _without_dropout(spec):
+    return NetworkSpec(tuple(dataclasses.replace(ls, dropout_p=0.0) for ls in spec.layers), spec.seed)
+
+
 def _tensor_bytes(net):
     return [arr.tobytes() for _, arr in net.tensors()] + [g.tobytes() for g in net.grads()]
+
+
+@pytest.fixture
+def cpus(request, monkeypatch):
+    """The CPU count for the test, with tiny batches sliced as large ones
+    are, and every slice of a pooled pass held until all of them can
+    start.  Without the hold the calling thread mostly finishes slice 0
+    before a pool thread wakes, so the slices run in order; with it,
+    pool slices mostly start first."""
+    monkeypatch.setattr(nn, "_cpu_count", lambda: request.param)
+    monkeypatch.setattr(nn, "_SLICE_PIXELS", 1)
+    real_run = _Slices.run
+
+    def run_together(self, task):
+        if self._pool is None:
+            return real_run(self, task)
+        start = threading.Barrier(len(self.parts))
+
+        def together(sl):
+            start.wait(timeout=60)
+            task(sl)
+
+        return real_run(self, together)
+
+    monkeypatch.setattr(_Slices, "run", run_together)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the slice threads as often as possible
+    yield request.param
+    sys.setswitchinterval(switch)
 
 
 class TestSlicedEngine:
     """The N-sliced engine against the whole-batch engine it replaced, bitwise
     in f32, for any number of slice threads."""
 
-    @pytest.fixture
-    def cpus(self, request, monkeypatch):
-        """The CPU count for the test, with tiny batches sliced as large ones
-        are, and every slice of a pooled pass held until all of them can
-        start.  Without the hold the calling thread mostly finishes slice 0
-        before a pool thread wakes, so the slices run in order; with it,
-        pool slices mostly start first."""
-        monkeypatch.setattr(nn, "_cpu_count", lambda: request.param)
-        monkeypatch.setattr(nn, "_SLICE_PIXELS", 1)
-        real_run = _Slices.run
-
-        def run_together(self, task):
-            if self._pool is None:
-                return real_run(self, task)
-            start = threading.Barrier(len(self.parts))
-
-            def together(sl):
-                start.wait(timeout=60)
-                task(sl)
-
-            return real_run(self, together)
-
-        monkeypatch.setattr(_Slices, "run", run_together)
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the slice threads as often as possible
-        yield request.param
-        sys.setswitchinterval(switch)
-
     @staticmethod
     def _pass(net, x, dy, mode, rng):
         """One pass of the given mode; returns its outputs."""
         if mode == "eval":
             return [net.forward(x, train=False)]
-        kwargs = {
-            "dropout": {"rng": rng},
-            "no_dropout": {"apply_dropout": False},
-            "bn_eval": {"rng": rng, "bn_train": False},
-            "frozen": {"apply_dropout": False},
-        }[mode]
-        out = [net.forward(x, train=True, **kwargs)]
+        out = [net.forward(x, train=True, rng=rng)]
         net.backward(dy)
         if mode == "frozen":  # a frozen-gate pass on nudged weights, as grad_check runs
             net.blocks[2].conv.w += np.float32(0.01)
-            out.append(net.forward(x, train=True, apply_dropout=False, frozen_gates=True))
+            out.append(net.forward(x, train=True, frozen_gates=True))
             net.backward(dy)
         return out
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5], indirect=True)
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
-    @pytest.mark.parametrize("mode", ["dropout", "no_dropout", "bn_eval", "eval", "frozen"])
+    @pytest.mark.parametrize("mode", ["dropout", "no_dropout", "eval", "frozen"])
     def test_matches_whole_batch_engine(self, cpus, n, mode):
         data = np.random.default_rng(100 + n)
         x = data.normal(size=(n, 3, 7, 6)).astype(np.float32)
         dy = data.normal(size=(n, 1, 7, 6)).astype(np.float32)
-        net = Network(SLICED_SPEC)
-        ref = WholeBatchNetwork(SLICED_SPEC)
-        for model in (net, ref):  # non-trivial running statistics for bn_eval and eval
+        spec = _without_dropout(SLICED_SPEC) if mode in ("no_dropout", "frozen") else SLICED_SPEC
+        net = Network(spec)
+        ref = WholeBatchNetwork(spec)
+        for model in (net, ref):  # non-trivial running statistics for eval
             for block in model.blocks:
                 if block.bn is not None:
                     block.bn.running_mean[...] = np.linspace(-0.2, 0.3, block.bn.gamma.size)
@@ -545,6 +539,39 @@ class TestSlicedEngine:
         assert _channel_total(x, x.sum(axis=2)).tobytes() == x.sum(axis=(0, 2)).tobytes()
 
 
+RACE_SPEC = NetworkSpec(
+    layers=(
+        LayerSpec("conv3x3", 3, 8, batchnorm=True, dropout_p=0.3),
+        LayerSpec("conv1x1", 8, 8, batchnorm=True, dropout_p=0.4),
+        LayerSpec("output1x1", 8, 1),
+    ),
+    seed=9,
+)
+
+
+class TestSlicesRunAtOnce:
+    """Slices of 1-2 samples of 8*160*160 = 204,800 elements per hidden
+    layer, large enough that numpy's loops release the GIL, so that the
+    slices of a pass run at the same time.  A buffer or a running sum that
+    the slices share then gives other bytes than the whole-batch engine; at
+    ``TestSlicedEngine``'s sizes each slice ends before another starts."""
+
+    @pytest.mark.parametrize("cpus", [3, 4], indirect=True)
+    def test_matches_whole_batch_engine(self, cpus):
+        data = np.random.default_rng(40)
+        x = data.normal(size=(4, 3, 160, 160)).astype(np.float32)
+        dy = data.normal(size=(4, 1, 160, 160)).astype(np.float32)
+        net, ref = Network(RACE_SPEC), WholeBatchNetwork(RACE_SPEC)
+        rngs = [np.random.default_rng(41), np.random.default_rng(41)]
+        for _ in range(4):
+            got = net.forward(x, train=True, rng=rngs[0])
+            net.backward(dy)
+            want = ref.forward(x, train=True, rng=rngs[1])
+            ref.backward(dy)
+            assert got.tobytes() == want.tobytes()
+            assert _tensor_bytes(net) == _tensor_bytes(ref)
+
+
 def _with_stats(net, seed):
     """Non-zero biases where a conv has one, and gamma, beta and running
     statistics away from 1, 0, 0 and 1 in every batchnorm."""
@@ -579,7 +606,7 @@ class TestBatchnormCancelsConvBias:
             layer.gamma[...] = np.linspace(0.5, 2.0, o)
             layer.beta[...] = np.linspace(-1.0, 1.0, o)
         # the engine's batchnorm centres its input and writes over dy
-        y = bn.forward(conv.forward(x), train=True)
+        y = bn.forward(conv.forward(x))
         assert_close(y, ref_bn.forward(ref.forward(x), train=True))
         assert_close(conv.backward(bn.backward(dy.copy())), ref.backward(ref_bn.backward(dy)))
         assert_close(conv.dw, ref.dw)
@@ -606,11 +633,13 @@ class TestEvalFold:
                              ids=["ldr2hdr", "tonemap"])
     def test_matches_unfolded_batchnorm(self, spec):
         net = _with_stats(Network(spec, dtype=np.float64), 5)
+        ref = WholeBatchNetwork(spec, dtype=np.float64)
+        ref.load_tensors([arr for _, arr in net.tensors()])
         x = np.random.default_rng(6).random((3, spec.layers[0].in_depth, 20, 16))
         folded = net.forward(x, train=False)
-        # Train mode with running statistics and no dropout is the same
-        # function, through BatchNorm's eval branch.
-        unfolded = net.forward(x, train=True, bn_train=False, apply_dropout=False)
+        # The oracle's train mode with running statistics and no dropout is
+        # the same function, through its unfolded batchnorm.
+        unfolded = ref.forward(x, train=True, bn_train=False, apply_dropout=False)
         assert_close(folded, unfolded, rtol=1e-12)
 
     def test_skips_batchnorm(self, monkeypatch):
@@ -653,25 +682,6 @@ class TestEvalFold:
         finally:
             sys.setswitchinterval(switch)
 
-    def test_train_mode_with_running_statistics_is_not_folded(self, monkeypatch):
-        """``bn_train=False`` with ``train=True`` runs BatchNorm's eval branch,
-        whose cache backward needs, bitwise as the whole-batch engine does."""
-        calls = []
-        real = BatchNorm.forward
-        monkeypatch.setattr(BatchNorm, "forward", lambda self, x, train, slices=None: (
-            calls.append(train) or real(self, x, train, slices)))
-        data = np.random.default_rng(9)
-        x = data.normal(size=(3, 3, 7, 6)).astype(np.float32)
-        dy = data.normal(size=(3, 1, 7, 6)).astype(np.float32)
-        net, ref = _with_stats(Network(SLICED_SPEC), 4), _with_stats(WholeBatchNetwork(SLICED_SPEC), 4)
-        outs = []
-        for model in (net, ref):
-            outs.append(model.forward(x, train=True, rng=np.random.default_rng(10), bn_train=False))
-            model.backward(dy)
-        assert calls == [False, False]  # the whole-batch engine's BatchNorm is its own
-        assert outs[0].tobytes() == outs[1].tobytes()
-        assert _tensor_bytes(net) == _tensor_bytes(ref)
-
 
 class TestBlasCap:
     """Every engine call runs BLAS on one thread, read inside its convs, and
@@ -707,7 +717,7 @@ class TestBlasCap:
         net = Network(two_layer_net(batchnorm=True), dtype=np.float64)
         data = np.random.default_rng(11)
         x, t = data.normal(size=(2, 3, 5, 5)), data.normal(size=(2, 1, 5, 5))
-        net.forward(x, train=True, apply_dropout=False)  # the caches backward needs
+        net.forward(x, train=True)  # the caches backward needs
         seen = []
         self._record(monkeypatch, seen)
         {"forward": lambda: net.forward(x),
@@ -735,7 +745,7 @@ class TestBlasCap:
             start.wait(timeout=60)  # so that the threads overlap from the first round
             raised = 0
             for _ in range(self.ROUNDS):
-                net.forward(x, train=True, apply_dropout=False)
+                net.forward(x, train=True)
                 try:
                     net.backward(dy)
                 except MemoryError:
@@ -827,17 +837,17 @@ class TestGradCheckHarness:
         report = grad_check(net, x, t, tolerance=1e-4)
         assert report.passed
 
-    def test_corrupted_gradient_names_layer(self):
+    def test_corrupted_gradient_names_layer(self, monkeypatch):
         net = Network(two_layer_net(batchnorm=True), dtype=np.float64)
-        conv = net.blocks[0].conv
-        orig = conv.backward
+        orig = Conv.backward
 
-        def corrupted(dy, *slices):
-            dx = orig(dy, *slices)
-            conv.dw *= 1.1
+        def corrupted(conv, dy, *slices):  # on the class: grad_check runs a copy
+            dx = orig(conv, dy, *slices)
+            if not conv.input_grad:  # the first layer's conv
+                conv.dw *= 1.1
             return dx
 
-        conv.backward = corrupted
+        monkeypatch.setattr(Conv, "backward", corrupted)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 3, 5, 5))
         t = rng.normal(size=(2, 1, 5, 5))
@@ -851,12 +861,33 @@ class TestGradCheckHarness:
         x = np.random.default_rng(7).normal(size=(2, 3, 5, 5))
         net.forward(x, train=True, rng=np.random.default_rng(1))
         with pytest.raises(ValidationError, match="frozen-gate"):
-            net.forward(x, train=True, apply_dropout=False, frozen_gates=True)
+            net.forward(x, train=True, rng=np.random.default_rng(2), frozen_gates=True)
 
     def test_requires_float64(self):
         net = Network(single_layer_net(), dtype=np.float32)
         with pytest.raises(ParameterError):
             grad_check(net, np.zeros((1, 3, 4, 4)), np.zeros((1, 1, 4, 4)))
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    def test_leaves_the_network_unchanged(self, monkeypatch, raises):
+        """The check runs on a dropout-free copy, so the checked net's
+        batchnorm running statistics, and with them its checkpoint and eval
+        output, stay as they were, whether the check returns or raises."""
+        net = Network(build_ldr2hdr_net("R", seed=7, dropout_p=0.4), dtype=np.float64)
+        data = np.random.default_rng(8)
+        x, t = data.random((2, 5, 8, 8)), data.normal(size=(2, 1, 8, 8))
+        checkpoint, before = save_checkpoint(net), net.forward(x).tobytes()
+        if raises:
+            def fail(*args, **kwargs):
+                raise MemoryError("conv backward")
+
+            monkeypatch.setattr(Conv, "backward", fail)  # after the first train forward
+            with pytest.raises(MemoryError):
+                grad_check(net, x, t, max_samples=5)
+        else:
+            assert grad_check(net, x, t, max_samples=5).passed
+        assert save_checkpoint(net) == checkpoint
+        assert net.forward(x).tobytes() == before
 
 
 class TestNetwork:
@@ -934,7 +965,9 @@ class TestNetwork:
         x = rng.random((2, 5, 16, 16)).astype(np.float32)
         checkpoint, before = save_checkpoint(net), net.forward(x).tobytes()
         # The statistics of a train-mode forward without dropout, as before.
-        want = net.clone().forward(x, train=True, apply_dropout=False)
+        want = Network(_without_dropout(net.spec))
+        want.load_tensors([arr for _, arr in net.tensors()])
+        want = want.forward(x, train=True)
         stats = net.activation_stats(x)
         assert save_checkpoint(net) == checkpoint
         assert net.forward(x).tobytes() == before
@@ -946,10 +979,14 @@ class TestNetwork:
         net = Network(build_tonemap_net("a", seed=6))
         checkpoint = save_checkpoint(net)
 
-        def fail(*args, **kwargs):
-            raise FloatingPointError("output block")
+        real = _Block.forward
 
-        monkeypatch.setattr(net.blocks[-1], "forward", fail)  # after every batchnorm ran
+        def fail(block, *args, **kwargs):  # on the class: the stats run on a copy
+            if block.is_output:  # after every batchnorm ran
+                raise FloatingPointError("output block")
+            return real(block, *args, **kwargs)
+
+        monkeypatch.setattr(_Block, "forward", fail)
         with pytest.raises(FloatingPointError):
             net.activation_stats(rng.random((2, 1, 8, 8)))
         assert save_checkpoint(net) == checkpoint

@@ -214,13 +214,13 @@ def tiny_samples(rng, n=6, size=16, channels=2):
     return x.astype(np.float64), y.astype(np.float64)
 
 
-def tiny_spec(channels=2, p=0.0, seed=0):
+def tiny_spec(channels=2, p=0.0, seed=0, batchnorm=True):
     from hdrkit.nn import LayerSpec, NetworkSpec
 
     return NetworkSpec(
         layers=(
-            LayerSpec("conv3x3", channels, 6, batchnorm=True, dropout_p=p),
-            LayerSpec("conv1x1", 6, 4, batchnorm=True, dropout_p=p),
+            LayerSpec("conv3x3", channels, 6, batchnorm=batchnorm, dropout_p=p),
+            LayerSpec("conv1x1", 6, 4, batchnorm=batchnorm, dropout_p=p),
             LayerSpec("output1x1", 4, 1),
         ),
         seed=seed,
@@ -297,16 +297,18 @@ class TestParallel:
     def test_sharded_gradients_match_serial(self, rng, workers):
         x, y = tiny_samples(rng, n=10)
         cfg = TrainConfig(lr=1e-2, momentum=0.9, batch_size=10, dropout_p=0.0, seed=9, dtype="f64")
-        serial = Network(tiny_spec(seed=3), dtype=np.float64)
-        pred = serial.forward(x, train=True, bn_train=False, apply_dropout=False)
+        # Without batchnorm: each shard would normalize on its own statistics.
+        serial = Network(tiny_spec(seed=3, batchnorm=False), dtype=np.float64)
+        pred = serial.forward(x, train=True)
         from hdrkit.nn import mse_loss
 
         loss, dp = mse_loss(pred, y)
         serial.backward(dp)
         expected = [g.copy() for g in serial.grads()]
 
-        trainer = ParallelTrainer(Network(tiny_spec(seed=3), dtype=np.float64), workers, cfg)
-        got_loss, got = trainer.accumulate_gradients(x, y, bn_train=False)
+        trainer = ParallelTrainer(Network(tiny_spec(seed=3, batchnorm=False), dtype=np.float64),
+                                  workers, cfg)
+        got_loss, got = trainer.accumulate_gradients(x, y)
         for a, b in zip(got, expected):
             rel = np.abs(a - b) / np.maximum(np.abs(b), 1e-30)
             assert rel.max() < 1e-12

