@@ -7,7 +7,7 @@ implementations agree bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +23,10 @@ _CODE_GRID = np.arange(256) / 255.0
 
 @dataclass
 class Crf:
-    """Per-channel response lookup: normalized exposure i/255 -> f in [0, 1]."""
+    """Per-channel response lookup: normalized exposure i/255 -> f in [0, 1].
+    The table only: the ``--crf`` flag or a manifest's ``crf`` names its source."""
 
     forward: np.ndarray  # (256, 3) float64, non-decreasing, f[0]=0, f[255]=1
-    name: str = "custom"
 
     def __post_init__(self) -> None:
         self.forward = np.asarray(self.forward, dtype=np.float64)
@@ -64,7 +64,6 @@ class ExposureStack:
     """Exactly five exposures of one scene, ordered by increasing time."""
 
     images: list[LdrImage]
-    ladder_indices: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if len(self.images) != STACK_SIZE:
@@ -90,11 +89,12 @@ def gamma_crf(gamma: float) -> Crf:
     if gamma <= 0:
         raise ParameterError(f"gamma must be > 0, got {gamma}")
     curve = _CODE_GRID ** (1.0 / gamma)
-    return Crf(forward=np.tile(curve[:, None], (1, 3)), name=f"gamma{gamma:g}")
+    return Crf(forward=np.tile(curve[:, None], (1, 3)))
 
 
-def load_crf(text: str, name: str = "file") -> Crf:
-    """Parse the 256-line ``index r g b`` response-curve format."""
+def load_crf(text: str) -> Crf:
+    """Parse the 256-line ``index r g b`` response-curve format into a
+    :class:`Crf`; the caller knows which file the text came from."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -115,7 +115,7 @@ def load_crf(text: str, name: str = "file") -> Crf:
         raise ValidationError(f"CRF indices out of order starting at row {first}")
     if not np.all((table[:, 1:] >= 0) & (table[:, 1:] <= 1)):  # NaN fails both
         raise ValidationError("CRF values must be finite and lie in [0, 1]")
-    return Crf(forward=table[:, 1:], name=name)
+    return Crf(forward=table[:, 1:])
 
 
 def inverse_lut(crf: Crf) -> np.ndarray:
@@ -167,7 +167,7 @@ def geometric_ladder() -> ExposureLadder:
 def fixed_stack(m: RadianceMap, crf: Crf) -> ExposureStack:
     """Expose at the fixed times (1, 8, 64, 512, 4096)."""
     images = [expose(m, dt, crf) for dt in FIXED_EXPOSURES]
-    return ExposureStack(images=images, ladder_indices=tuple(range(STACK_SIZE)))
+    return ExposureStack(images=images)
 
 
 def adaptive_window(entropies: list[float], ladder_len: int) -> tuple[int, ...]:
@@ -188,4 +188,4 @@ def adaptive_stack(m: RadianceMap, crf: Crf, ladder: ExposureLadder) -> Exposure
     images = [expose(m, dt, crf) for dt in ladder.times]
     entropies = [entropy(img) for img in images]
     indices = adaptive_window(entropies, len(ladder))
-    return ExposureStack(images=[images[i] for i in indices], ladder_indices=indices)
+    return ExposureStack(images=[images[i] for i in indices])

@@ -77,7 +77,7 @@ def _resolve_crf(spec: str) -> Crf:
         except ValueError:
             raise ValidationError(f"CRF spec {spec!r}: gamma is not a number") from None
         return gamma_crf(gamma)
-    return load_crf(_read_text(Path(spec), "CRF file"), name=Path(spec).name)
+    return load_crf(_read_text(Path(spec), "CRF file"))
 
 
 def _out_dir(args) -> Path:
@@ -429,9 +429,10 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _load_channel_nets(directory: str, prefix: str, channels) -> tuple[dict, TrainConfig]:
-    """The channel nets and the ``patch``/``target_domain`` they were trained with."""
-    nets, cfgs = {}, []
+def _load_channel_nets(directory: str, prefix: str, channels, keys) -> tuple[dict, TrainConfig]:
+    """The channel nets and the ``patch``/``target_domain`` they were trained
+    with.  Every channel's checkpoint must agree on the ``keys`` inference reads."""
+    nets, first = {}, None
     for ch in channels:
         path = Path(directory) / f"{prefix}_{ch}.ckpt"
         if not path.exists():
@@ -441,15 +442,21 @@ def _load_channel_nets(directory: str, prefix: str, channels) -> tuple[dict, Tra
             print(f"warning: checkpoint {path} carries no training record", file=sys.stderr)
         trained_with = {k: meta[k] for k in ("patch", "target_domain") if k in meta}
         try:
-            cfgs.append(TrainConfig.from_dict(trained_with))
+            cfg = TrainConfig.from_dict(trained_with)
         except ValidationError as e:
             raise ValidationError(f"checkpoint {path} metadata: {e}") from None
-    return nets, cfgs[0]
+        first = first or (path, cfg)
+        for key in keys:
+            if getattr(cfg, key) != getattr(first[1], key):
+                raise ValidationError(f"checkpoints disagree on {key}: {first[0]} has "
+                                      f"{getattr(first[1], key)!r}, {path} has {getattr(cfg, key)!r}")
+    return nets, first[1]
 
 
 def _cmd_infer_ldr2hdr(args) -> int:
     out = _out_dir(args)
-    nets, cfg = _load_channel_nets(args.checkpoints, "ldr2hdr", LDR2HDR_CHANNELS)
+    nets, cfg = _load_channel_nets(args.checkpoints, "ldr2hdr", LDR2HDR_CHANNELS,
+                                   ("patch", "target_domain"))
     stack = _load_stack(args.inputs)
     predicted = infer_ldr2hdr(
         nets, stack, patch=cfg.patch, scale=args.scale, target_domain=cfg.target_domain
@@ -461,7 +468,7 @@ def _cmd_infer_ldr2hdr(args) -> int:
 
 def _cmd_infer_tonemap(args) -> int:
     out = _out_dir(args)
-    nets, cfg = _load_channel_nets(args.checkpoints, "tonemap", TONEMAP_CHANNELS)
+    nets, cfg = _load_channel_nets(args.checkpoints, "tonemap", TONEMAP_CHANNELS, ("patch",))
     m = _load_input_map(args.input, not args.no_normalize)
     tm = infer_tonemap(nets, m, patch=cfg.patch)
     (out / args.name).write_bytes(write_ppm(_tonemap_to_ldr(tm)))

@@ -39,8 +39,6 @@ _LAB_KAPPA = 24389.0 / 27.0
 class LabImage:
     """CIE L*a*b* planes (L in 0..100 for in-gamut input)."""
 
-    width: int
-    height: int
     L: np.ndarray
     a: np.ndarray
     b: np.ndarray
@@ -86,14 +84,7 @@ def rgb_to_lab(rgb: np.ndarray) -> LabImage:
     L = np.where(yr > _LAB_DELTA3, 116.0 * np.cbrt(yr) - 16.0, _LAB_KAPPA * yr)
     a = 500.0 * (fx - fy)
     b = 200.0 * (fy - fz)
-    h, w = arr.shape[:2]
-    return LabImage(
-        width=w,
-        height=h,
-        L=L.astype(np.float32),
-        a=a.astype(np.float32),
-        b=b.astype(np.float32),
-    )
+    return LabImage(L=L.astype(np.float32), a=a.astype(np.float32), b=b.astype(np.float32))
 
 
 def lab_to_rgb(lab: LabImage) -> RadianceMap:

@@ -6,7 +6,8 @@ spatial batch normalization (before ReLU) and inverted dropout (after ReLU).
 Everything runs in float32 for training or float64 for gradient checking.
 A forward runs in one of two modes: train, with batchnorm on the batch's
 statistics and the spec's dropout, or eval, on the running statistics and
-without dropout.
+without dropout.  ``grad_check`` also runs train passes with the ReLU gates
+frozen, block by block; no other caller does.
 Convolutions are GEMMs on (N, C, H*W) views: a 3x3 layer gathers its nine
 shifted inputs into one column buffer first (im2col, as in Chellapilla, Puri
 & Simard 2006).  Batchnorm works on the same views and centres the conv
@@ -276,14 +277,13 @@ class Conv:
         self.db = np.zeros_like(self.b) if bias else None
         self._cols: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, slices: _Slices | None = None,
+    def forward(self, x: np.ndarray, slices: _Slices,
                 weight: np.ndarray | None = None, bias: np.ndarray | None = None) -> np.ndarray:
         n, c, h, w = x.shape
         if c != self.w.shape[1]:
             raise ValidationError(
                 f"conv expects {self.w.shape[1]} input channels, got {c}"
             )
-        slices = slices or _Slices(n)
         weight = self.w if weight is None else weight
         bias = self.b if bias is None else bias
         w2 = weight.reshape(weight.shape[0], -1)
@@ -307,12 +307,11 @@ class Conv:
         self._cols = cols
         return y.reshape(n, -1, h, w)
 
-    def backward(self, dy: np.ndarray, slices: _Slices | None = None) -> np.ndarray | None:
+    def backward(self, dy: np.ndarray, slices: _Slices) -> np.ndarray | None:
         cols = self._cols
         if cols is None:
             raise ValidationError("conv backward before forward")
         n, o, h, w = dy.shape
-        slices = slices or _Slices(n)
         dy = dy.reshape(n, o, h * w)
         w2 = self.w.reshape(o, -1)
         c = self.w.shape[1]
@@ -375,12 +374,11 @@ class BatchNorm:
         self.dbeta = np.zeros_like(self.beta)
         self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray, slices: _Slices | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, slices: _Slices) -> np.ndarray:
         """Normalize x, centring it in place (a block's fresh conv output):
         the centred x is the cached ``xc``."""
         shape = x.shape
         x = x.reshape(shape[0], shape[1], -1)
-        slices = slices or _Slices(shape[0])
         m = x.shape[0] * x.shape[2]
         rows = np.empty(x.shape[:2], dtype=x.dtype)
         slices.run(lambda sl: x[sl].sum(axis=2, out=rows[sl]))
@@ -408,7 +406,7 @@ class BatchNorm:
         slices.run(normalize)
         return y.reshape(shape)
 
-    def backward(self, dy: np.ndarray, slices: _Slices | None = None) -> np.ndarray:
+    def backward(self, dy: np.ndarray, slices: _Slices) -> np.ndarray:
         """Input gradient, written over dy.  Backward spends the forward
         cache, and its ``xc`` holds the mean-correction term."""
         if self._cache is None:
@@ -416,7 +414,6 @@ class BatchNorm:
         xc, istd = self._cache  # xhat = xc * istd
         self._cache = None
         dy3 = dy.reshape(xc.shape)
-        slices = slices or _Slices(xc.shape[0])
         rows = np.empty(xc.shape[:2], dtype=dy3.dtype)
         dots = np.empty(xc.shape[:2], dtype=np.result_type(dy3, xc))
 
@@ -522,8 +519,10 @@ class _Block:
     1/(1-p).  ``y *= mask; y *= scale`` and, backward, ``dy *= mask`` then
     ``*= scale`` are bitwise a ReLU followed by inverted dropout (the
     ``relu`` and ``dropout`` oracles in ``tests/nn_reference.py``).  A
-    frozen-gate pass reuses the mask of a dropout-free pass as its gate.  An
-    eval forward (``train`` false) keeps nothing for backward.
+    frozen-gate pass, which only :func:`grad_check` runs, reuses the mask of
+    the dropout-free train pass before it as its gate.  An eval forward
+    (``train`` false) keeps nothing for backward.  Every method runs on the
+    caller's :class:`_Slices`.
 
     A batchnormed block's conv has no bias.  A train forward normalizes on
     the batch's statistics; an eval forward folds batchnorm into the conv:
@@ -543,9 +542,7 @@ class _Block:
         self._mask: np.ndarray | None = None
         self._scale = None
 
-    def forward(self, x, train: bool, rng, frozen_gates: bool = False,
-                slices: _Slices | None = None):
-        slices = slices or _Slices(x.shape[0])
+    def forward(self, x, train: bool, rng, slices: _Slices, frozen_gates: bool = False):
         conv, bn = self.conv, self.bn
         if bn is not None and not train:
             # Eval batchnorm folded into the conv: s*(W*x - mu) + beta.
@@ -562,8 +559,6 @@ class _Block:
             return y
         if bn is not None:
             y = bn.forward(y, slices)
-        if frozen_gates and (self._mask is None or self._scale is not None):
-            raise ValidationError("frozen-gate forward before a dropout-free reference pass")
         gate = self._mask if frozen_gates else np.empty(y.shape, dtype=bool)
         p = self.spec.dropout_p
         keep = scale = None
@@ -587,9 +582,8 @@ class _Block:
         self._scale = scale
         return y
 
-    def backward(self, dy, slices: _Slices | None = None):
+    def backward(self, dy, slices: _Slices):
         """Input gradient; a hidden block's mask multiply overwrites dy."""
-        slices = slices or _Slices(dy.shape[0])
         if not self.is_output:
             mask, scale = self._mask, self._scale
             if mask is None:
@@ -623,14 +617,8 @@ class Network:
         self.blocks = [_Block(ls, i, rng, self.dtype) for i, ls in enumerate(spec.layers)]
         self.blocks[0].conv.input_grad = False
 
-    def forward(
-        self,
-        x: np.ndarray,
-        train: bool = False,
-        rng=None,
-        frozen_gates: bool = False,
-        threads: int | None = None,
-    ) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, rng=None,
+                threads: int | None = None) -> np.ndarray:
         """Run every block on ``min(N, threads)`` slices of the batch, one
         thread each (``threads`` defaults to one per CPU), with at least
         ``_SLICE_PIXELS`` pixels per slice.  The result does not depend on
@@ -643,7 +631,7 @@ class Network:
             _check_dropout_rng(rng)
         with _blas_one_thread(), _Slices(x.shape[0], _slice_threads(x, threads)) as slices:
             for block in self.blocks:
-                x = block.forward(x, train, rng, frozen_gates, slices)
+                x = block.forward(x, train, rng, slices)
         return x
 
     def backward(self, dy: np.ndarray, threads: int | None = None) -> None:
@@ -699,7 +687,7 @@ class Network:
         stats = []
         with _blas_one_thread():
             for block in _diagnostic_copy(self).blocks:
-                x = block.forward(x, train=True, rng=None)
+                x = block.forward(x, True, None, _Slices(x.shape[0]))
                 stats.append(
                     {
                         "layer": block.name,
@@ -818,7 +806,9 @@ def grad_check(
     differencing: the network is piecewise linear in its gates, and the
     analytic gradient is the derivative of exactly that local smooth piece,
     so the difference quotient must be taken on the same piece (batchnorm
-    statistics stay live and are verified in full).
+    statistics stay live and are verified in full).  The check runs these
+    frozen-gate passes itself, block by block, under one BLAS cap and one
+    set of slices, cut by the rule :meth:`Network.forward` uses.
 
     Each weight tensor is checked at its ``max_samples`` largest-gradient
     entries, where the comparison is well conditioned; a structural backward
@@ -832,40 +822,44 @@ def grad_check(
     x = check_tensor4(x).astype(np.float64)
     target = np.asarray(target, dtype=np.float64)
 
-    def loss_only() -> float:
-        pred = net.forward(x, train=True, frozen_gates=True)
-        return mse_loss(pred, target)[0]
-
     pred = net.forward(x, train=True)
     _, dpred = mse_loss(pred, target)
     net.backward(dpred)
 
     reports = []
-    for block in net.blocks:
-        worst = 0.0
-        checked = 0
-        for mod in block.modules():
-            for param, grad, exhaustive in zip(
-                mod.params(), mod.grads(), (False, True)
-            ):
-                analytic = grad.copy().reshape(-1)
-                flat = param.reshape(-1)
-                size = flat.size
-                if exhaustive or size <= max_samples:
-                    indices = np.arange(size)
-                else:
-                    indices = np.argsort(np.abs(analytic))[-max_samples:]
-                for idx in indices:
-                    old = flat[idx]
-                    flat[idx] = old + h
-                    f_plus = loss_only()
-                    flat[idx] = old - h
-                    f_minus = loss_only()
-                    flat[idx] = old
-                    numeric = (f_plus - f_minus) / (2.0 * h)
-                    worst = max(worst, _rel_err(analytic[idx], numeric))
-                    checked += 1
-        reports.append(LayerGradReport(layer=block.name, max_rel_err=worst, checked=checked))
+    with _blas_one_thread(), _Slices(x.shape[0], _slice_threads(x, None)) as slices:
+
+        def loss_only() -> float:
+            y = x
+            for blk in net.blocks:
+                y = blk.forward(y, True, None, slices, frozen_gates=True)
+            return mse_loss(y, target)[0]
+
+        for block in net.blocks:
+            worst = 0.0
+            checked = 0
+            for mod in block.modules():
+                for param, grad, exhaustive in zip(
+                    mod.params(), mod.grads(), (False, True)
+                ):
+                    analytic = grad.copy().reshape(-1)
+                    flat = param.reshape(-1)
+                    size = flat.size
+                    if exhaustive or size <= max_samples:
+                        indices = np.arange(size)
+                    else:
+                        indices = np.argsort(np.abs(analytic))[-max_samples:]
+                    for idx in indices:
+                        old = flat[idx]
+                        flat[idx] = old + h
+                        f_plus = loss_only()
+                        flat[idx] = old - h
+                        f_minus = loss_only()
+                        flat[idx] = old
+                        numeric = (f_plus - f_minus) / (2.0 * h)
+                        worst = max(worst, _rel_err(analytic[idx], numeric))
+                        checked += 1
+            reports.append(LayerGradReport(layer=block.name, max_rel_err=worst, checked=checked))
     return GradCheckReport(layers=reports, tolerance=tolerance)
 
 
@@ -910,8 +904,9 @@ def save_checkpoint(net: Network, metadata: dict | None = None) -> bytes:
     return buf.getvalue()
 
 
-def load_checkpoint(data: bytes, dtype=np.float32) -> tuple[Network, dict]:
-    """Rebuild a network (and its metadata) from :func:`save_checkpoint` bytes."""
+def load_checkpoint(data: bytes) -> tuple[Network, dict]:
+    """Rebuild a float32 network (and its metadata) from
+    :func:`save_checkpoint` bytes."""
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic {data[:6]!r}", offset=0)
     r = ByteReader(data, len(CHECKPOINT_MAGIC))
@@ -935,7 +930,7 @@ def load_checkpoint(data: bytes, dtype=np.float32) -> tuple[Network, dict]:
         raise TruncationError(
             f"spec needs {4 * spec.parameter_count()} tensor bytes, {r.remaining} left"
         )
-    net = Network(spec, dtype=dtype)
+    net = Network(spec)
     own = net.tensors()
     (n_tensors,) = r.unpack("<I")
     if n_tensors != len(own):

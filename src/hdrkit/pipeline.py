@@ -61,6 +61,8 @@ CHANNEL_SCALINGS: dict[str, tuple[float, float]] = {
 BILATERAL_SIGMA_S = 8.0
 BILATERAL_SIGMA_R = 10.0
 
+_TILE_BATCH = 16  # patches per eval forward in inference
+
 
 @dataclass
 class TrainConfig:
@@ -297,13 +299,8 @@ def recompose_tonemap(planes: dict[str, np.ndarray]) -> ToneMap:
         raise ValidationError(f"missing channels: {sorted(missing)}")
     L = planes["L_base"] + planes["L_detail"]
     h, w = L.shape
-    lab = LabImage(
-        width=w,
-        height=h,
-        L=L.astype(np.float32),
-        a=planes["a"].astype(np.float32),
-        b=planes["b"].astype(np.float32),
-    )
+    lab = LabImage(L=L.astype(np.float32), a=planes["a"].astype(np.float32),
+                   b=planes["b"].astype(np.float32))
     rgb = lab_to_rgb(lab)
     return ToneMap(width=w, height=h, data=np.clip(rgb.data, 0.0, 1.0))
 
@@ -596,12 +593,13 @@ def hyperparam_search(
 # ---------------------------------------------------------------------------
 
 
-def _forward_tiled(net: Network, planes: np.ndarray, patch: int, batch_size: int = 16) -> np.ndarray:
-    """Eval-mode forward of (C, H, W) planes through patch tiling."""
+def _forward_tiled(net: Network, planes: np.ndarray, patch: int) -> np.ndarray:
+    """Eval-mode forward of (C, H, W) planes through patch tiling, ``_TILE_BATCH``
+    patches per forward."""
     grid, patches = extract_patches(planes.astype(net.dtype, copy=False), patch)
     preds = []
-    for start in range(0, patches.shape[0], batch_size):
-        out = net.forward(patches[start : start + batch_size], train=False)
+    for start in range(0, patches.shape[0], _TILE_BATCH):
+        out = net.forward(patches[start : start + _TILE_BATCH], train=False)
         preds.append(out[:, 0])
     return reassemble(grid, np.concatenate(preds))
 

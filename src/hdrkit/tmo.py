@@ -40,9 +40,11 @@ class ToneMap:
 
 
 def _scale_colors(rgb: np.ndarray, lum: np.ndarray, lum_display: np.ndarray) -> np.ndarray:
-    """Rescale colors by lum_display/lum, preserving channel ratios."""
+    """Rescale colors by lum_display/lum, preserving channel ratios.  ``rgb``
+    is the caller's fresh f64 copy, scaled and clipped in place."""
     ratio = np.where(lum > 0, lum_display / np.where(lum > 0, lum, 1.0), 0.0)
-    return np.clip(rgb * ratio[..., None], 0.0, 1.0).astype(np.float32)
+    rgb *= ratio[..., None]
+    return np.clip(rgb, 0.0, 1.0, out=rgb).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ The bodies are the earlier implementations verbatim: exposure synthesis
 through a separate response-curve pass and rounding step, Mertens weights
 stacked from per-image temporaries, the Debevec merge gathering each
 estimate and weight per pixel, and TMQI scoring every operator from scratch,
-the HDR side included.
+the HDR side included.  ``reinhard_global`` and ``drago`` scale a full-size
+product of the colors and then clip it into another (``scale_colors``).
 
 ``format_crf`` writes the ``index r g b`` text that ``load_crf`` parses;
 hdrkit itself only reads that format.
@@ -22,6 +23,7 @@ from hdrkit.imgproc import luminance, round_half_up
 from hdrkit.merge import hat_weight
 from hdrkit.tmo import (
     DEFAULT_TMQI,
+    GEOMEAN_GUARD,
     WEIGHT_GUARD,
     TmqiScore,
     ToneMap,
@@ -169,3 +171,36 @@ def tmqi(m: RadianceMap, tm: ToneMap) -> TmqiScore:
     c = DEFAULT_TMQI
     q = c.a * s**c.alpha + (1.0 - c.a) * n**c.beta
     return TmqiScore(S=s, N=n, Q=float(np.clip(q, 0.0, 1.0)))
+
+
+def scale_colors(rgb: np.ndarray, lum: np.ndarray, lum_display: np.ndarray) -> np.ndarray:
+    """Rescale colors by lum_display/lum, preserving channel ratios."""
+    ratio = np.where(lum > 0, lum_display / np.where(lum > 0, lum, 1.0), 0.0)
+    return np.clip(rgb * ratio[..., None], 0.0, 1.0).astype(np.float32)
+
+
+def reinhard_global(m: RadianceMap, key: float = 0.18, white: float | None = None) -> ToneMap:
+    if key <= 0:
+        raise ParameterError(f"key must be > 0, got {key}")
+    lum = luminance(m.data).astype(np.float64)
+    geomean = math.exp(float(np.mean(np.log(lum + GEOMEAN_GUARD))))
+    scaled = key * lum / geomean
+    if white is None:
+        peak = float(scaled.max())
+        white = peak if peak > 0 else 1.0
+    display = scaled * (1.0 + scaled / (white * white)) / (1.0 + scaled)
+    return ToneMap(m.width, m.height, scale_colors(m.data.astype(np.float64), lum, display))
+
+
+def drago(m: RadianceMap, bias: float = 0.85, l_max: float | None = None) -> ToneMap:
+    if not 0.0 < bias <= 1.0:
+        raise ParameterError(f"bias must be in (0, 1], got {bias}")
+    lum = luminance(m.data).astype(np.float64)
+    if l_max is None:
+        l_max = float(lum.max())
+    if l_max <= 0:
+        return ToneMap(m.width, m.height, np.zeros_like(m.data, dtype=np.float32))
+    exponent = math.log(bias) / math.log(0.5)
+    denom = np.log(2.0 + 8.0 * (lum / l_max) ** exponent)
+    display = (np.log1p(lum) / math.log1p(l_max)) * (math.log(10.0) / denom)
+    return ToneMap(m.width, m.height, scale_colors(m.data.astype(np.float64), lum, display))

@@ -11,7 +11,9 @@ N-sliced engine that replaced them.  Their eval forward folds batchnorm into
 the conv weights, as the engine's does.  They also keep the earlier engine's
 two extra switches, ``bn_train`` and ``apply_dropout``, which the engine no
 longer has: a train-mode forward with both false runs batchnorm unfolded on
-the running statistics, the f64 oracle for the fold.
+the running statistics, the f64 oracle for the fold.  Their network forward
+also still takes ``frozen_gates``, which the engine's does not: only
+``grad_check`` runs frozen-gate passes, block by block.
 
 A conv adds a bias only when it has one: in a network, the convs without
 batchnorm.  The einsum conv can still carry one in front of batchnorm, which

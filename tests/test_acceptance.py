@@ -197,7 +197,7 @@ def test_criterion_4_entropy_and_adaptive_selection():
         sweep = [entropy(expose(norm, dt, crf)) for dt in ladder.times]
         k = int(np.argmax(sweep))
         lo = min(max(k - 2, 0), len(ladder) - 5)
-        if stack.ladder_indices == tuple(range(lo, lo + 5)):
+        if [img.exposure for img in stack.images] == list(ladder.times[lo : lo + 5]):
             matches += 1
     ok = zero_ok and uniform_ok and matches == 8
     report(

@@ -397,6 +397,49 @@ def _with_raw_metadata(raw: bytes) -> bytes:
     return _checkpoint().replace(empty, struct.pack("<I", len(raw)) + raw)
 
 
+@pytest.mark.parametrize("metas, named", [
+    # the channels of one run agree; these were saved by three different runs
+    ([{"target_domain": "log1p", "patch": 64}, {"target_domain": "linear"},
+      {"target_domain": "linear", "patch": 32}], ("target_domain", "'log1p'", "'linear'")),
+    ([{"patch": 64}, {"patch": 64}, {"patch": 32}], ("patch", "64", "32")),
+], ids=["target_domain", "patch"])
+def test_channel_checkpoints_must_agree(tmp_path, capsys, metas, named):
+    """Inference inverts every channel with one ``target_domain`` and tiles
+    it with one ``patch``, so checkpoints that disagree are refused."""
+    net = Network(NetworkSpec(layers=(LayerSpec("output1x1", 5, 1),)))
+    for ch, meta in zip(LDR2HDR_CHANNELS, metas):
+        blob = save_checkpoint(net, {**meta, "final_loss": 0.1})
+        (tmp_path / f"ldr2hdr_{ch}.ckpt").write_bytes(blob)
+    inputs = []
+    for k in range(5):
+        inputs.append(str(tmp_path / f"shot{k}.ppm"))
+        save_ldr(inputs[-1], LdrImage.from_array(np.full((8, 8, 3), 40 * k, np.uint8), 2.0**k))
+    capsys.readouterr()
+    code = run(["infer-ldr2hdr", "--inputs", *inputs, "--checkpoints", str(tmp_path),
+                "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error:validation:") and err.count("\n") == 1, err
+    assert all(word in err for word in named), err
+    assert not (tmp_path / "out" / "predicted.hdr").exists()
+
+
+def test_tonemap_checkpoints_need_not_agree_on_target_domain(tmp_path, capsys):
+    """Tone-map training and inference never read ``target_domain``, so only
+    ``patch`` must agree across its channels."""
+    path, _ = write_scene(tmp_path)
+    net = Network(NetworkSpec(layers=(LayerSpec("output1x1", 1, 1),)))
+    for ch, domain in zip(TONEMAP_CHANNELS, ("linear", "log1p", "linear", "log1p")):
+        blob = save_checkpoint(net, {"target_domain": domain, "patch": 32, "final_loss": 0.1})
+        (tmp_path / f"tonemap_{ch}.ckpt").write_bytes(blob)
+    argv = ["infer-tonemap", "--input", str(path), "--checkpoints", str(tmp_path)]
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 0
+    (tmp_path / "tonemap_b.ckpt").write_bytes(save_checkpoint(net, {"patch": 64, "final_loss": 0.1}))
+    capsys.readouterr()
+    assert run([*argv, "--out", str(tmp_path / "out2")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation: checkpoints disagree on patch:") and "32" in err, err
+
+
 @pytest.mark.parametrize("command", ["train-ldr2hdr", "infer-tonemap"])
 def test_request_too_large_for_memory_is_one_error_line(tmp_path, capsys, monkeypatch, command):
     """``--patch 200000`` on 16x16 scenes asks numpy for 745 GiB of padded

@@ -110,7 +110,7 @@ class TestConv:
         conv.w[...] = np.eye(3)[:, :, None, None]
         conv.b[...] = 0
         x = rng.normal(size=(2, 3, 5, 5))
-        assert np.array_equal(conv.forward(x), x)
+        assert np.array_equal(conv.forward(x, _Slices(2)), x)
 
     def test_3x3_box_kernel_counts(self):
         rng = np.random.default_rng(0)
@@ -118,7 +118,7 @@ class TestConv:
         conv.w[...] = 1.0
         conv.b[...] = 0.0
         c = 2.5
-        y = conv.forward(np.full((1, 1, 4, 4), c))
+        y = conv.forward(np.full((1, 1, 4, 4), c), _Slices(1))
         assert y[0, 0, 1, 1] == pytest.approx(9 * c)  # interior
         assert y[0, 0, 0, 0] == pytest.approx(4 * c)  # corner (zero padding)
         assert y[0, 0, 0, 1] == pytest.approx(6 * c)  # edge
@@ -126,7 +126,7 @@ class TestConv:
     def test_channel_mismatch_raises(self):
         conv = Conv(3, 4, 1, np.random.default_rng(0), np.float32)
         with pytest.raises(ValidationError):
-            conv.forward(np.zeros((1, 2, 4, 4), np.float32))
+            conv.forward(np.zeros((1, 2, 4, 4), np.float32), _Slices(1))
 
     @pytest.mark.parametrize("kind", ["conv1x1", "conv3x3"])
     def test_gradcheck(self, kind):
@@ -141,13 +141,13 @@ class TestConv:
 class TestBatchNorm:
     def test_constant_input_maps_to_zero(self):
         bn = BatchNorm(2, np.float64)
-        y = bn.forward(np.full((2, 2, 4, 4), 7.0))
+        y = bn.forward(np.full((2, 2, 4, 4), 7.0), _Slices(2))
         assert np.all(np.abs(y) < 1e-3)
 
     def test_train_mode_normalizes(self, rng):
         bn = BatchNorm(3, np.float64)
         x = rng.normal(2.0, 3.0, size=(4, 3, 16, 16))
-        y = bn.forward(x)
+        y = bn.forward(x, _Slices(4))
         assert np.all(np.abs(y.mean(axis=(0, 2, 3))) < 1e-5)
         assert np.all(np.abs(y.var(axis=(0, 2, 3)) - 1.0) < 1e-2)
 
@@ -339,8 +339,8 @@ class TestMatchesEinsumReference:
         conv = Conv(c, o, k, np.random.default_rng(0), np.float64)
         ref = EinsumConv(c, o, k, np.random.default_rng(0), np.float64)
         conv.b[...] = ref.b[...] = rng.normal(size=o)
-        assert_close(conv.forward(x), ref.forward(x))
-        assert_close(conv.backward(dy), ref.backward(dy))
+        assert_close(conv.forward(x, _Slices(3)), ref.forward(x))
+        assert_close(conv.backward(dy, _Slices(3)), ref.backward(dy))
         assert_close(conv.dw, ref.dw)
         assert_close(conv.db, ref.db)
 
@@ -355,8 +355,8 @@ class TestMatchesEinsumReference:
             layer.running_mean[...] = np.linspace(-0.3, 0.4, 6)
             layer.running_var[...] = np.linspace(0.8, 1.7, 6)
         # the engine centres x and writes its input gradient over dy
-        assert_close(bn.forward(x.copy()), ref.forward(x, train=True))
-        assert_close(bn.backward(dy.copy()), ref.backward(dy))
+        assert_close(bn.forward(x.copy(), _Slices(3)), ref.forward(x, train=True))
+        assert_close(bn.backward(dy.copy(), _Slices(3)), ref.backward(dy))
         for name in ("dgamma", "dbeta", "running_mean", "running_var"):
             assert_close(getattr(bn, name), getattr(ref, name))
 
@@ -370,19 +370,19 @@ class TestMatchesEinsumReference:
         x = rng.normal(size=(2, 3, 9, 6)).astype(np.float32)
         dy = rng.normal(size=(2, 8, 9, 6)).astype(np.float32)
 
-        y = block.forward(x, True, np.random.default_rng(5))
-        pre = ref.conv.forward(x)
+        y = block.forward(x, True, np.random.default_rng(5), _Slices(2))
+        pre = ref.conv.forward(x, _Slices(2))
         if batchnorm:
-            pre = ref.bn.forward(pre)
+            pre = ref.bn.forward(pre, _Slices(2))
         y_ref, gate = relu(pre)
         y_ref, scale = dropout(y_ref, 0.4, train=True, rng=np.random.default_rng(5))
         assert y.tobytes() == y_ref.tobytes()
 
-        dx = block.backward(dy.copy())
+        dx = block.backward(dy.copy(), _Slices(2))
         d = relu_backward(dy * scale, gate)
         if batchnorm:
-            d = ref.bn.backward(d)
-        assert dx.tobytes() == ref.conv.backward(d).tobytes()
+            d = ref.bn.backward(d, _Slices(2))
+        assert dx.tobytes() == ref.conv.backward(d, _Slices(2)).tobytes()
         assert block.conv.dw.tobytes() == ref.conv.dw.tobytes()
 
 
@@ -446,9 +446,16 @@ class TestSlicedEngine:
             return [net.forward(x, train=False)]
         out = [net.forward(x, train=True, rng=rng)]
         net.backward(dy)
-        if mode == "frozen":  # a frozen-gate pass on nudged weights, as grad_check runs
+        if mode == "frozen":  # a frozen-gate pass on nudged weights
             net.blocks[2].conv.w += np.float32(0.01)
-            out.append(net.forward(x, train=True, frozen_gates=True))
+            if isinstance(net, WholeBatchNetwork):
+                out.append(net.forward(x, train=True, frozen_gates=True))
+            else:  # block by block under one set of slices, as grad_check runs it
+                y = x
+                with _Slices(x.shape[0], nn._slice_threads(x, None)) as slices:
+                    for block in net.blocks:
+                        y = block.forward(y, True, None, slices, frozen_gates=True)
+                out.append(y)
             net.backward(dy)
         return out
 
@@ -513,7 +520,7 @@ class TestSlicedEngine:
         with pytest.raises(ValidationError, match="backward before"):
             net.backward(np.ones((2, 1, 5, 5), np.float32))
         with pytest.raises(ValidationError, match="block backward before"):
-            net.blocks[1].backward(np.ones((2, 5, 5, 5), np.float32))
+            net.blocks[1].backward(np.ones((2, 5, 5, 5), np.float32), _Slices(2))
 
     def test_task_error_is_raised_after_every_slice_ends(self):
         finished = []
@@ -606,9 +613,10 @@ class TestBatchnormCancelsConvBias:
             layer.gamma[...] = np.linspace(0.5, 2.0, o)
             layer.beta[...] = np.linspace(-1.0, 1.0, o)
         # the engine's batchnorm centres its input and writes over dy
-        y = bn.forward(conv.forward(x))
+        y = bn.forward(conv.forward(x, _Slices(3)), _Slices(3))
         assert_close(y, ref_bn.forward(ref.forward(x), train=True))
-        assert_close(conv.backward(bn.backward(dy.copy())), ref.backward(ref_bn.backward(dy)))
+        dx = conv.backward(bn.backward(dy.copy(), _Slices(3)), _Slices(3))
+        assert_close(dx, ref.backward(ref_bn.backward(dy)))
         assert_close(conv.dw, ref.dw)
         assert_close(bn.dgamma, ref_bn.dgamma)
         assert_close(bn.dbeta, ref_bn.dbeta)
@@ -856,12 +864,28 @@ class TestGradCheckHarness:
         failing = [r.layer for r in report.layers if r.max_rel_err >= report.tolerance]
         assert failing == [net.blocks[0].name]
 
-    def test_frozen_gates_need_a_dropout_free_pass(self):
-        net = Network(two_layer_net(p=0.5), dtype=np.float64)
-        x = np.random.default_rng(7).normal(size=(2, 3, 5, 5))
-        net.forward(x, train=True, rng=np.random.default_rng(1))
-        with pytest.raises(ValidationError, match="frozen-gate"):
-            net.forward(x, train=True, rng=np.random.default_rng(2), frozen_gates=True)
+    def test_same_report_on_one_and_two_slices(self, monkeypatch):
+        """Every frozen-gate pass runs on the slices of one pool, cut as
+        :meth:`Network.forward` cuts them, and gives the same bytes as on one
+        slice."""
+        data = np.random.default_rng(9)
+        x, t = data.normal(size=(2, 3, 64, 64)), data.normal(size=(2, 1, 64, 64))
+        real = _Slices.__init__
+        reports = {}
+        for cpus in (1, 2):
+            sizes = []
+
+            def record(self, n, threads=1):
+                real(self, n, threads)
+                sizes.append(len(self.parts))
+
+            monkeypatch.setattr(nn, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(_Slices, "__init__", record)
+            net = Network(single_layer_net(seed=3), dtype=np.float64)
+            reports[cpus] = grad_check(net, x, t).lines()
+            # the reference forward, its backward, and one set for 8 frozen passes
+            assert sizes == [cpus] * 3
+        assert reports[1] == reports[2]
 
     def test_requires_float64(self):
         net = Network(single_layer_net(), dtype=np.float32)

@@ -441,7 +441,8 @@ class TestBlasThreads:
             return real_forward(*args, **kwargs)
 
         monkeypatch.setattr(Conv, "forward", forward)
-        pipeline._forward_tiled(net, rng.random((2, 20, 20)), 8, batch_size=4)
+        monkeypatch.setattr(pipeline, "_TILE_BATCH", 4)
+        pipeline._forward_tiled(net, rng.random((2, 20, 20)), 8)
         x, y = tiny_samples(rng, n=3)
         eval_mse(net, (x, y), batch_size=2)
         assert seen == [1] * (5 * len(net.blocks))

@@ -1,7 +1,9 @@
-"""The package source imports no scipy: hdrkit is numpy-only at run time.
+"""The package source imports no scipy, and no name it never uses.
 
-Names that merely contain "scipy" are allowed, such as the ``scipy_openblas``
-symbol prefix of the OpenBLAS build that numpy's wheels bundle.
+hdrkit is numpy-only at run time.  Names that merely contain "scipy" are
+allowed, such as the ``scipy_openblas`` symbol prefix of the OpenBLAS build
+that numpy's wheels bundle.  ``__init__.py`` imports names only to re-export
+them, so it is exempt from the unused-name check.
 """
 
 import ast
@@ -44,6 +46,20 @@ def scipy_imports(source: str) -> list[int]:
     return lines
 
 
+def unused_imports(source: str) -> list[str]:
+    """Names that a module's import statements bind and its code never reads
+    (``from __future__`` imports aside)."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
 def test_package_source_imports_no_scipy():
     modules = sorted(SOURCE.glob("*.py"))
     assert modules
@@ -71,3 +87,24 @@ def test_names_that_only_contain_scipy_pass():
         "from .scipy_free import x\n"
     )
     assert scipy_imports(source) == []
+
+
+def test_package_source_uses_every_import():
+    modules = [p for p in sorted(SOURCE.glob("*.py")) if p.name != "__init__.py"]
+    assert modules
+    found = {p.name: unused_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+@pytest.mark.parametrize(
+    "source, unused",
+    [
+        ("from dataclasses import dataclass, field\n@dataclass\nclass A:\n    x: int\n", ["field"]),
+        ("import os.path\n", ["os"]),
+        ("import numpy as np\nimport math\nx = math.pi\n", ["np"]),
+        ("def f():\n    from json import dumps, loads\n    return loads\n", ["dumps"]),
+        ("from __future__ import annotations\nimport os\nx = os.sep\n", []),
+    ],
+)
+def test_unused_imports_are_found(source, unused):
+    assert unused_imports(source) == unused
