@@ -63,20 +63,6 @@ class LdrImage:
     data: np.ndarray  # (H, W, 3) uint8
     exposure: float = 1.0
 
-    @classmethod
-    def from_array(cls, data: np.ndarray, exposure: float = 1.0) -> "LdrImage":
-        data = np.asarray(data)
-        if data.ndim != 3 or data.shape[2] != 3:
-            raise ValidationError(f"LDR data must be (H, W, 3), got {data.shape}")
-        if data.dtype != np.uint8:
-            if np.any(data < 0) or np.any(data > 255):
-                raise ValidationError("LDR samples outside [0, 255]")
-            data = data.astype(np.uint8)
-        if not 0 < exposure < math.inf:  # also false for NaN
-            raise ValidationError(f"exposure must be finite and > 0, got {exposure}")
-        h, w = data.shape[:2]
-        return cls(width=w, height=h, data=data, exposure=float(exposure))
-
 
 # ---------------------------------------------------------------------------
 # Radiance RGBE
@@ -260,18 +246,21 @@ def encode_hdr(m: RadianceMap) -> bytes:
     """Encode a radiance map as an uncompressed (flat-scanline) RGBE file."""
     m.validate()
     header = f"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n-Y {m.height} +X {m.width}\n"
-    data = m.data.astype(np.float64)
+    data = m.data.astype(np.float64)  # the one working copy, scaled in place
     maxc = data.max(axis=2)
-    nonzero = maxc >= RGBE_ZERO_THRESHOLD
+    zero = maxc < RGBE_ZERO_THRESHOLD
 
-    _, exp = np.frexp(maxc)  # maxc in [2^(e-1), 2^e)
-    exp = np.clip(exp, -127, 127)
-    scale = np.ldexp(1.0, 8 - exp)
-    mant = np.clip(np.floor(data * scale[..., None]), 0, 255)
+    exp = np.clip(np.frexp(maxc)[1], -127, 127)  # maxc in [2^(e-1), 2^e)
+    data *= np.ldexp(1.0, 8 - exp)[..., None]
+    np.floor(data, out=data)
+    np.clip(data, 0, 255, out=data)
+    data[zero] = 0
+    exp += 128
+    exp[zero] = 0
 
-    rgbe = np.zeros((m.height, m.width, 4), dtype=np.uint8)
-    rgbe[..., :3] = np.where(nonzero[..., None], mant, 0).astype(np.uint8)
-    rgbe[..., 3] = np.where(nonzero, exp + 128, 0).astype(np.uint8)
+    rgbe = np.empty((m.height, m.width, 4), dtype=np.uint8)
+    rgbe[..., :3] = data
+    rgbe[..., 3] = exp
     return header.encode("ascii") + rgbe.tobytes()
 
 
@@ -358,7 +347,10 @@ def exposure_sidecar_path(ppm_path: str | Path) -> Path:
 
 
 def save_ldr(path: str | Path, img: LdrImage) -> None:
-    """Write ``<path>`` as PPM plus a ``<name>.exposure`` sidecar."""
+    """Write ``<path>`` as PPM plus a ``<name>.exposure`` sidecar, refusing an
+    exposure that :func:`load_ldr` would refuse."""
+    if not 0 < img.exposure < math.inf:  # also false for NaN
+        raise ValidationError(f"exposure must be finite and > 0, got {img.exposure}")
     path = Path(path)
     path.write_bytes(write_ppm(img))
     exposure_sidecar_path(path).write_text(f"{img.exposure!r}\n")

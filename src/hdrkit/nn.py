@@ -25,10 +25,8 @@ offset.  So the result is bitwise the same on any number of threads.
 Each keep-mask element reads one 16-bit lane, a quarter of a raw PCG64
 output, and drops with probability p rounded up to a multiple of 2**-16.
 
-Nothing here is shared between networks, so replicas of one network can
-run forward and backward on separate threads.  The one process-wide state
-is BLAS's thread count, which every engine call caps at one thread
-(``_blas_one_thread``).
+The one process-wide state is BLAS's thread count, which every engine call
+caps at one thread (``_blas_one_thread``).
 """
 
 from __future__ import annotations
@@ -230,10 +228,10 @@ class _Slices:
             future.result()
 
 
-def _slice_threads(x: np.ndarray, threads: int | None) -> int:
-    """Slice threads for an (N, C, H, W) batch: ``threads`` (default one per
-    CPU), but at most one per ``_SLICE_PIXELS`` pixels of the batch."""
-    return min(threads or _cpu_count(), x.shape[0] * x.shape[2] * x.shape[3] // _SLICE_PIXELS)
+def _slice_threads(x: np.ndarray) -> int:
+    """Slice threads for an (N, C, H, W) batch: one per CPU, but at most one
+    per ``_SLICE_PIXELS`` pixels of the batch."""
+    return min(_cpu_count(), x.shape[0] * x.shape[2] * x.shape[3] // _SLICE_PIXELS)
 
 
 def _channel_total(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -617,24 +615,22 @@ class Network:
         self.blocks = [_Block(ls, i, rng, self.dtype) for i, ls in enumerate(spec.layers)]
         self.blocks[0].conv.input_grad = False
 
-    def forward(self, x: np.ndarray, train: bool = False, rng=None,
-                threads: int | None = None) -> np.ndarray:
-        """Run every block on ``min(N, threads)`` slices of the batch, one
-        thread each (``threads`` defaults to one per CPU), with at least
-        ``_SLICE_PIXELS`` pixels per slice.  The result does not depend on
-        the number of slices.  A train forward normalizes on the batch's
-        statistics and applies the spec's dropout, drawn from ``rng``, a
-        PCG64 or PCG64DXSM Generator; an eval forward uses the running
-        statistics and no dropout.  BLAS runs on one thread."""
+    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
+        """Run every block on ``min(N, CPUs)`` slices of the batch, one
+        thread each, with at least ``_SLICE_PIXELS`` pixels per slice.  The
+        result does not depend on the number of slices.  A train forward
+        normalizes on the batch's statistics and applies the spec's dropout,
+        drawn from ``rng``, a PCG64 or PCG64DXSM Generator; an eval forward
+        uses the running statistics and no dropout.  BLAS runs on one thread."""
         x = check_tensor4(x, "input").astype(self.dtype, copy=False)
         if train and any(b.spec.dropout_p > 0 for b in self.blocks):
             _check_dropout_rng(rng)
-        with _blas_one_thread(), _Slices(x.shape[0], _slice_threads(x, threads)) as slices:
+        with _blas_one_thread(), _Slices(x.shape[0], _slice_threads(x)) as slices:
             for block in self.blocks:
                 x = block.forward(x, train, rng, slices)
         return x
 
-    def backward(self, dy: np.ndarray, threads: int | None = None) -> None:
+    def backward(self, dy: np.ndarray) -> None:
         """Fill every parameter gradient from the loss gradient ``dy``, on
         slices of the batch as in :meth:`forward`.
 
@@ -642,7 +638,7 @@ class Network:
         ``dy`` itself is only read, by the output conv; each hidden block's
         mask multiply overwrites the fresh input gradient of the conv above it.
         """
-        with _blas_one_thread(), _Slices(dy.shape[0], _slice_threads(dy, threads)) as slices:
+        with _blas_one_thread(), _Slices(dy.shape[0], _slice_threads(dy)) as slices:
             for block in reversed(self.blocks):
                 dy = block.backward(dy, slices)
 
@@ -827,7 +823,7 @@ def grad_check(
     net.backward(dpred)
 
     reports = []
-    with _blas_one_thread(), _Slices(x.shape[0], _slice_threads(x, None)) as slices:
+    with _blas_one_thread(), _Slices(x.shape[0], _slice_threads(x)) as slices:
 
         def loss_only() -> float:
             y = x

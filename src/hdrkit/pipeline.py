@@ -10,14 +10,12 @@ training and inference.
 Training regresses 64x64 patches with mini-batch SGD along a single path:
 ``train`` (``hyperparam_search`` runs it too) shuffles the samples once per
 epoch and sends every mini-batch through one ``ParallelTrainer``'s
-``step``, the only SGD step.  That data-parallel step keeps
-identical parameter replicas on ``cfg.workers`` workers, computes shard
-gradients concurrently on a thread pool, sums them in ascending worker
-order scaled to the whole-batch mean, updates worker 0, and broadcasts the
-result; with one worker it is the plain serial step.  Each shard's network
-splits its part of the batch over an equal share of the CPUs.  BLAS runs on
-one thread inside every engine call, and the trainer holds that cap around
-its shard pool.
+``step``, the only SGD step.  That step splits the batch into
+``cfg.workers`` shards and runs them one after another on the one network,
+each with its own batchnorm statistics and dropout stream; it sums their
+gradients in ascending worker order, scaled to the whole-batch mean, and
+makes one update.  With one worker it is the plain serial step.  Every
+forward and backward splits its shard over the CPUs.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import functools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +38,8 @@ from .camera import (
 )
 from .errors import ParameterError, ValidationError
 from .image_io import RadianceMap
-from .imgproc import LabImage, _cpu_count, bilateral_filter, lab_to_rgb, luminance, rgb_to_lab
-from .nn import LayerSpec, Network, NetworkSpec, _blas_one_thread, mse_loss, sgd_step
+from .imgproc import LabImage, bilateral_filter, lab_to_rgb, luminance, rgb_to_lab
+from .nn import LayerSpec, Network, NetworkSpec, mse_loss, sgd_step
 from .tmo import TmqiScore, ToneMap, select_best_tmo
 
 LDR2HDR_CHANNELS = ("R", "G", "B")
@@ -369,7 +366,7 @@ def build_ldr2hdr_samples(
 def build_tonemap_samples(
     scenes: list[RadianceMap],
     cfg: TrainConfig,
-    crf: Crf | None = None,
+    crf: Crf,
 ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], list[tuple[str, TmqiScore]]]:
     """Per-channel patch arrays targeting each scene's best tone map."""
     selections: list[tuple[str, TmqiScore]] = []
@@ -417,13 +414,14 @@ def _diverged(net: Network, x: np.ndarray, what: str = "loss") -> ValidationErro
 @functools.cache
 def _unmap_large_buffers() -> None:
     """Fix glibc's mmap threshold at 16 MiB, process-wide.  By default glibc
-    raises it as buffers are freed, then keeps freed activations in the arenas
-    of short-lived threads, so a run's peak RSS hung on thread timing."""
+    raises it as large buffers are freed and serves later activations from
+    its heap: without this, the ``train`` benchmark's peak RSS read 339-371
+    MiB over 10 seeds, and 329-355 MiB with it."""
     if sys.platform == "linux" and hasattr(libc := ctypes.CDLL(None), "mallopt"):
         libc.mallopt(-3, 16 << 20)  # -3 is M_MMAP_THRESHOLD, in bytes
 
 
-def eval_mse(net: Network, samples, batch_size: int = 40) -> float:
+def eval_mse(net: Network, samples, batch_size: int) -> float:
     """Sample-weighted mean MSE in eval mode (no dropout, running BN stats)."""
     x_all, y_all = _as_arrays(samples, net.dtype)
     n = x_all.shape[0]
@@ -439,95 +437,67 @@ def eval_mse(net: Network, samples, batch_size: int = 40) -> float:
 
 
 class ParallelTrainer:
-    """Deterministic in-process data parallelism over K parameter replicas.
+    """The SGD step, on ``cfg.workers`` shards of each batch (ghost batch
+    normalization, Hoffer, Hubara & Soudry 2017).
 
-    Contract per step: replicas start identical; each computes gradients on
-    its shard independently, in train mode (batchnorm on the shard's own
-    statistics, dropout from its own :func:`dropout_stream`); worker 0 sums
-    the shard gradients in ascending worker order, scaled to the whole-batch
-    mean; worker 0 applies the SGD update; the new state is broadcast.
-    Without batchnorm or dropout, the sum is the serial whole-batch gradient
-    up to rounding.
+    The shards run in worker order on the one network, each a train
+    forward (batchnorm on the shard's own statistics, dropout from its own
+    :func:`dropout_stream`), the loss and the backward; their gradients are
+    summed in worker order, scaled to the whole-batch mean, and one SGD
+    update follows.  Without batchnorm or dropout the sum is the serial
+    whole-batch gradient up to rounding.  Each shard's forward moves the
+    batchnorm running statistics in turn.  Every forward and backward
+    splits its shard over the CPUs (:meth:`Network.forward`).
 
-    The non-empty shards run on a pool of ``min(shards, CPUs)`` threads,
-    and each shard's network on ``max(1, CPUs // shards)`` slice threads,
-    with BLAS on one thread.  Losses, the divergence check and the gradient
-    sum wait for every shard and go in worker order, so the result is
-    bitwise that of running the shards one after another.
+    The class keeps its name and ``step`` because ``perfbench`` times them.
     """
 
-    def __init__(self, net: Network, workers: int, cfg: TrainConfig) -> None:
-        if workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {workers}")
+    def __init__(self, net: Network, cfg: TrainConfig) -> None:
         _unmap_large_buffers()
         self.cfg = cfg
-        self.master = net
-        self.replicas = [net.clone() for _ in range(workers - 1)]
+        self.net = net
         self.velocity: list | None = None
         self.step_index = 0
 
-    @property
-    def workers(self) -> list[Network]:
-        return [self.master, *self.replicas]
-
     def shard_slices(self, n: int) -> list[slice]:
-        size = math.ceil(n / len(self.workers))
-        return [slice(min(i * size, n), min((i + 1) * size, n)) for i in range(len(self.workers))]
+        k = self.cfg.workers
+        size = math.ceil(n / k)
+        return [slice(min(i * size, n), min((i + 1) * size, n)) for i in range(k)]
 
     def accumulate_gradients(self, x: np.ndarray, y: np.ndarray) -> tuple[float, list[np.ndarray]]:
-        """Forward/backward on all shards; returns (batch loss, summed grads)."""
+        """Forward/backward on every shard; returns (batch loss, summed grads)."""
         n = x.shape[0]
         if n < 1:
             raise ParameterError("need at least one sample in the batch")
-        # A surplus worker idles when K > batch size.
-        shards = [
-            (w, worker, sl)
-            for w, (worker, sl) in enumerate(zip(self.workers, self.shard_slices(n)))
-            if sl.start < sl.stop
-        ]
-
-        pool_size = min(len(shards), _cpu_count())
-        slice_threads = max(1, _cpu_count() // len(shards))
-
-        def run(shard) -> float:
-            w, worker, sl = shard
-            rng = dropout_stream(self.cfg.seed, self.step_index, w)
-            pred = worker.forward(x[sl], train=True, rng=rng, threads=slice_threads)
-            loss, dpred = mse_loss(pred, y[sl])
-            if math.isfinite(loss):
-                worker.backward(dpred, threads=slice_threads)
-            return loss
-
-        with _blas_one_thread(), ThreadPoolExecutor(pool_size) as pool:
-            futures = [pool.submit(run, shard) for shard in shards]
-        losses = [f.result() for f in futures]
-
+        net = self.net
         loss_total = 0.0
         agg: list[np.ndarray] | None = None
-        for (_, worker, sl), loss in zip(shards, losses):
+        for w, sl in enumerate(self.shard_slices(n)):
+            if sl.start == sl.stop:  # a surplus worker idles when K > batch size
+                continue
+            rng = dropout_stream(self.cfg.seed, self.step_index, w)
+            loss, dpred = mse_loss(net.forward(x[sl], train=True, rng=rng), y[sl])
             if not math.isfinite(loss):
-                raise _diverged(worker, x[sl])
+                raise _diverged(net, x[sl])
+            net.backward(dpred)
             factor = (sl.stop - sl.start) / n
             if agg is None:
-                agg = [factor * g for g in worker.grads()]
+                agg = [factor * g for g in net.grads()]
             else:
-                for acc, g in zip(agg, worker.grads()):
+                for acc, g in zip(agg, net.grads()):
                     acc += factor * g
             loss_total += factor * loss
         assert agg is not None
         return loss_total, agg
 
     def step(self, x: np.ndarray, y: np.ndarray) -> float:
-        x = x.astype(self.master.dtype, copy=False)
-        y = y.astype(self.master.dtype, copy=False)
+        x = x.astype(self.net.dtype, copy=False)
+        y = y.astype(self.net.dtype, copy=False)
         loss, grads = self.accumulate_gradients(x, y)
-        self.velocity = sgd_step(
-            self.master.params(), grads, self.cfg.lr, self.cfg.momentum, self.velocity
-        )
-        if not all(np.isfinite(p).all() for p in self.master.params()):
-            raise _diverged(self.master, x, "weights")
-        for replica in self.replicas:
-            replica.copy_state_from(self.master)
+        self.velocity = sgd_step(self.net.params(), grads, self.cfg.lr, self.cfg.momentum,
+                                 self.velocity)
+        if not all(np.isfinite(p).all() for p in self.net.params()):
+            raise _diverged(self.net, x, "weights")
         self.step_index += 1
         return loss
 
@@ -545,7 +515,7 @@ def train(net: Network, samples, cfg: TrainConfig, epochs: int | None = None) ->
     n = x_all.shape[0]
     if n < 1:
         raise ParameterError("need at least one sample")
-    trainer = ParallelTrainer(net, cfg.workers, cfg)
+    trainer = ParallelTrainer(net, cfg)
     shuffle_rng = np.random.default_rng(cfg.seed)
     state = TrainState()
     for epoch in range(1, epochs + 1):
@@ -611,12 +581,18 @@ def infer_ldr2hdr(
     scale: float = 1.0,
     target_domain: str = "linear",
 ) -> RadianceMap:
-    """Predict a radiance map from an exposure stack with the R/G/B networks."""
+    """Predict a radiance map from an exposure stack with the R/G/B networks,
+    times ``scale``."""
+    if not 0 < scale < math.inf:  # also false for NaN
+        raise ParameterError(f"scale must be finite and > 0, got {scale}")
     out = np.empty((stack.height, stack.width, 3), dtype=np.float32)
     for i, ch in enumerate(LDR2HDR_CHANNELS):
         planes = stack_channel_planes(stack, i)
         pred = _forward_tiled(nets[ch], planes, patch).astype(np.float64)
-        out[..., i] = (invert_target(pred, target_domain) * scale).astype(np.float32)
+        with np.errstate(over="ignore"):
+            out[..., i] = (invert_target(pred, target_domain) * scale).astype(np.float32)
+    if not np.isfinite(out).all():
+        raise ValidationError(f"predicted radiance times scale {scale} overflows float32")
     np.maximum(out, 0.0, out=out)  # radiance is non-negative by contract
     return RadianceMap(width=stack.width, height=stack.height, data=out)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Crf, ExposureStack, fixed_stack, gamma_crf
+from .camera import Crf, ExposureStack, fixed_stack
 from .errors import ParameterError, ValidationError
 from .image_io import RadianceMap
 from .imgproc import luminance
@@ -376,7 +376,7 @@ def tmqi(m: RadianceMap, tm: ToneMap) -> TmqiScore:
 OPERATORS = ("reinhard", "drago", "mertens")
 
 
-def apply_operator(m: RadianceMap, operator: str, crf: Crf | None = None) -> ToneMap:
+def apply_operator(m: RadianceMap, operator: str, crf: Crf) -> ToneMap:
     """Apply one named operator with its default parameters; mertens runs on
     a synthesized fixed stack."""
     if operator == "reinhard":
@@ -384,16 +384,14 @@ def apply_operator(m: RadianceMap, operator: str, crf: Crf | None = None) -> Ton
     if operator == "drago":
         return drago(m)
     if operator == "mertens":
-        if crf is None:
-            crf = gamma_crf(2.2)
         return mertens_fuse(fixed_stack(m, crf))
     raise ParameterError(f"unknown operator {operator!r}")
 
 
 def select_best_tmo(
     m: RadianceMap,
+    crf: Crf,
     operators: tuple[str, ...] = OPERATORS,
-    crf: Crf | None = None,
 ) -> tuple[ToneMap, str, TmqiScore, list[tuple[str, TmqiScore]]]:
     """Score every operator with TMQI and return the argmax (ties: list order).
 

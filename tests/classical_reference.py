@@ -7,6 +7,8 @@ stacked from per-image temporaries, the Debevec merge gathering each
 estimate and weight per pixel, and TMQI scoring every operator from scratch,
 the HDR side included.  ``reinhard_global`` and ``drago`` scale a full-size
 product of the colors and then clip it into another (``scale_colors``).
+``encode_hdr`` scales, floors and clips the map into fresh f64 arrays and
+zeroes the sub-threshold pixels with ``np.where``.
 
 ``format_crf`` writes the ``index r g b`` text that ``load_crf`` parses;
 hdrkit itself only reads that format.
@@ -18,7 +20,7 @@ import numpy as np
 
 from hdrkit.camera import _CODE_GRID, Crf, ExposureStack, inverse_lut
 from hdrkit.errors import ParameterError, ValidationError
-from hdrkit.image_io import LdrImage, RadianceMap
+from hdrkit.image_io import RGBE_ZERO_THRESHOLD, LdrImage, RadianceMap
 from hdrkit.imgproc import luminance, round_half_up
 from hdrkit.merge import hat_weight
 from hdrkit.tmo import (
@@ -204,3 +206,21 @@ def drago(m: RadianceMap, bias: float = 0.85, l_max: float | None = None) -> Ton
     denom = np.log(2.0 + 8.0 * (lum / l_max) ** exponent)
     display = (np.log1p(lum) / math.log1p(l_max)) * (math.log(10.0) / denom)
     return ToneMap(m.width, m.height, scale_colors(m.data.astype(np.float64), lum, display))
+
+
+def encode_hdr(m: RadianceMap) -> bytes:
+    m.validate()
+    header = f"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n-Y {m.height} +X {m.width}\n"
+    data = m.data.astype(np.float64)
+    maxc = data.max(axis=2)
+    nonzero = maxc >= RGBE_ZERO_THRESHOLD
+
+    _, exp = np.frexp(maxc)  # maxc in [2^(e-1), 2^e)
+    exp = np.clip(exp, -127, 127)
+    scale = np.ldexp(1.0, 8 - exp)
+    mant = np.clip(np.floor(data * scale[..., None]), 0, 255)
+
+    rgbe = np.zeros((m.height, m.width, 4), dtype=np.uint8)
+    rgbe[..., :3] = np.where(nonzero[..., None], mant, 0).astype(np.uint8)
+    rgbe[..., 3] = np.where(nonzero, exp + 128, 0).astype(np.uint8)
+    return header.encode("ascii") + rgbe.tobytes()

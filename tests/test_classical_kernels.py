@@ -21,7 +21,7 @@ from hdrkit.camera import (
     gamma_crf,
     geometric_ladder,
 )
-from hdrkit.image_io import RadianceMap
+from hdrkit.image_io import RadianceMap, encode_hdr
 from hdrkit.imgproc import entropy, luminance
 from hdrkit.merge import debevec_merge
 from hdrkit.pipeline import normalize_hdr
@@ -75,6 +75,15 @@ def _grid_hits(h, w):
     )
 
 
+def _rgbe_edges():
+    """Every mix of channel values at and around the RGBE zero threshold,
+    and up to the float32 maximum."""
+    values = np.array([0.0, 1e-33, 1e-32, 2e-32, 1.0, 255.0, 3e38, np.finfo(np.float32).max],
+                      np.float32)
+    grid = np.stack(np.meshgrid(values, values, values, indexing="ij"), axis=-1)
+    return RadianceMap.from_array(grid.reshape(8, 64, 3))
+
+
 exposure_times = st.one_of(st.sampled_from(DTS), st.floats(1e-6, 1e6))
 crf_names = st.sampled_from(sorted(CRFS))
 
@@ -121,6 +130,13 @@ class TestBitwiseAgainstReference:
     def test_reinhard_and_drago(self, m):
         assert _same_array(reinhard_global(m).data, ref.reinhard_global(m).data)
         assert _same_array(drago(m).data, ref.drago(m).data)
+
+    @PROPERTIES
+    @given(radiance_maps())
+    @example(_zeros(3, 4))
+    @example(_rgbe_edges())
+    def test_encode_hdr(self, m):
+        assert encode_hdr(m) == ref.encode_hdr(m)
 
     @PROPERTIES
     @given(radiance_maps(), st.lists(exposure_times, min_size=8, max_size=8), crf_names)
@@ -223,6 +239,12 @@ class TestWorkingMemory:
         m = self._map()
         assert self._peak_images(lambda: operator(m), self.SHAPE) <= 3.0
 
+    def test_encode_hdr_stays_within_two_and_a_half_images(self):
+        # one f64 working copy scaled in place, its per-pixel planes and the
+        # RGBE bytes; the earlier implementation reached 4.5
+        m = self._map()
+        assert self._peak_images(lambda: encode_hdr(m), self.SHAPE) <= 2.5
+
     def test_reference_implementations_exceed_the_bounds(self):
         m, crf = self._map(), gamma_crf(2.2)
         stack = fixed_stack(m, crf)
@@ -230,3 +252,4 @@ class TestWorkingMemory:
         assert self._peak_images(lambda: ref.debevec_merge(stack, crf), self.SHAPE) > 2.5
         assert self._peak_images(lambda: ref.reinhard_global(m), self.SHAPE) > 3.0
         assert self._peak_images(lambda: ref.drago(m), self.SHAPE) > 3.0
+        assert self._peak_images(lambda: ref.encode_hdr(m), self.SHAPE) > 2.5

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import ldr_image
 import numpy as np
 import pytest
 from classical_reference import format_crf
@@ -14,7 +15,6 @@ from hdrkit import cli, pipeline
 from hdrkit.camera import gamma_crf
 from hdrkit.cli import run
 from hdrkit.image_io import (
-    LdrImage,
     load_ldr,
     load_radiance,
     read_ppm,
@@ -413,7 +413,7 @@ def test_channel_checkpoints_must_agree(tmp_path, capsys, metas, named):
     inputs = []
     for k in range(5):
         inputs.append(str(tmp_path / f"shot{k}.ppm"))
-        save_ldr(inputs[-1], LdrImage.from_array(np.full((8, 8, 3), 40 * k, np.uint8), 2.0**k))
+        save_ldr(inputs[-1], ldr_image(np.full((8, 8, 3), 40 * k, np.uint8), 2.0**k))
     capsys.readouterr()
     code = run(["infer-ldr2hdr", "--inputs", *inputs, "--checkpoints", str(tmp_path),
                 "--out", str(tmp_path / "out")])
@@ -438,6 +438,35 @@ def test_tonemap_checkpoints_need_not_agree_on_target_domain(tmp_path, capsys):
     assert run([*argv, "--out", str(tmp_path / "out2")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:validation: checkpoints disagree on patch:") and "32" in err, err
+
+
+@pytest.mark.parametrize("scale, category", [
+    ("0", "parameter"), ("-1", "parameter"), ("nan", "parameter"), ("inf", "parameter"),
+    ("1e39", "validation"),
+])
+def test_bad_scale_is_one_error_line(tmp_path, scale, category):
+    """``infer-ldr2hdr --scale`` refuses a scale that is not finite and > 0,
+    and a finite one whose radiance overflows float32: exit 1, one stderr
+    line naming the scale, and no radiance map written."""
+    net = Network(NetworkSpec(layers=(LayerSpec("output1x1", 5, 1),)))
+    net.load_tensors([np.ones_like(arr) for _, arr in net.tensors()])  # every pixel bright
+    for ch in LDR2HDR_CHANNELS:
+        (tmp_path / f"ldr2hdr_{ch}.ckpt").write_bytes(save_checkpoint(net, {"final_loss": 0.1}))
+    inputs = []
+    for k in range(5):
+        inputs.append(str(tmp_path / f"shot{k}.ppm"))
+        save_ldr(inputs[-1], ldr_image(np.full((8, 8, 3), 40 * k, np.uint8), 2.0**k))
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(hdrkit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hdrkit.cli", "infer-ldr2hdr", "--inputs", *inputs,
+         "--checkpoints", str(tmp_path), "--out", str(out), "--scale", scale],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error:{category}:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert str(float(scale)) in proc.stderr, proc.stderr
+    assert not (out / "predicted.hdr").exists()
 
 
 @pytest.mark.parametrize("command", ["train-ldr2hdr", "infer-tonemap"])
@@ -490,7 +519,7 @@ def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):
     stack = []
     for k in range(5):
         stack.append(str(tmp_path / f"shot{k}.ppm"))
-        save_ldr(stack[-1], LdrImage.from_array(np.full((4, 4, 3), 40 * k, np.uint8), 2.0**k))
+        save_ldr(stack[-1], ldr_image(np.full((4, 4, 3), 40 * k, np.uint8), 2.0**k))
     merge = ["merge", "--inputs", *stack[1:]]
     tmo = ["tmo", "--operator", "reinhard", "--input"]
     hdr = b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n"

@@ -1,3 +1,4 @@
+from conftest import ldr_image
 import numpy as np
 import pytest
 
@@ -10,7 +11,6 @@ from hdrkit.errors import (
 )
 from hdrkit.image_io import (
     ByteReader,
-    LdrImage,
     RadianceMap,
     decode_hdr,
     encode_hdr,
@@ -208,18 +208,18 @@ class TestPfm:
 
 class TestPpm:
     def test_round_trip_bitwise(self):
-        img = LdrImage.from_array(
+        img = ldr_image(
             np.array([[[0, 0, 0], [255, 255, 255]]], np.uint8), exposure=8.0
         )
         back = read_ppm(write_ppm(img))
         assert np.array_equal(back.data, img.data)
 
     def test_header_layout(self):
-        img = LdrImage.from_array(np.zeros((64, 64, 3), np.uint8))
+        img = ldr_image(np.zeros((64, 64, 3), np.uint8))
         assert write_ppm(img).startswith(b"P6\n64 64\n255\n")
 
     def test_comments_skipped(self):
-        img = LdrImage.from_array(np.arange(12, dtype=np.uint8).reshape(2, 2, 3))
+        img = ldr_image(np.arange(12, dtype=np.uint8).reshape(2, 2, 3))
         plain = write_ppm(img)
         commented = plain.replace(b"P6\n", b"P6\n# a comment\n# another\n")
         assert np.array_equal(read_ppm(commented).data, read_ppm(plain).data)
@@ -248,7 +248,7 @@ class TestPpm:
 
 class TestSidecar:
     def test_save_load_with_exposure(self, tmp_path):
-        img = LdrImage.from_array(np.full((3, 2, 3), 9, np.uint8), exposure=512.0)
+        img = ldr_image(np.full((3, 2, 3), 9, np.uint8), exposure=512.0)
         path = tmp_path / "shot.ppm"
         save_ldr(path, img)
         assert exposure_sidecar_path(path).read_text().strip() == "512.0"
@@ -259,18 +259,21 @@ class TestSidecar:
     @pytest.mark.parametrize("text", ["nan", "inf", "-2", "0"])
     def test_bad_exposure_rejected(self, tmp_path, text):
         path = tmp_path / "shot.ppm"
-        path.write_bytes(write_ppm(LdrImage.from_array(np.zeros((1, 1, 3), np.uint8))))
+        path.write_bytes(write_ppm(ldr_image(np.zeros((1, 1, 3), np.uint8))))
         exposure_sidecar_path(path).write_text(text + "\n")
         with pytest.raises(ValidationError):
             load_ldr(path)
 
     @pytest.mark.parametrize("exposure", [np.nan, np.inf, -np.inf, -2.0, 0.0])
-    def test_bad_exposure_rejected_in_memory(self, exposure):
-        with pytest.raises(ValidationError):
-            LdrImage.from_array(np.zeros((1, 1, 3), np.uint8), exposure=exposure)
+    def test_bad_exposure_rejected_in_memory(self, tmp_path, exposure):
+        """An exposure that load_ldr would refuse is not written."""
+        path = tmp_path / "shot.ppm"
+        with pytest.raises(ValidationError, match="exposure"):
+            save_ldr(path, ldr_image(np.zeros((1, 1, 3), np.uint8), exposure=exposure))
+        assert not path.exists() and not exposure_sidecar_path(path).exists()
 
     def test_missing_sidecar_defaults_to_one(self, tmp_path):
-        img = LdrImage.from_array(np.zeros((1, 1, 3), np.uint8), exposure=64.0)
+        img = ldr_image(np.zeros((1, 1, 3), np.uint8), exposure=64.0)
         path = tmp_path / "bare.ppm"
         path.write_bytes(write_ppm(img))
         assert load_ldr(path).exposure == 1.0

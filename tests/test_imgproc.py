@@ -1,13 +1,13 @@
 import math
 import sys
 
+from conftest import ldr_image
 import numpy as np
 import pytest
 from imgproc_reference import bilateral_filter as reference_bilateral
 
 from hdrkit import imgproc, pipeline
 from hdrkit.errors import ParameterError
-from hdrkit.image_io import LdrImage
 from hdrkit.imgproc import (
     bilateral_filter,
     entropy,
@@ -56,31 +56,31 @@ class TestLab:
 
 class TestEntropy:
     def test_constant_image_zero(self):
-        img = LdrImage.from_array(np.full((8, 8, 3), 123, np.uint8))
+        img = ldr_image(np.full((8, 8, 3), 123, np.uint8))
         assert entropy(img) == 0.0
 
     def test_uniform_256_codes(self):
         g = np.arange(256, dtype=np.uint8).reshape(16, 16)
-        img = LdrImage.from_array(np.stack([g, g, g], axis=-1))
+        img = ldr_image(np.stack([g, g, g], axis=-1))
         assert entropy(img) == pytest.approx(8.0, abs=1e-9)
 
     def test_three_to_one_split(self):
         # counts (3, 1): -(0.75 log2 0.75 + 0.25 log2 0.25)
         g = np.array([[10, 10], [10, 200]], np.uint8)
-        img = LdrImage.from_array(np.stack([g, g, g], axis=-1))
+        img = ldr_image(np.stack([g, g, g], axis=-1))
         expected = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
         assert entropy(img) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.8113, abs=5e-5)
 
     def test_histogram_totals(self, rng):
-        img = LdrImage.from_array(rng.integers(0, 256, (9, 7, 3), dtype=np.uint8))
+        img = ldr_image(rng.integers(0, 256, (9, 7, 3), dtype=np.uint8))
         hist = luma_histogram(img)
         assert hist.shape == (256,)
         assert hist.sum() == 63
 
     def test_range_property(self, rng):
         for _ in range(10):
-            img = LdrImage.from_array(rng.integers(0, 256, (8, 8, 3), dtype=np.uint8))
+            img = ldr_image(rng.integers(0, 256, (8, 8, 3), dtype=np.uint8))
             assert 0.0 <= entropy(img) <= 8.0
 
 

@@ -1,8 +1,9 @@
+from conftest import ldr_image
 import numpy as np
 import pytest
 
 from hdrkit.camera import ExposureStack, expose, fixed_stack, gamma_crf
-from hdrkit.image_io import LdrImage, RadianceMap
+from hdrkit.image_io import RadianceMap
 from hdrkit.merge import debevec_merge, hat_weight
 from hdrkit.pipeline import normalize_hdr
 from hdrkit.synth import synth_scenes
@@ -43,11 +44,11 @@ class TestDebevecMerge:
         rng = np.random.default_rng(8)
         mid_codes = rng.integers(30, 220, (6, 6, 3), dtype=np.uint8)
         images = [
-            LdrImage.from_array(np.zeros((6, 6, 3), np.uint8), exposure=1.0),
-            LdrImage.from_array(np.zeros((6, 6, 3), np.uint8), exposure=8.0),
-            LdrImage.from_array(mid_codes, exposure=64.0),
-            LdrImage.from_array(np.full((6, 6, 3), 255, np.uint8), exposure=512.0),
-            LdrImage.from_array(np.full((6, 6, 3), 255, np.uint8), exposure=4096.0),
+            ldr_image(np.zeros((6, 6, 3), np.uint8), exposure=1.0),
+            ldr_image(np.zeros((6, 6, 3), np.uint8), exposure=8.0),
+            ldr_image(mid_codes, exposure=64.0),
+            ldr_image(np.full((6, 6, 3), 255, np.uint8), exposure=512.0),
+            ldr_image(np.full((6, 6, 3), 255, np.uint8), exposure=4096.0),
         ]
         rec = debevec_merge(ExposureStack(images=images), identity_crf)
         expected = mid_codes.astype(np.float64) / 255.0 / 64.0

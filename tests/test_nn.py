@@ -452,7 +452,7 @@ class TestSlicedEngine:
                 out.append(net.forward(x, train=True, frozen_gates=True))
             else:  # block by block under one set of slices, as grad_check runs it
                 y = x
-                with _Slices(x.shape[0], nn._slice_threads(x, None)) as slices:
+                with _Slices(x.shape[0], nn._slice_threads(x)) as slices:
                     for block in net.blocks:
                         y = block.forward(y, True, None, slices, frozen_gates=True)
                 out.append(y)
@@ -482,32 +482,13 @@ class TestSlicedEngine:
             assert _tensor_bytes(net) == _tensor_bytes(ref)
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
-    @pytest.mark.parametrize("cpus", [3], indirect=True)
-    def test_explicit_thread_count_overrides_cpus(self, cpus, monkeypatch):
-        """An explicit thread count overrides the CPU count, and gives the
-        same bytes."""
-        sizes = []
-        real = _Slices.__init__
-
-        def record(self, n, threads=1):
-            real(self, n, threads)
-            sizes.append(len(self.parts))
-
-        monkeypatch.setattr(_Slices, "__init__", record)
-        x = np.random.default_rng(3).normal(size=(4, 3, 5, 5)).astype(np.float32)
-        nets = [Network(SLICED_SPEC), Network(SLICED_SPEC)]
-        outs = [nets[0].forward(x, train=True, rng=np.random.default_rng(2), threads=2),
-                nets[1].forward(x, train=True, rng=np.random.default_rng(2))]
-        nets[0].backward(np.ones_like(outs[0]), threads=2)
-        assert sizes == [2, 3, 2]
-        assert outs[0].tobytes() == outs[1].tobytes()
-
     @pytest.mark.parametrize("shape, threads, expected", [
         ((40, 5, 64, 64), 2, 2), ((2, 5, 64, 64), 5, 2), ((4, 1, 64, 32), 5, 2),
         ((3, 5, 32, 32), 2, 1), ((2, 5, 8, 8), 2, 1), ((1, 5, 200, 200), 2, 1)])
-    def test_small_batches_take_fewer_slices(self, shape, threads, expected):
+    def test_small_batches_take_fewer_slices(self, monkeypatch, shape, threads, expected):
         """A slice gets at least one 64x64 patch's worth of pixels."""
-        assert len(_Slices(shape[0], nn._slice_threads(np.empty(shape), threads)).parts) == expected
+        monkeypatch.setattr(nn, "_cpu_count", lambda: threads)
+        assert len(_Slices(shape[0], nn._slice_threads(np.empty(shape))).parts) == expected
 
     def test_eval_forward_keeps_no_caches(self):
         net = Network(SLICED_SPEC)

@@ -4,6 +4,7 @@ For any input, each reader either returns an object that meets its
 invariants or raises an ``HdrkitError``; each writer's output reads back.
 """
 
+from conftest import ldr_image
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 from hdrkit.errors import HdrkitError
 from hdrkit.image_io import (
     RGBE_ZERO_THRESHOLD,
-    LdrImage,
     RadianceMap,
     decode_hdr,
     encode_hdr,
@@ -44,7 +44,7 @@ _rng = np.random.default_rng(5)
 VALID = {
     "hdr": _rle_hdr(),
     "pfm": write_pfm(RadianceMap.from_array(_rng.random((3, 4, 3)).astype(np.float32))),
-    "ppm": write_ppm(LdrImage.from_array(_rng.integers(0, 256, (3, 4, 3), dtype=np.uint8))).replace(
+    "ppm": write_ppm(ldr_image(_rng.integers(0, 256, (3, 4, 3), dtype=np.uint8))).replace(
         b"P6\n", b"P6\n# comment\n"
     ),
     "ckpt": save_checkpoint(
@@ -159,4 +159,4 @@ def test_pfm_round_trip_bitwise(m):
 @BOUNDED
 @given(arrays(np.uint8, st.tuples(st.integers(1, 6), st.integers(1, 6), st.just(3))))
 def test_ppm_round_trip_bitwise(data):
-    assert np.array_equal(read_ppm(write_ppm(LdrImage.from_array(data))).data, data)
+    assert np.array_equal(read_ppm(write_ppm(ldr_image(data))).data, data)

@@ -15,6 +15,7 @@ import re
 import tempfile
 from pathlib import Path
 
+from conftest import ldr_image
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +25,7 @@ from classical_reference import format_crf
 from hdrkit.camera import gamma_crf, load_crf
 from hdrkit.cli import run
 from hdrkit.errors import HdrkitError
-from hdrkit.image_io import LdrImage, load_ldr, save_ldr, save_radiance
+from hdrkit.image_io import load_ldr, save_ldr, save_radiance
 from hdrkit.nn import load_checkpoint
 from hdrkit.pipeline import LDR2HDR_CHANNELS
 from hdrkit.synth import synth_scenes
@@ -73,7 +74,7 @@ def test_load_crf_valid_or_hdrkit_error(text):
 def test_exposure_sidecar_valid_or_hdrkit_error(sidecar):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "shot.ppm"
-        save_ldr(path, LdrImage.from_array(np.zeros((2, 3, 3), np.uint8)))
+        save_ldr(path, ldr_image(np.zeros((2, 3, 3), np.uint8)))
         path.with_suffix(".exposure").write_bytes(sidecar)
         try:
             img = load_ldr(path)

@@ -6,6 +6,7 @@ import textwrap
 from pathlib import Path
 
 import hdrkit
+from conftest import ldr_image
 import numpy as np
 import pytest
 from scipy.signal import convolve2d
@@ -13,7 +14,7 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import norm as norm_dist
 from hdrkit.camera import fixed_stack, gamma_crf
 from hdrkit.errors import ParameterError
-from hdrkit.image_io import LdrImage, RadianceMap
+from hdrkit.image_io import RadianceMap
 from hdrkit.imgproc import luminance
 from hdrkit.pipeline import normalize_hdr
 from hdrkit.synth import synth_scenes
@@ -104,7 +105,7 @@ class TestMertens:
 
         codes = rng.integers(0, 256, (10, 10, 3), dtype=np.uint8)
         images = [
-            LdrImage.from_array(codes.copy(), exposure=float(2**k)) for k in range(5)
+            ldr_image(codes.copy(), exposure=float(2**k)) for k in range(5)
         ]
         return ExposureStack(images=images)
 
@@ -130,7 +131,7 @@ class TestMertens:
         images = []
         for k, level in enumerate((0, 0, 128, 255, 255)):
             data = np.clip(base - 120 + level, 0, 255).astype(np.uint8)
-            images.append(LdrImage.from_array(data, exposure=float(2**k)))
+            images.append(ldr_image(data, exposure=float(2**k)))
         stack = ExposureStack(images=images)
         weights = mertens_weights(stack)
         assert weights[2, probe[0], probe[1]] > 0.9
@@ -234,7 +235,7 @@ class TestNumpyOnly:
     def test_structural_fidelity_matches_scipy_single_scale(self, operator):
         norm, _ = normalize_hdr(synth_scenes(3, 198, seed=1)[1])  # the shared pair's scene
         lum_hdr = luminance(norm.data).astype(np.float64)
-        lum_tm = luminance(apply_operator(norm, operator).data).astype(np.float64) * 255.0
+        lum_tm = luminance(apply_operator(norm, operator, gamma_crf(2.2)).data).astype(np.float64) * 255.0
         expected = _slocal(_rescale_255(lum_hdr), _rescale_255(lum_tm), _window(), 16.0)
         assert abs(structural_fidelity(lum_hdr, lum_tm) - expected) <= 1e-8
 
@@ -270,7 +271,7 @@ class TestNumpyOnly:
 
 class TestSelectBest:
     def test_single_operator(self, small_scene):
-        tm, op, score, scores = select_best_tmo(small_scene, operators=("drago",))
+        tm, op, score, scores = select_best_tmo(small_scene, gamma_crf(2.2), operators=("drago",))
         assert op == "drago" and len(scores) == 1
 
     def test_argmax_matches_recomputation(self, small_scene):
@@ -287,9 +288,9 @@ class TestSelectBest:
 
     def test_tie_keeps_list_order(self, small_scene):
         # duplicated operator: identical scores, first entry wins
-        tm, op, score, scores = select_best_tmo(small_scene, operators=("drago", "drago"))
+        tm, op, score, scores = select_best_tmo(small_scene, gamma_crf(2.2), operators=("drago", "drago"))
         assert op == "drago" and scores[0][1].Q == scores[1][1].Q
 
     def test_requires_operator(self, small_scene):
         with pytest.raises(ParameterError):
-            select_best_tmo(small_scene, operators=())
+            select_best_tmo(small_scene, gamma_crf(2.2), operators=())
