@@ -26,7 +26,7 @@ from .camera import (
     geometric_ladder,
     load_crf,
 )
-from .errors import HdrkitError, ParameterError, UsageError, ValidationError
+from .errors import FormatError, HdrkitError, ParameterError, UsageError, ValidationError
 from .image_io import (
     LdrImage,
     load_ldr,
@@ -41,6 +41,7 @@ from .nn import LayerSpec, Network, NetworkSpec, grad_check, load_checkpoint, sa
 from .pipeline import (
     LDR2HDR_CHANNELS,
     TONEMAP_CHANNELS,
+    TONEMAP_SPLIT,
     TrainConfig,
     build_ldr2hdr_net,
     build_ldr2hdr_samples,
@@ -357,7 +358,8 @@ def _read_manifest(path: str):
     return scenes, crf, ladder
 
 
-def _train_channel_nets(channels, build_net, sample_sets, cfg, out, prefix):
+def _train_channel_nets(channels, build_net, sample_sets, cfg, out, prefix, tags):
+    """Train and save one net per channel; ``tags`` go into every checkpoint's metadata."""
     for ch in channels:
         x, y = sample_sets[ch]
         spec = build_net(ch, cfg.seed, cfg.dropout_p)
@@ -368,6 +370,7 @@ def _train_channel_nets(channels, build_net, sample_sets, cfg, out, prefix):
             "target_domain": cfg.target_domain,
             "patch": cfg.patch,
             "final_loss": state.curve[-1][1],
+            **tags,
         }
         (out / f"{prefix}_{ch}.ckpt").write_bytes(save_checkpoint(net, meta))
         (out / f"curve_{prefix}_{ch}.csv").write_text(curve_csv(state.curve))
@@ -383,7 +386,7 @@ def _cmd_train_ldr2hdr(args) -> int:
         raise ValidationError("manifest has no train scenes")
     samples = build_ldr2hdr_samples(scenes["train"], crf, cfg, mode=ladder)
     return _train_channel_nets(
-        LDR2HDR_CHANNELS, build_ldr2hdr_net, samples, cfg, out, "ldr2hdr"
+        LDR2HDR_CHANNELS, build_ldr2hdr_net, samples, cfg, out, "ldr2hdr", {}
     )
 
 
@@ -397,7 +400,8 @@ def _cmd_train_tonemap(args) -> int:
     ops = ",".join(op for op, _ in selections)
     print(f"selected operators: {ops}")
     return _train_channel_nets(
-        TONEMAP_CHANNELS, build_tonemap_net, samples, cfg, out, "tonemap"
+        TONEMAP_CHANNELS, build_tonemap_net, samples, cfg, out, "tonemap",
+        {"split": TONEMAP_SPLIT},
     )
 
 
@@ -429,9 +433,10 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _load_channel_nets(directory: str, prefix: str, channels, keys) -> tuple[dict, TrainConfig]:
+def _load_channel_nets(directory: str, prefix: str, channels, keys, tags) -> tuple[dict, TrainConfig]:
     """The channel nets and the ``patch``/``target_domain`` they were trained
-    with.  Every channel's checkpoint must agree on the ``keys`` inference reads."""
+    with.  Every channel's checkpoint must agree on the ``keys`` inference
+    reads, and carry each of the ``tags`` with the value given."""
     nets, first = {}, None
     for ch in channels:
         path = Path(directory) / f"{prefix}_{ch}.ckpt"
@@ -445,6 +450,10 @@ def _load_channel_nets(directory: str, prefix: str, channels, keys) -> tuple[dic
             cfg = TrainConfig.from_dict(trained_with)
         except ValidationError as e:
             raise ValidationError(f"checkpoint {path} metadata: {e}") from None
+        for tag, want in tags.items():
+            if meta.get(tag) != want:
+                raise FormatError(f"checkpoint {path} has {tag} {meta.get(tag)!r}, not {want!r}: "
+                                  "retrain it with this version")
         first = first or (path, cfg)
         for key in keys:
             if getattr(cfg, key) != getattr(first[1], key):
@@ -456,7 +465,7 @@ def _load_channel_nets(directory: str, prefix: str, channels, keys) -> tuple[dic
 def _cmd_infer_ldr2hdr(args) -> int:
     out = _out_dir(args)
     nets, cfg = _load_channel_nets(args.checkpoints, "ldr2hdr", LDR2HDR_CHANNELS,
-                                   ("patch", "target_domain"))
+                                   ("patch", "target_domain"), {})
     stack = _load_stack(args.inputs)
     predicted = infer_ldr2hdr(
         nets, stack, patch=cfg.patch, scale=args.scale, target_domain=cfg.target_domain
@@ -468,7 +477,8 @@ def _cmd_infer_ldr2hdr(args) -> int:
 
 def _cmd_infer_tonemap(args) -> int:
     out = _out_dir(args)
-    nets, cfg = _load_channel_nets(args.checkpoints, "tonemap", TONEMAP_CHANNELS, ("patch",))
+    nets, cfg = _load_channel_nets(args.checkpoints, "tonemap", TONEMAP_CHANNELS, ("patch",),
+                                   {"split": TONEMAP_SPLIT})
     m = _load_input_map(args.input, not args.no_normalize)
     tm = infer_tonemap(nets, m, patch=cfg.patch)
     (out / args.name).write_bytes(write_ppm(_tonemap_to_ldr(tm)))

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +78,8 @@ def rgb_to_lab(rgb: np.ndarray) -> LabImage:
     yr = xyz[..., 1] / D65_WHITE[1]
     zr = xyz[..., 2] / D65_WHITE[2]
     fx, fy, fz = _lab_f(xr), _lab_f(yr), _lab_f(zr)
-    # Direct two-branch L so that Y == 0 gives exactly L == 0.
-    L = np.where(yr > _LAB_DELTA3, 116.0 * np.cbrt(yr) - 16.0, _LAB_KAPPA * yr)
+    # Two-branch L so that Y == 0 gives exactly L == 0; above delta^3 fy is cbrt(yr).
+    L = np.where(yr > _LAB_DELTA3, 116.0 * fy - 16.0, _LAB_KAPPA * yr)
     a = 500.0 * (fx - fy)
     b = 200.0 * (fy - fz)
     return LabImage(L=L.astype(np.float32), a=a.astype(np.float32), b=b.astype(np.float32))
@@ -129,33 +127,107 @@ def entropy(img: LdrImage) -> float:
 # Bilateral filter
 # ---------------------------------------------------------------------------
 
-# One unit of work is a tile of output pixels against a whole row of window
-# offsets: (8, 256, 2r + 1) values per numpy call at most.  The column limit
-# keeps each thread's two scratch arrays at 32 KiB * (2r + 1) on wide planes.
-_BLOCK_ROWS = 8
-_BLOCK_COLS = 256
+# A bilateral grid (Paris & Durand, ECCV 2006; Chen, Paris & Durand, SIGGRAPH
+# 2007).  Cells are sigma / 2 on each axis, but never under one pixel, and the
+# grid's blur is a Gaussian of sigma / cell cells, truncated at twice that: on
+# the range axis and for sigma_s >= 2 that is 2 cells, truncated at 4.
+# The range axis is walked in bands of this many cells, each on a grid that
+# covers only its own pixels and the blur's reach around them, so that the
+# grid's size does not grow with the plane's (max - min) / sigma_r.
+_BAND_CELLS = 32
+# Range-cell indices are int64; this leaves room for corners and band ends.
+_MAX_CELLS = 2.0**62
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+def _taps(sigma_cells: float) -> np.ndarray:
+    """A Gaussian's taps at offsets 0, 1, ..., ceil(2 * sigma_cells)."""
+    k = np.arange(math.ceil(2.0 * sigma_cells) + 1.0)
+    with np.errstate(over="ignore"):  # a tiny sigma gives taps exp(-inf) == 0
+        return np.exp(-0.5 * (k / sigma_cells) ** 2)
+
+
+_RANGE_TAPS = _taps(2.0)
+_RANGE_REACH = len(_RANGE_TAPS) - 1
+
+
+def _corners(cells, fractions, points, origin, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and trilinear weights, each (8, n), of the corners around
+    n points of a grid of ``shape`` that starts at cell ``origin``; ``cells``
+    and ``fractions`` hold every point's integer cells and fractions along
+    (row, column, value), and ``points`` picks the n."""
+    iy, ix, iz = (c[points] - o for c, o in zip(cells, origin))
+    fy, fx, fz = (f[points] for f in fractions)
+    _, nx, nz = shape
+    steps = np.array([dy * nx * nz + dx * nz + dz
+                      for dy in (0, 1) for dx in (0, 1) for dz in (0, 1)])
+    index = ((iy * nx + ix) * nz + iz) + steps[:, None]
+    weights = np.empty(index.shape)
+    corner = iter(weights)
+    for wy in (1.0 - fy, fy):
+        for wx in (1.0 - fx, fx):
+            wyx = wy * wx
+            for wz in (1.0 - fz, fz):
+                np.multiply(wyx, wz, out=next(corner))
+    return index, weights
+
+
+def _blur(grid: np.ndarray, taps: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Blur a (2, ny, nx, nz) grid along its last three axes, each with its
+    symmetric kernel's taps at offsets 0, 1, ...; the grid is zero outside."""
+    for axis, t in enumerate(taps, start=1):
+        n, reach = grid.shape[axis], len(t) - 1
+        pad = [(0, 0)] * grid.ndim
+        pad[axis] = (reach, reach)
+        src = np.moveaxis(np.pad(grid, pad), axis, 0)
+        out = np.multiply(src[reach : reach + n], t[0])
+        pair = np.empty_like(out)
+        for k in range(1, reach + 1):
+            np.add(src[reach - k : reach - k + n], src[reach + k : reach + k + n], out=pair)
+            pair *= t[k]
+            out += pair
+        grid = np.moveaxis(out, 0, axis)
+    return grid
+
+
+def _grid_pass(cells, fractions, values, offset, src, dst, taps) -> np.ndarray:
+    """Splat the points ``src`` with their ``values`` less ``offset`` into a
+    grid that spans their cells, blur it with ``taps`` per axis, and slice it
+    at the points ``dst``: the filtered value, less ``offset``, of each."""
+    ends = [(at.min(), at.max()) for at in (c[src] for c in cells)]
+    origin = [lo for lo, _ in ends]
+    shape = tuple(int(hi - lo) + 2 for lo, hi in ends)
+    size = math.prod(shape)
+    index, weights = _corners(cells, fractions, src, origin, shape)
+    index = index.ravel()
+    grid = np.stack([np.bincount(index, (weights * (values[src] - offset)).ravel(), size),
+                     np.bincount(index, weights.ravel(), size)])
+    grid = _blur(grid.reshape((2,) + shape), taps).reshape(2, size)
+    index, weights = _corners(cells, fractions, dst, origin, shape)
+    num = (weights * np.take(grid[0], index)).sum(axis=0)
+    den = (weights * np.take(grid[1], index)).sum(axis=0)
+    return num / den
 
 
 def bilateral_filter(plane: np.ndarray, sigma_s: float, sigma_r: float) -> np.ndarray:
-    """Gaussian-in-space, Gaussian-in-range filter with reflect padding.
+    """Gaussian-in-space, Gaussian-in-range filter on a bilateral grid.
 
-    Window radius is ceil(3 * sigma_s); the output at each pixel is a convex
-    combination of window values, so it never leaves the input's range.
-    Both sigmas must be finite and positive, and sigma_r must not be so
-    small that a finite plane's values over sqrt(2) * sigma_r overflow.
+    The plane is reflect-padded by ceil(3 * sigma_s), splatted trilinearly
+    (value and weight) into a grid of (row, column, value) cells, blurred
+    there, and sliced back trilinearly at the plane's pixels: output =
+    blurred value sum / blurred weight sum.  Each output is a convex
+    combination of the plane's values, so it stays inside the input's range
+    up to rounding; a constant plane comes back unchanged.  It approximates
+    the brute-force filter over a window of radius ceil(3 * sigma_s): at
+    sigma_s = 8, sigma_r = 10 on the L* planes of the benchmark's scenes,
+    within 1.25 L* at most and 0.1 L* rms (measured: 1.22 and 0.084).
 
-    The work runs in tiles of ``_BLOCK_ROWS`` x ``_BLOCK_COLS`` output pixels
-    on a pool of ``min(tiles, CPUs)`` threads.  Each tile owns its pixels of
-    the sums and adds its offsets in a fixed order, so the output does not
-    depend on the number of CPUs.
+    The range axis runs in bands of ``_BAND_CELLS`` cells, so the memory
+    used grows with the plane's size and not with its range: a band's grid
+    covers the cells of the pixels it needs and no others.  Both sigmas must
+    be finite and positive, the plane's values finite, and sigma_r large
+    enough that (max - min) / (sigma_r / 2) stays under ``_MAX_CELLS``.  The
+    work runs on one thread in a fixed order, so the output is the same
+    bytes on any number of CPUs.
     """
     if not (0.0 < sigma_s < math.inf and 0.0 < sigma_r < math.inf):
         raise ParameterError(f"sigmas must be finite and > 0, got ({sigma_s}, {sigma_r})")
@@ -164,43 +236,45 @@ def bilateral_filter(plane: np.ndarray, sigma_s: float, sigma_r: float) -> np.nd
         raise ParameterError(f"plane must be 2-D, got shape {plane.shape}")
     r = math.ceil(3.0 * sigma_s)
     h, w = plane.shape
-    center = plane.astype(np.float64)
-    # In units of sqrt(2) * sigma_r, a range difference d weighs exp(-d**2).
-    # Every |d| is at most twice the plane's largest |value| in those units.
-    unit = math.sqrt(2.0) * sigma_r
-    peak = float(np.abs(center).max(initial=0.0))
-    if math.isfinite(peak) and not math.isfinite(2.0 * (peak / unit)):
-        raise ParameterError(f"sigma_r = {sigma_r} is too small for plane values up to {peak}")
-    scaled = np.pad(center, r, mode="reflect") / unit
-    # windows[y, x] is padded row y from column x, 2r + 1 values wide.
-    windows = np.lib.stride_tricks.sliding_window_view(scaled, 2 * r + 1, axis=1)
-    sq = np.arange(-r, r + 1, dtype=np.float64) ** 2
-    log_ws = -(sq[:, None] + sq[None, :]) / (2.0 * sigma_s * sigma_s)  # [dy, dx]
+    padded = np.pad(plane.astype(np.float64), r, mode="reflect")
+    low, high = float(padded.min()), float(padded.max())
+    span = high - low
+    if not math.isfinite(span):
+        raise ParameterError(f"plane values must be finite with a finite span, got {low}..{high}")
+    # Values above the minimum: a constant plane splats zeros and comes back exact.
+    values = (padded - low).ravel()
+    cell_s, cell_r = max(sigma_s / 2.0, 1.0), sigma_r / 2.0
+    if not span / cell_r < _MAX_CELLS:
+        raise ParameterError(f"sigma_r = {sigma_r} is too small for plane values spanning {span}")
+    taps = (_taps(sigma_s / cell_s),) * 2 + (_RANGE_TAPS,)
 
-    # out = I + sum w*(q - I) / sum w.  The centre offset has d == 0 and
-    # weight exp(0) == 1 exactly, so constant regions stay bit-exact.
-    num = np.zeros((h, w), dtype=np.float64)
-    den = np.zeros((h, w), dtype=np.float64)
+    # Each padded pixel's cell and fraction along (row, column, value).
+    rows, cols = np.indices(padded.shape).reshape(2, -1) / cell_s
+    coords = (rows, cols, values / cell_r)
+    cells = [c.astype(np.int64) for c in coords]  # floor: every coordinate is >= 0
+    fractions = [c - i for c, i in zip(coords, cells)]
+    out_at = np.full(padded.shape, -1, dtype=np.int64)  # -1 in the padding
+    out_at[r : r + h, r : r + w] = np.arange(h * w).reshape(h, w)
+    out_at = out_at.ravel()
+    band = cells[2] // _BAND_CELLS
+    order = np.argsort(band, kind="stable")
+    bands = np.unique(band)
+    # Where bands k - 1, k, k + 1 and k + 2 start in that order, for each k.
+    band_ends = np.searchsorted(band[order], np.arange(-1, 3)[:, None] + bands)
 
-    def run(tile: tuple[int, int]) -> None:
-        top, left = tile
-        ys = slice(top, min(top + _BLOCK_ROWS, h))
-        xs = slice(left, min(left + _BLOCK_COLS, w))
-        c = scaled[r + ys.start : r + ys.stop, r + xs.start : r + xs.stop, None]
-        d = np.empty(c.shape[:2] + (2 * r + 1,), dtype=np.float64)
-        t = np.empty_like(d)
-        with np.errstate(over="ignore"):  # d**2 = inf is weight exp(-inf) = 0
-            for dy in range(2 * r + 1):
-                np.subtract(windows[ys.start + dy : ys.stop + dy, xs], c, out=d)
-                np.square(d, out=t)
-                np.subtract(log_ws[dy], t, out=t)
-                np.exp(t, out=t)
-                den[ys, xs] += t.sum(-1)
-                num[ys, xs] += np.vecdot(t, d)
-
-    tiles = [(top, left) for top in range(0, h, _BLOCK_ROWS) for left in range(0, w, _BLOCK_COLS)]
-    with ThreadPoolExecutor(min(len(tiles), _cpu_count())) as pool:
-        list(pool.map(run, tiles))
-    num /= den
-    num *= unit
-    return (center + num).astype(plane.dtype)
+    out = np.empty(h * w)
+    # Reflect padding copies plane values, so every band holds plane pixels.
+    for k, (below, first, last, above) in zip(bands, band_ends.T):
+        z0 = int(k) * _BAND_CELLS
+        # A band's pixels read the blurred cells z0 .. z0 + _BAND_CELLS, which
+        # sum the splats of pixels up to the blur's reach beyond them.
+        near = order[below:above]
+        lift = cells[2][near] - z0
+        src = near[(lift >= -_RANGE_REACH - 1) & (lift <= _BAND_CELLS + _RANGE_REACH)]
+        dst = order[first:last]
+        dst = dst[out_at[dst] >= 0]
+        # Values from the band's start keep their precision far above the minimum.
+        offset = z0 * cell_r
+        out[out_at[dst]] = (low + offset) + _grid_pass(cells, fractions, values, offset,
+                                                       src, dst, taps)
+    return out.reshape(h, w).astype(plane.dtype)

@@ -37,6 +37,7 @@ import functools
 import io
 import json
 import math
+import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -47,7 +48,6 @@ import numpy as np
 
 from .errors import CorruptionError, FormatError, ParameterError, TruncationError, ValidationError
 from .image_io import ByteReader
-from .imgproc import _cpu_count
 
 LAYER_KINDS = ("conv3x3", "conv1x1", "output1x1")
 _KIND_CODE = {k: i for i, k in enumerate(LAYER_KINDS)}
@@ -226,6 +226,14 @@ class _Slices:
                 future.exception()  # waits, even when the first slice failed
         for future in futures:
             future.result()
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _slice_threads(x: np.ndarray) -> int:

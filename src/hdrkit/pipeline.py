@@ -57,6 +57,10 @@ CHANNEL_SCALINGS: dict[str, tuple[float, float]] = {
 # training and inference both use these and cannot disagree.
 BILATERAL_SIGMA_S = 8.0
 BILATERAL_SIGMA_R = 10.0
+# Names the split in tone-map checkpoints' metadata.  A net learns from the
+# split it was trained on, so inference refuses a checkpoint with another tag
+# or none: those were trained on the brute-force filter's split.
+TONEMAP_SPLIT = f"bilateral-grid sigma_s={BILATERAL_SIGMA_S:g} sigma_r={BILATERAL_SIGMA_R:g}"
 
 _TILE_BATCH = 16  # patches per eval forward in inference
 

@@ -11,7 +11,9 @@ product of the colors and then clip it into another (``scale_colors``).
 zeroes the sub-threshold pixels with ``np.where``.
 
 ``format_crf`` writes the ``index r g b`` text that ``load_crf`` parses;
-hdrkit itself only reads that format.
+hdrkit itself only reads that format.  ``rgb_to_lab`` is the CIELAB
+conversion, less its clamp warning, that computed the cube root of Y twice:
+once for f(Y) and once for L*.
 """
 
 import math
@@ -21,7 +23,16 @@ import numpy as np
 from hdrkit.camera import _CODE_GRID, Crf, ExposureStack, inverse_lut
 from hdrkit.errors import ParameterError, ValidationError
 from hdrkit.image_io import RGBE_ZERO_THRESHOLD, LdrImage, RadianceMap
-from hdrkit.imgproc import luminance, round_half_up
+from hdrkit.imgproc import (
+    _LAB_DELTA3,
+    _LAB_KAPPA,
+    _RGB_TO_XYZ,
+    D65_WHITE,
+    LabImage,
+    _lab_f,
+    luminance,
+    round_half_up,
+)
 from hdrkit.merge import hat_weight
 from hdrkit.tmo import (
     DEFAULT_TMQI,
@@ -224,3 +235,20 @@ def encode_hdr(m: RadianceMap) -> bytes:
     rgbe[..., :3] = np.where(nonzero[..., None], mant, 0).astype(np.uint8)
     rgbe[..., 3] = np.where(nonzero, exp + 128, 0).astype(np.uint8)
     return header.encode("ascii") + rgbe.tobytes()
+
+
+def rgb_to_lab(rgb: np.ndarray) -> LabImage:
+    arr = np.asarray(rgb, dtype=np.float64)
+    if np.count_nonzero(arr < 0):
+        arr = np.maximum(arr, 0.0)
+
+    xyz = arr @ _RGB_TO_XYZ.T
+    xr = xyz[..., 0] / D65_WHITE[0]
+    yr = xyz[..., 1] / D65_WHITE[1]
+    zr = xyz[..., 2] / D65_WHITE[2]
+    fx, fy, fz = _lab_f(xr), _lab_f(yr), _lab_f(zr)
+    # Direct two-branch L so that Y == 0 gives exactly L == 0.
+    L = np.where(yr > _LAB_DELTA3, 116.0 * np.cbrt(yr) - 16.0, _LAB_KAPPA * yr)
+    a = 500.0 * (fx - fy)
+    b = 200.0 * (fy - fz)
+    return LabImage(L=L.astype(np.float32), a=a.astype(np.float32), b=b.astype(np.float32))

@@ -35,3 +35,25 @@ def test_steal_is_null_without_a_readable_cpu_line(bench_record, tmp_path, monke
     monkeypatch.setattr(bench_record, "PROC_STAT", stat)
     assert bench_record.cpu_times() is None
     assert bench_record.steal_between(None, (1.0, 2.0)) is None
+
+
+def _run(workload, trace, **values):
+    return {"workload": workload, "trace": trace,
+            "metrics": {name: {"value": v, "unit": "s"} for name, v in values.items()}}
+
+
+def test_summary_is_median_and_quartiles_of_the_untraced_runs(bench_record):
+    runs = [
+        _run("infer", 0, setup_s=0.5, op_s_p50=0.12),
+        _run("infer", 0, setup_s=0.25, op_s_p50=0.10),
+        _run("infer", 0, setup_s=0.375, op_s_p50=0.11),
+        _run("infer", 1, setup_s=9.0, op_s_p50=9.0),  # traced: left out
+        _run("train", 0, setup_s=1.0),
+    ]
+    got = bench_record.summary(runs)
+    assert got["infer"]["setup_s"] == {
+        "unit": "s", "values": [0.5, 0.25, 0.375],
+        "q1": 0.3125, "median": 0.375, "q3": 0.4375, "n": 3}
+    assert got["infer"]["op_s_p50"]["median"] == 0.11
+    assert got["train"]["setup_s"] == {
+        "unit": "s", "values": [1.0], "q1": 1.0, "median": 1.0, "q3": 1.0, "n": 1}

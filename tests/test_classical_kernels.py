@@ -22,7 +22,7 @@ from hdrkit.camera import (
     geometric_ladder,
 )
 from hdrkit.image_io import RadianceMap, encode_hdr
-from hdrkit.imgproc import entropy, luminance
+from hdrkit.imgproc import _LAB_DELTA3, entropy, luminance, rgb_to_lab
 from hdrkit.merge import debevec_merge
 from hdrkit.pipeline import normalize_hdr
 from hdrkit.synth import synth_scenes
@@ -73,6 +73,14 @@ def _grid_hits(h, w):
     return RadianceMap.from_array(
         (np.arange(h * w * 3) % 256).reshape(h, w, 3).astype(np.float32)
     )
+
+
+def _lab_edges():
+    """Zeros, values around the CIE L* branch point and values above 1."""
+    d3 = _LAB_DELTA3
+    values = [0.0, d3 / 2, np.nextafter(d3, 0.0), d3, np.nextafter(d3, 1.0), 0.5, 1.0, 2.0, 1e4]
+    grid = np.array(np.meshgrid(values, values, values)).reshape(3, -1).T
+    return RadianceMap.from_array(grid.reshape(len(values) ** 2, len(values), 3).astype(np.float32))
 
 
 def _rgbe_edges():
@@ -130,6 +138,15 @@ class TestBitwiseAgainstReference:
     def test_reinhard_and_drago(self, m):
         assert _same_array(reinhard_global(m).data, ref.reinhard_global(m).data)
         assert _same_array(drago(m).data, ref.drago(m).data)
+
+    @PROPERTIES
+    @given(radiance_maps())
+    @example(_zeros(3, 4))
+    @example(_lab_edges())
+    def test_rgb_to_lab(self, m):
+        got, want = rgb_to_lab(m.data), ref.rgb_to_lab(m.data)
+        for name in ("L", "a", "b"):
+            assert _same_array(getattr(got, name), getattr(want, name)), name
 
     @PROPERTIES
     @given(radiance_maps())

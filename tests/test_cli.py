@@ -23,7 +23,13 @@ from hdrkit.image_io import (
     write_ppm,
 )
 from hdrkit.nn import LayerSpec, Network, NetworkSpec, save_checkpoint
-from hdrkit.pipeline import LDR2HDR_CHANNELS, TONEMAP_CHANNELS, build_tonemap_net, normalize_hdr
+from hdrkit.pipeline import (
+    LDR2HDR_CHANNELS,
+    TONEMAP_CHANNELS,
+    TONEMAP_SPLIT,
+    build_tonemap_net,
+    normalize_hdr,
+)
 from hdrkit.synth import synth_scenes
 from test_reader_properties import VALID, edit
 
@@ -429,15 +435,40 @@ def test_tonemap_checkpoints_need_not_agree_on_target_domain(tmp_path, capsys):
     path, _ = write_scene(tmp_path)
     net = Network(NetworkSpec(layers=(LayerSpec("output1x1", 1, 1),)))
     for ch, domain in zip(TONEMAP_CHANNELS, ("linear", "log1p", "linear", "log1p")):
-        blob = save_checkpoint(net, {"target_domain": domain, "patch": 32, "final_loss": 0.1})
+        blob = save_checkpoint(net, {"target_domain": domain, "patch": 32, "final_loss": 0.1,
+                                     "split": TONEMAP_SPLIT})
         (tmp_path / f"tonemap_{ch}.ckpt").write_bytes(blob)
     argv = ["infer-tonemap", "--input", str(path), "--checkpoints", str(tmp_path)]
     assert run([*argv, "--out", str(tmp_path / "out")]) == 0
-    (tmp_path / "tonemap_b.ckpt").write_bytes(save_checkpoint(net, {"patch": 64, "final_loss": 0.1}))
+    blob = save_checkpoint(net, {"patch": 64, "final_loss": 0.1, "split": TONEMAP_SPLIT})
+    (tmp_path / "tonemap_b.ckpt").write_bytes(blob)
     capsys.readouterr()
     assert run([*argv, "--out", str(tmp_path / "out2")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:validation: checkpoints disagree on patch:") and "32" in err, err
+
+
+@pytest.mark.parametrize("split", [None, "bilateral brute force"], ids=["untagged", "other"])
+def test_tonemap_checkpoint_of_another_split_is_refused(tmp_path, capsys, split):
+    """Tone-map nets learn from the base/detail split they were trained on, so
+    a checkpoint without this version's split tag is refused and named.
+    ldr2hdr checkpoints carry no tag and still load (the other tests here)."""
+    path, _ = write_scene(tmp_path)
+    net = Network(NetworkSpec(layers=(LayerSpec("output1x1", 1, 1),)))
+    for ch in TONEMAP_CHANNELS:
+        meta = {"patch": 32, "final_loss": 0.1, "split": TONEMAP_SPLIT}
+        if ch == "a":
+            meta = {k: v for k, v in meta.items() if k != "split"}
+            if split is not None:
+                meta["split"] = split
+        (tmp_path / f"tonemap_{ch}.ckpt").write_bytes(save_checkpoint(net, meta))
+    capsys.readouterr()
+    code = run(["infer-tonemap", "--input", str(path), "--checkpoints", str(tmp_path),
+                "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error:format:") and err.count("\n") == 1, err
+    assert "tonemap_a.ckpt" in err and TONEMAP_SPLIT in err, err
+    assert not (tmp_path / "out" / "predicted.ppm").exists()
 
 
 @pytest.mark.parametrize("scale, category", [
@@ -483,7 +514,8 @@ def test_request_too_large_for_memory_is_one_error_line(tmp_path, capsys, monkey
         ckpts = tmp_path / "ckpt"
         ckpts.mkdir()
         for ch in TONEMAP_CHANNELS:
-            blob = save_checkpoint(Network(build_tonemap_net(ch, 0)), {"patch": 200000, "final_loss": 0.0})
+            blob = save_checkpoint(Network(build_tonemap_net(ch, 0)),
+                                   {"patch": 200000, "final_loss": 0.0, "split": TONEMAP_SPLIT})
             (ckpts / f"tonemap_{ch}.ckpt").write_bytes(blob)
         argv = ["--checkpoints", str(ckpts), "--input", str(data / "scene_000.pfm")]
 

@@ -207,6 +207,14 @@ class TestDecompose:
         base, detail = split_base_detail(L, sigma_s=1.0, sigma_r=50.0)
         assert np.array_equal(base + detail, L)
 
+    def test_split_exactness_beside_a_float32_max_highlight(self, rng):
+        # L* of a float32-max radiance, whose range band lies far from the rest
+        L = (rng.random((64, 64)) * 100).astype(np.float32)
+        L[20, 30] = 8.1e14
+        base, detail = split_base_detail(L)
+        assert np.array_equal(base + detail, L)
+        assert base[20, 30] == L[20, 30]
+
 
 def tiny_samples(rng, n=6, size=16, channels=2):
     x = rng.normal(size=(n, channels, size, size))
