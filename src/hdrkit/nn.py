@@ -25,6 +25,12 @@ offset.  So the result is bitwise the same on any number of threads.
 Each keep-mask element reads one 16-bit lane, a quarter of a raw PCG64
 output, and drops with probability p rounded up to a multiple of 2**-16.
 
+A train pass runs block by block over the whole batch.  An eval pass has no
+sums across samples, so it runs depth-first (Alwani et al., MICRO 2016):
+each slice thread takes its samples through every block in chunks of
+``_EVAL_PIXELS`` pixel columns, in two ping-pong buffers that fit a core's
+L2 cache, and its memory does not grow with N.
+
 The one process-wide state is BLAS's thread count, which every engine call
 caps at one thread (``_blas_one_thread``).
 """
@@ -58,6 +64,14 @@ CHECKPOINT_MAGIC = b"HDRNN2"
 # 2-CPU x86-64 VM; below one 64x64 patch per slice the hand-offs cost more
 # than the second thread saves.
 _SLICE_PIXELS = 64 * 64
+
+# An eval forward runs each sample through every block in chunks of at most
+# this many pixel columns.  Two chunk buffers of the widest paper layer (100
+# channels) in f32 take 1.6 MiB, so a chunk stays in a 2 MiB L2 per core
+# from the first layer to the last.  The 7 paper nets over 6 tiles of 64x64
+# on a 2-CPU x86-64 VM took 46-56 ms in chunks of 2048 px, 53-60 in 1024,
+# 58-67 in 512 and 59-60 in whole tiles.
+_EVAL_PIXELS = 2048
 
 
 @functools.cache
@@ -254,6 +268,22 @@ def _channel_total(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return x.sum(axis=(0, 2)) if x.shape[1] == 1 else rows.sum(axis=0)
 
 
+def _im2col(x: np.ndarray, cols9: np.ndarray) -> None:
+    """Gather the zero-padded 3x3 neighbourhoods of (..., C, H, W) ``x`` into
+    (..., C, 9, H, W) ``cols9``: tap 3*di + dj holds x shifted by (di - 1,
+    dj - 1), zero where that falls outside x."""
+    h, w = x.shape[-2:]
+    for k in range(9):
+        di, dj = k // 3 - 1, k % 3 - 1
+        tap = cols9[..., k, :, :]
+        tap[..., max(-di, 0) : h - max(di, 0), max(-dj, 0) : w - max(dj, 0)] = (
+            x[..., max(di, 0) : h - max(-di, 0), max(dj, 0) : w - max(-dj, 0)])
+        if di:
+            tap[..., 0 if di < 0 else h - 1, :] = 0
+        if dj:
+            tap[..., :, 0 if dj < 0 else w - 1] = 0
+
+
 class Conv:
     """Cross-correlation with stride 1; 3x3 uses zero padding 1, 1x1 none.
 
@@ -264,10 +294,8 @@ class Conv:
     mean subtraction would cancel it.
 
     With ``input_grad`` false, backward fills dW and db only and returns
-    None; a :class:`Network` sets that on its first layer.
-
-    ``forward`` uses ``weight`` and ``bias`` instead of ``w`` and ``b``
-    when given: the batchnorm-folded ones of an eval block.
+    None; a :class:`Network` sets that on its first layer.  Only train
+    passes run this layer; an eval forward runs :func:`_eval_chunk`.
     """
 
     input_grad = True
@@ -283,31 +311,27 @@ class Conv:
         self.db = np.zeros_like(self.b) if bias else None
         self._cols: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, slices: _Slices,
-                weight: np.ndarray | None = None, bias: np.ndarray | None = None) -> np.ndarray:
-        n, c, h, w = x.shape
+    def check_channels(self, c: int) -> None:
         if c != self.w.shape[1]:
-            raise ValidationError(
-                f"conv expects {self.w.shape[1]} input channels, got {c}"
-            )
-        weight = self.w if weight is None else weight
-        bias = self.b if bias is None else bias
-        w2 = weight.reshape(weight.shape[0], -1)
+            raise ValidationError(f"conv expects {self.w.shape[1]} input channels, got {c}")
+
+    def forward(self, x: np.ndarray, slices: _Slices) -> np.ndarray:
+        n, c, h, w = x.shape
+        self.check_channels(c)
+        w2 = self.w.reshape(self.w.shape[0], -1)
         if self.ksize == 1:
             cols = x.reshape(n, c, h * w)
         else:
-            xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
             cols9 = np.empty((n, c, 9, h, w), dtype=x.dtype)
             cols = cols9.reshape(n, c * 9, h * w)
         y = np.empty((n, w2.shape[0], h * w), dtype=np.result_type(w2, cols))
 
         def run(sl: slice) -> None:
             if self.ksize == 3:
-                for k in range(9):
-                    cols9[sl, :, k] = xp[sl, :, k // 3 : k // 3 + h, k % 3 : k % 3 + w]
+                _im2col(x[sl], cols9[sl])
             ys = np.matmul(w2, cols[sl], out=y[sl])
-            if bias is not None:
-                ys += bias[:, None]
+            if self.b is not None:
+                ys += self.b[:, None]
 
         slices.run(run)
         self._cols = cols
@@ -365,7 +389,7 @@ class BatchNorm:
     The batch statistics are per-sample sums added in n order, and blend
     into the running statistics.  The input gradient reuses ``dbeta`` and
     ``dgamma`` as its means.  An eval forward never runs this layer: it folds
-    the running statistics into the conv (:class:`_Block`).
+    the running statistics into the conv (:meth:`_Block.eval_weights`).
     """
 
     eps = 1e-5
@@ -520,22 +544,19 @@ def _keep_drawer(shape, p: float, rng: np.random.Generator, slices: _Slices):
 class _Block:
     """conv -> [batchnorm] -> relu -> [dropout]; the output block is conv only.
 
-    A train-mode forward caches one bool mask: the ReLU gate ``y > 0``, AND
-    the dropout keep mask when dropout runs, in which case ``_scale`` holds
-    1/(1-p).  ``y *= mask; y *= scale`` and, backward, ``dy *= mask`` then
-    ``*= scale`` are bitwise a ReLU followed by inverted dropout (the
-    ``relu`` and ``dropout`` oracles in ``tests/nn_reference.py``).  A
-    frozen-gate pass, which only :func:`grad_check` runs, reuses the mask of
-    the dropout-free train pass before it as its gate.  An eval forward
-    (``train`` false) keeps nothing for backward.  Every method runs on the
-    caller's :class:`_Slices`.
+    ``forward`` is the train-mode forward.  It caches one bool mask: the
+    ReLU gate ``y > 0``, AND the dropout keep mask when dropout runs, in
+    which case ``_scale`` holds 1/(1-p).  ``y *= mask; y *= scale`` and,
+    backward, ``dy *= mask`` then ``*= scale`` are bitwise a ReLU followed
+    by inverted dropout (the ``relu`` and ``dropout`` oracles in
+    ``tests/nn_reference.py``).  A frozen-gate pass, which only
+    :func:`grad_check` runs, reuses the mask of the dropout-free train pass
+    before it as its gate.  ``forward`` and ``backward`` run on the
+    caller's :class:`_Slices`.  An eval forward runs neither: it reads the
+    block's conv through :meth:`eval_weights`.
 
     A batchnormed block's conv has no bias.  A train forward normalizes on
-    the batch's statistics; an eval forward folds batchnorm into the conv:
-    its weights ``s*W`` and bias ``beta - running_mean*s``, ``s = gamma /
-    sqrt(running_var + eps)``, are made on each call and passed to
-    ``Conv.forward``, never stored, so that checkpoints and concurrent
-    forwards see only the stored parameters.
+    the batch's statistics.
     """
 
     def __init__(self, spec: LayerSpec, index: int, rng, dtype) -> None:
@@ -548,27 +569,34 @@ class _Block:
         self._mask: np.ndarray | None = None
         self._scale = None
 
-    def forward(self, x, train: bool, rng, slices: _Slices, frozen_gates: bool = False):
+    def eval_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eval conv as (O, C*k*k) weights and an (O, 1) bias.
+
+        Batchnorm on the running statistics folds into the conv (Jacob et
+        al. 2018, section 3.2): ``s*(W*x - mu) + beta`` is the conv with
+        weights ``s*W`` and bias ``beta - mu*s``, ``s = gamma /
+        sqrt(running_var + eps)``.  They are made on each call, never
+        stored, so that checkpoints and concurrent forwards see only the
+        stored parameters.
+        """
         conv, bn = self.conv, self.bn
-        if bn is not None and not train:
-            # Eval batchnorm folded into the conv: s*(W*x - mu) + beta.
-            s = bn.gamma / np.sqrt(bn.running_var + bn.eps)
-            y = conv.forward(x, slices, conv.w * s[:, None, None, None],
-                             bn.beta - bn.running_mean * s)
-            bn._cache = None
-            bn = None
+        if bn is None:
+            w, b = conv.w, conv.b
         else:
-            y = conv.forward(x, slices)
-        if not train:
-            conv._cols = None
+            s = bn.gamma / np.sqrt(bn.running_var + bn.eps)
+            w, b = conv.w * s[:, None, None, None], bn.beta - bn.running_mean * s
+        return w.reshape(w.shape[0], -1), b[:, None]
+
+    def forward(self, x, rng, slices: _Slices, frozen_gates: bool = False):
+        y = self.conv.forward(x, slices)
         if self.is_output:
             return y
-        if bn is not None:
-            y = bn.forward(y, slices)
+        if self.bn is not None:
+            y = self.bn.forward(y, slices)
         gate = self._mask if frozen_gates else np.empty(y.shape, dtype=bool)
         p = self.spec.dropout_p
         keep = scale = None
-        if train and p > 0.0:
+        if p > 0.0:
             keep, draw = _keep_drawer(y.shape, p, rng, slices)
             scale = y.dtype.type(1.0 / (1.0 - p))
 
@@ -584,7 +612,7 @@ class _Block:
                 ys *= scale
 
         slices.run(run)
-        self._mask = (gate if keep is None else keep) if train else None
+        self._mask = gate if keep is None else keep
         self._scale = scale
         return y
 
@@ -609,6 +637,30 @@ class _Block:
         return [self.conv] if self.bn is None else [self.conv, self.bn]
 
 
+def _eval_chunk(layers, src: np.ndarray, dest: np.ndarray, pair: np.ndarray) -> None:
+    """Run the (C, m) pixel columns ``src`` through ``layers``, (weights,
+    bias, relu) triples of :meth:`_Block.eval_weights`, into ``dest``.
+
+    Each layer is one GEMM into the free half of ``pair``, the bias add and,
+    on hidden layers, the ReLU ``max(y, 0)``, all in place; the last layer
+    writes into ``dest``.  With numpy's OpenBLAS on AVX-512, a column's
+    sums are those of the whole-sample GEMM when each chunk is a multiple
+    of 16 columns wide, as in 64x64 tiles; a last chunk of another width
+    can take other kernels, which round otherwise.  ``max`` gives +0 where
+    the train-mode gate-and-multiply gives -0, which adds the same to every
+    later sum.
+    """
+    last = len(layers) - 1
+    m = src.shape[1]
+    for j, (w2, b, relu) in enumerate(layers):
+        out = dest if j == last else pair[j % 2, : w2.shape[0] * m].reshape(-1, m)
+        np.matmul(w2, src, out=out)
+        out += b
+        if relu:
+            np.maximum(out, 0, out=out)
+        src = out
+
+
 class Network:
     """A stack of blocks built from a :class:`NetworkSpec`.
 
@@ -624,19 +676,81 @@ class Network:
         self.blocks[0].conv.input_grad = False
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
-        """Run every block on ``min(N, CPUs)`` slices of the batch, one
+        """Run the network on ``min(N, CPUs)`` slices of the batch, one
         thread each, with at least ``_SLICE_PIXELS`` pixels per slice.  The
-        result does not depend on the number of slices.  A train forward
-        normalizes on the batch's statistics and applies the spec's dropout,
-        drawn from ``rng``, a PCG64 or PCG64DXSM Generator; an eval forward
-        uses the running statistics and no dropout.  BLAS runs on one thread."""
+        result does not depend on the number of slices.  BLAS runs on one
+        thread.
+
+        A train forward runs the blocks one after another over the whole
+        batch: it normalizes on the batch's statistics and applies the
+        spec's dropout, drawn from ``rng``, a PCG64 or PCG64DXSM Generator.
+
+        An eval forward uses the running statistics (:meth:`_Block.eval_weights`)
+        and no dropout, and keeps nothing for backward.  It has no sums
+        across samples, so it is depth-first (Alwani et al., "Fused-Layer
+        CNN Accelerators", MICRO 2016): each slice thread takes its samples
+        one at a time through every block, in chunks of at most
+        ``_EVAL_PIXELS`` pixel columns through two ping-pong buffers
+        (:func:`_eval_chunk`).  At 2048 columns the pair holds the widest
+        paper layer, 100 channels in f32, in 1.6 MiB, so a chunk stays in a
+        2 MiB L2 cache from the first layer to the last.  A 3x3 block reads
+        neighbours across chunks, so it gathers the whole sample's im2col
+        first; one after a 1x1 block starts a new stage on the whole-sample
+        output of the stage before.
+        """
         x = check_tensor4(x, "input").astype(self.dtype, copy=False)
         if train and any(b.spec.dropout_p > 0 for b in self.blocks):
             _check_dropout_rng(rng)
         with _blas_one_thread(), _Slices(x.shape[0], _slice_threads(x)) as slices:
+            if not train:
+                return self._eval_forward(x, slices)
             for block in self.blocks:
-                x = block.forward(x, train, rng, slices)
+                x = block.forward(x, rng, slices)
         return x
+
+    def _eval_forward(self, x: np.ndarray, slices: _Slices) -> np.ndarray:
+        blocks = self.blocks
+        blocks[0].conv.check_channels(x.shape[1])
+        for block in blocks:  # an eval forward keeps nothing for backward
+            block.conv._cols = block._mask = block._scale = None
+            if block.bn is not None:
+                block.bn._cache = None
+        n, _, h, w = x.shape
+        hw = h * w
+        chunk = min(hw, _EVAL_PIXELS)
+        layers = [(*block.eval_weights(), not block.is_output) for block in blocks]
+        bounds = [i for i, block in enumerate(blocks) if i == 0 or block.conv.ksize == 3]
+        bounds.append(len(blocks))
+        stages = [(blocks[i].conv.ksize == 3, layers[i:j]) for i, j in zip(bounds, bounds[1:])]
+        # Each slice thread's scratch, made here (see _Slices): the chunk
+        # pair, one sample's im2col and the input of a stage after the first.
+        widest = max(w2.shape[0] for w2, _, _ in layers)
+        col_rows = max([stage[0][0].shape[1] for gather, stage in stages if gather], default=0)
+        stage_rows = max([stage[-1][0].shape[0] for _, stage in stages[:-1]], default=0)
+        scratch = {sl.start: (np.empty((2, widest * chunk), x.dtype),
+                              np.empty(col_rows * hw, x.dtype),
+                              np.empty(stage_rows * hw, x.dtype)) for sl in slices.parts}
+        y = np.empty((n, 1, h, w), dtype=x.dtype)
+
+        def run(sl: slice) -> None:
+            pair, col_buf, stage_buf = scratch[sl.start]
+            for i in range(sl.start, sl.stop):
+                a = x[i]
+                for s, (gather, stage) in enumerate(stages):
+                    c = a.shape[0]
+                    if gather:
+                        src = col_buf[: 9 * c * hw].reshape(9 * c, hw)
+                        _im2col(a, src.reshape(c, 9, h, w))
+                    else:
+                        src = a.reshape(c, hw)
+                    o = stage[-1][0].shape[0]
+                    dest = (y[i] if s == len(stages) - 1 else stage_buf[: o * hw]).reshape(o, hw)
+                    for c0 in range(0, hw, chunk):
+                        _eval_chunk(stage, src[:, c0 : c0 + chunk], dest[:, c0 : c0 + chunk], pair)
+                    a = dest.reshape(o, h, w)
+
+        slices.run(run)
+        return y
 
     def backward(self, dy: np.ndarray) -> None:
         """Fill every parameter gradient from the loss gradient ``dy``, on
@@ -691,7 +805,7 @@ class Network:
         stats = []
         with _blas_one_thread():
             for block in _diagnostic_copy(self).blocks:
-                x = block.forward(x, True, None, _Slices(x.shape[0]))
+                x = block.forward(x, None, _Slices(x.shape[0]))
                 stats.append(
                     {
                         "layer": block.name,
@@ -836,7 +950,7 @@ def grad_check(
         def loss_only() -> float:
             y = x
             for blk in net.blocks:
-                y = blk.forward(y, True, None, slices, frozen_gates=True)
+                y = blk.forward(y, None, slices, frozen_gates=True)
             return mse_loss(y, target)[0]
 
         for block in net.blocks:

@@ -62,8 +62,6 @@ BILATERAL_SIGMA_R = 10.0
 # or none: those were trained on the brute-force filter's split.
 TONEMAP_SPLIT = f"bilateral-grid sigma_s={BILATERAL_SIGMA_S:g} sigma_r={BILATERAL_SIGMA_R:g}"
 
-_TILE_BATCH = 16  # patches per eval forward in inference
-
 
 @dataclass
 class TrainConfig:
@@ -568,14 +566,10 @@ def hyperparam_search(
 
 
 def _forward_tiled(net: Network, planes: np.ndarray, patch: int) -> np.ndarray:
-    """Eval-mode forward of (C, H, W) planes through patch tiling, ``_TILE_BATCH``
-    patches per forward."""
+    """Eval-mode forward of (C, H, W) planes through patch tiling, every tile
+    in one forward: the eval pass's memory does not grow with the tiles."""
     grid, patches = extract_patches(planes.astype(net.dtype, copy=False), patch)
-    preds = []
-    for start in range(0, patches.shape[0], _TILE_BATCH):
-        out = net.forward(patches[start : start + _TILE_BATCH], train=False)
-        preds.append(out[:, 0])
-    return reassemble(grid, np.concatenate(preds))
+    return reassemble(grid, net.forward(patches, train=False)[:, 0])
 
 
 def infer_ldr2hdr(

@@ -4,6 +4,7 @@ import math
 import struct
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -370,7 +371,7 @@ class TestMatchesEinsumReference:
         x = rng.normal(size=(2, 3, 9, 6)).astype(np.float32)
         dy = rng.normal(size=(2, 8, 9, 6)).astype(np.float32)
 
-        y = block.forward(x, True, np.random.default_rng(5), _Slices(2))
+        y = block.forward(x, np.random.default_rng(5), _Slices(2))
         pre = ref.conv.forward(x, _Slices(2))
         if batchnorm:
             pre = ref.bn.forward(pre, _Slices(2))
@@ -454,7 +455,7 @@ class TestSlicedEngine:
                 y = x
                 with _Slices(x.shape[0], nn._slice_threads(x)) as slices:
                     for block in net.blocks:
-                        y = block.forward(y, True, None, slices, frozen_gates=True)
+                        y = block.forward(y, None, slices, frozen_gates=True)
                 out.append(y)
             net.backward(dy)
         return out
@@ -672,20 +673,104 @@ class TestEvalFold:
             sys.setswitchinterval(switch)
 
 
+# A paper-shaped chain (3x3 layer 0, 1x1 after it), and one whose 3x3 blocks
+# follow 1x1 blocks, so that its eval pass runs three stages.
+EVAL_SPECS = {
+    "paper": NetworkSpec(layers=(
+        LayerSpec("conv3x3", 3, 8, batchnorm=True, dropout_p=0.4),
+        LayerSpec("conv1x1", 8, 6, batchnorm=True, dropout_p=0.4),
+        LayerSpec("conv1x1", 6, 4),
+        LayerSpec("output1x1", 4, 1),
+    ), seed=12),
+    "3x3_after_1x1": NetworkSpec(layers=(
+        LayerSpec("conv1x1", 3, 6, batchnorm=True),
+        LayerSpec("conv3x3", 6, 5, dropout_p=0.3),
+        LayerSpec("conv1x1", 5, 7, batchnorm=True),
+        LayerSpec("conv3x3", 7, 4, batchnorm=True),
+        LayerSpec("output1x1", 4, 1),
+    ), seed=13),
+}
+
+
+def _eval_pair(spec, dtype, seed):
+    """A network with random running statistics, and the whole-batch engine
+    loaded with its tensors."""
+    net = _with_stats(Network(spec, dtype=dtype), seed)
+    ref = WholeBatchNetwork(spec, dtype=dtype)
+    ref.load_tensors([arr for _, arr in net.tensors()])
+    return net, ref
+
+
+class TestEvalPass:
+    """The depth-first eval forward, chunk by chunk through every block,
+    against the whole-batch engine's eval forward."""
+
+    # H*W below, equal to, above and three times nn._EVAL_PIXELS (2048).
+    @pytest.mark.parametrize("hw", [(20, 16), (32, 64), (48, 48), (64, 96)],
+                             ids=["below", "equal", "above", "three"])
+    @pytest.mark.parametrize("spec", list(EVAL_SPECS.values()), ids=list(EVAL_SPECS))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("cpus", [1, 2, 5], indirect=True)
+    def test_matches_whole_batch_engine(self, cpus, n, dtype, spec, hw):
+        net, ref = _eval_pair(spec, dtype, n)
+        x = np.random.default_rng(n).normal(size=(n, 3) + hw).astype(dtype)
+        assert net.forward(x).tobytes() == ref.forward(x).tobytes()
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-13)], ids=["f32", "f64"])
+    @pytest.mark.parametrize("spec", list(EVAL_SPECS.values()), ids=list(EVAL_SPECS))
+    def test_ragged_chunk_of_odd_width_within_rounding(self, spec, dtype, rtol):
+        """A last chunk whose width is not a multiple of 16 columns (here
+        2500 - 2048 = 452) can take other OpenBLAS kernels than the whole
+        sample's GEMM, which round otherwise: a 50x50 f32 sample of the
+        ldr2hdr net read up to 1.8e-7 apart."""
+        net, ref = _eval_pair(spec, dtype, 4)
+        x = np.random.default_rng(4).normal(size=(2, 3, 50, 50)).astype(dtype)
+        assert_close(net.forward(x), ref.forward(x), rtol=rtol)
+
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    def test_wrong_input_channels_refused(self, train):
+        net = Network(EVAL_SPECS["paper"])
+        with pytest.raises(ValidationError, match="conv expects 3 input channels, got 2"):
+            net.forward(np.zeros((1, 2, 4, 4), np.float32), train=train, rng=np.random.default_rng(0))
+
+    def test_memory_does_not_grow_with_the_tiles(self, monkeypatch):
+        """The traced peak of an eval forward, less its output, over 64 tiles
+        of 64x64 stays within what 4 tiles take: each slice thread holds its
+        chunk pair and one sample's im2col, whatever N.  A whole-batch
+        forward of 64 tiles peaks at about 200 MiB."""
+        monkeypatch.setattr(nn, "_cpu_count", lambda: 2)
+        net = _with_stats(Network(build_tonemap_net("L_base", seed=1)), 2)
+
+        def scratch(n):
+            x = np.random.default_rng(n).random((n, 1, 64, 64)).astype(np.float32)
+            tracemalloc.start()
+            try:
+                y = net.forward(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - y.nbytes
+
+        assert scratch(64) <= 1.1 * scratch(4)
+
+
 class TestBlasCap:
-    """Every engine call runs BLAS on one thread, read inside its convs, and
-    puts the caller's count (``blas_threads``) back after, also when calls
-    run concurrently or raise.  The trainer tests in test_pipeline.py cover
-    calls nested in the trainer's cap."""
+    """Every engine call runs BLAS on one thread, read inside its convs and
+    inside the eval pass at each chunk, and puts the caller's count
+    (``blas_threads``) back after, also when calls run concurrently or
+    raise.  The trainer tests in test_pipeline.py cover calls nested in the
+    trainer's cap."""
 
     ROUNDS = 1000
 
     @staticmethod
     def _record(monkeypatch, seen, failing=None):
-        """Make both conv directions append (direction, BLAS count) to
-        ``seen``; the backward of conv ``failing`` then raises MemoryError."""
+        """Make both conv directions and the eval pass's chunks append
+        (direction, BLAS count) to ``seen``; the backward of conv
+        ``failing`` then raises MemoryError."""
         get, _ = _blas_thread_control()
-        real = {"forward": Conv.forward, "backward": Conv.backward}
+        real = {"forward": Conv.forward, "backward": Conv.backward, "eval": nn._eval_chunk}
 
         def recorded(direction):
             def call(conv, *args, **kwargs):
@@ -695,11 +780,12 @@ class TestBlasCap:
                 return real[direction](conv, *args, **kwargs)
             return call
 
-        for direction in real:
-            monkeypatch.setattr(Conv, direction, recorded(direction))
+        monkeypatch.setattr(Conv, "forward", recorded("forward"))
+        monkeypatch.setattr(Conv, "backward", recorded("backward"))
+        monkeypatch.setattr(nn, "_eval_chunk", recorded("eval"))
 
     @pytest.mark.parametrize("call, directions", [
-        ("forward", {"forward"}), ("backward", {"backward"}),
+        ("forward", {"eval"}), ("backward", {"backward"}),
         ("activation_stats", {"forward"}), ("grad_check", {"forward", "backward"})])
     def test_direct_call_runs_on_one_thread(self, monkeypatch, blas_threads, call, directions):
         get, _ = _blas_thread_control()

@@ -400,25 +400,27 @@ class TestBlasThreads:
 
     @pytest.mark.parametrize("cpus", [None, 1, 4])
     def test_capped_during_eval_forwards(self, rng, monkeypatch, threads, cpus):
-        """The count read inside the engine, at every conv of 3 tiled and 2
-        validation forwards."""
+        """The count read inside the eval pass, at every chunk of a tiled
+        forward and 2 validation forwards.  A tile or sample of 8x8 or 16x16
+        px is one chunk through the net's one stage."""
         if cpus is not None:
             monkeypatch.setattr(nn, "_cpu_count", lambda: cpus)
         get, _ = _blas_thread_control()
         net = Network(tiny_spec(), dtype=np.float32)
         seen = []
-        real_forward = Conv.forward
+        real_chunk = nn._eval_chunk
 
-        def forward(*args, **kwargs):
+        def chunk(*args):
             seen.append(get())
-            return real_forward(*args, **kwargs)
+            return real_chunk(*args)
 
-        monkeypatch.setattr(Conv, "forward", forward)
-        monkeypatch.setattr(pipeline, "_TILE_BATCH", 4)
-        pipeline._forward_tiled(net, rng.random((2, 20, 20)), 8)
+        monkeypatch.setattr(nn, "_eval_chunk", chunk)
+        planes = rng.random((2, 20, 20))
+        pipeline._forward_tiled(net, planes, 8)
+        tiles = pipeline.extract_patches(planes, 8)[0].count
         x, y = tiny_samples(rng, n=3)
         eval_mse(net, (x, y), batch_size=2)
-        assert seen == [1] * (5 * len(net.blocks))
+        assert seen == [1] * (tiles + x.shape[0])
         assert get() == threads
 
     def test_restored_after_diverged_shard(self, rng, threads):
