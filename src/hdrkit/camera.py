@@ -7,6 +7,7 @@ implementations agree bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,8 @@ class ExposureLadder:
     times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(t <= 0 for t in self.times):
-            raise ValidationError("ladder times must be > 0")
+        if not all(0 < t < math.inf for t in self.times):  # also false for NaN
+            raise ValidationError(f"ladder times must be finite and > 0: {self.times}")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValidationError("ladder times must be strictly increasing")
 
@@ -69,6 +70,8 @@ class ExposureStack:
         if len(self.images) != STACK_SIZE:
             raise ValidationError(f"stack needs {STACK_SIZE} images, got {len(self.images)}")
         exposures = [img.exposure for img in self.images]
+        if not all(0 < e < math.inf for e in exposures):  # also false for NaN
+            raise ValidationError(f"stack exposures must be finite and > 0: {exposures}")
         if any(b <= a for a, b in zip(exposures, exposures[1:])):
             raise ValidationError(f"stack exposures must strictly increase: {exposures}")
         dims = {(img.width, img.height) for img in self.images}
@@ -146,8 +149,8 @@ def expose(m: RadianceMap, dt: float, crf: Crf) -> LdrImage:
     One f64 working buffer carries every step in place; the rounding is
     :func:`~hdrkit.imgproc.round_half_up`'s floor(v + 0.5).
     """
-    if dt <= 0:
-        raise ParameterError(f"exposure time must be > 0, got {dt}")
+    if not 0 < dt < math.inf:  # also false for NaN
+        raise ParameterError(f"exposure time must be finite and > 0, got {dt}")
     v = m.data.astype(np.float64)
     v *= dt
     np.clip(v, 0.0, 1.0, out=v)

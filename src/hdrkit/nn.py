@@ -643,10 +643,12 @@ def _eval_chunk(layers, src: np.ndarray, dest: np.ndarray, pair: np.ndarray) -> 
 
     Each layer is one GEMM into the free half of ``pair``, the bias add and,
     on hidden layers, the ReLU ``max(y, 0)``, all in place; the last layer
-    writes into ``dest``.  With numpy's OpenBLAS on AVX-512, a column's
-    sums are those of the whole-sample GEMM when each chunk is a multiple
-    of 16 columns wide, as in 64x64 tiles; a last chunk of another width
-    can take other kernels, which round otherwise.  ``max`` gives +0 where
+    writes into ``dest``.  On the SkylakeX (AVX-512) kernels of numpy's
+    OpenBLAS, a column's sums are those of the whole-sample GEMM when each
+    chunk is a multiple of 16 columns wide, as in 64x64 tiles; a last chunk
+    of another width can take other kernels, which round otherwise.  On its
+    Haswell (AVX2) kernels, which ``OPENBLAS_CORETYPE=Zen`` also selects,
+    even such chunks can round otherwise.  ``max`` gives +0 where
     the train-mode gate-and-multiply gives -0, which adds the same to every
     later sum.
     """

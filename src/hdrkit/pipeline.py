@@ -20,11 +20,8 @@ forward and backward splits its shard over the CPUs.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -413,16 +410,6 @@ def _diverged(net: Network, x: np.ndarray, what: str = "loss") -> ValidationErro
     )
 
 
-@functools.cache
-def _unmap_large_buffers() -> None:
-    """Fix glibc's mmap threshold at 16 MiB, process-wide.  By default glibc
-    raises it as large buffers are freed and serves later activations from
-    its heap: without this, the ``train`` benchmark's peak RSS read 339-371
-    MiB over 10 seeds, and 329-355 MiB with it."""
-    if sys.platform == "linux" and hasattr(libc := ctypes.CDLL(None), "mallopt"):
-        libc.mallopt(-3, 16 << 20)  # -3 is M_MMAP_THRESHOLD, in bytes
-
-
 def eval_mse(net: Network, samples, batch_size: int) -> float:
     """Sample-weighted mean MSE in eval mode (no dropout, running BN stats)."""
     x_all, y_all = _as_arrays(samples, net.dtype)
@@ -455,7 +442,6 @@ class ParallelTrainer:
     """
 
     def __init__(self, net: Network, cfg: TrainConfig) -> None:
-        _unmap_large_buffers()
         self.cfg = cfg
         self.net = net
         self.velocity: list | None = None

@@ -7,6 +7,7 @@ from classical_reference import format_crf
 from hdrkit.camera import (
     Crf,
     ExposureLadder,
+    ExposureStack,
     adaptive_stack,
     adaptive_window,
     expose,
@@ -17,12 +18,15 @@ from hdrkit.camera import (
     load_crf,
 )
 from hdrkit.errors import ParameterError, ValidationError
-from hdrkit.image_io import RadianceMap
+from hdrkit.image_io import LdrImage, RadianceMap
 from hdrkit.imgproc import entropy
 
 
 def const_map(value, size=4):
     return RadianceMap.from_array(np.full((size, size, 3), value, np.float32))
+
+
+NOT_FINITE_AND_POSITIVE = [math.nan, math.inf, -math.inf, 0.0]
 
 
 class TestGammaCrf:
@@ -135,6 +139,11 @@ class TestExpose:
             assert np.all(cur >= prev)
             prev = cur
 
+    @pytest.mark.parametrize("dt", NOT_FINITE_AND_POSITIVE)
+    def test_time_not_finite_and_positive_rejected(self, dt):
+        with pytest.raises(ParameterError, match="finite and > 0"):
+            expose(const_map(0.5), dt, gamma_crf(2.2))
+
 
 class TestLadder:
     def test_length(self):
@@ -146,6 +155,20 @@ class TestLadder:
     def test_ratio_four(self):
         times = geometric_ladder().times
         assert all(b / a == 4.0 for a, b in zip(times, times[1:]))
+
+    @pytest.mark.parametrize("t", NOT_FINITE_AND_POSITIVE)
+    def test_time_not_finite_and_positive_rejected(self, t):
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            ExposureLadder(times=(1.0, 2.0, t))
+
+
+class TestExposureStack:
+    @pytest.mark.parametrize("t", NOT_FINITE_AND_POSITIVE)
+    def test_exposure_not_finite_and_positive_rejected(self, t):
+        data = np.zeros((2, 2, 3), np.uint8)
+        images = [LdrImage(2, 2, data, exposure=e) for e in (1.0, 2.0, 3.0, 4.0, t)]
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            ExposureStack(images=images)
 
 
 class TestFixedStack:

@@ -561,6 +561,39 @@ class TestSlicesRunAtOnce:
             assert _tensor_bytes(net) == _tensor_bytes(ref)
 
 
+class TestSameBytesOnAnySliceCount:
+    """The engine against itself on 1 slice: train outputs, every gradient,
+    the running statistics and eval outputs are the same bytes on 2 and 4.
+    Each slice's GEMMs have the same shapes whatever the slice count, so
+    this holds on any OpenBLAS kernel, where the whole-batch oracles' GEMMs
+    may round otherwise."""
+
+    @staticmethod
+    def _passes(spec, x, dy):
+        net = Network(spec)
+        rng = np.random.default_rng(51)
+        out = []
+        for _ in range(2):  # the second step starts from moved running statistics
+            out.append(net.forward(x, train=True, rng=rng).tobytes())
+            net.backward(dy)
+            out += _tensor_bytes(net)
+        out.append(net.forward(x, train=False).tobytes())
+        return out
+
+    @pytest.mark.parametrize("cpus", [2, 4], indirect=True)
+    @pytest.mark.parametrize("spec, shape", [(RACE_SPEC, (4, 3, 160, 160)),
+                                             (build_tonemap_net("L_base", seed=5), (6, 1, 64, 64))],
+                             ids=["race", "L_base"])
+    def test_matches_one_slice(self, cpus, monkeypatch, spec, shape):
+        data = np.random.default_rng(50)
+        x = data.normal(size=shape).astype(np.float32)
+        dy = data.normal(size=(shape[0], 1) + shape[2:]).astype(np.float32)
+        monkeypatch.setattr(nn, "_cpu_count", lambda: 1)
+        want = self._passes(spec, x, dy)
+        monkeypatch.setattr(nn, "_cpu_count", lambda: cpus)
+        assert self._passes(spec, x, dy) == want
+
+
 def _with_stats(net, seed):
     """Non-zero biases where a conv has one, and gamma, beta and running
     statistics away from 1, 0, 0 and 1 in every batchnorm."""

@@ -1,9 +1,12 @@
-"""The package source imports no scipy, and no name it never uses.
+"""The package source imports no scipy, no name it never uses, and ctypes in
+one module only.
 
 hdrkit is numpy-only at run time.  Names that merely contain "scipy" are
 allowed, such as the ``scipy_openblas`` symbol prefix of the OpenBLAS build
 that numpy's wheels bundle.  ``__init__.py`` imports names only to re-export
-them, so it is exempt from the unused-name check.
+them, so it is exempt from the unused-name check.  A library must not change
+process-wide settings behind its caller's back; ``nn.py`` needs ctypes only
+to find OpenBLAS's thread-count functions, and restores the count it sets.
 """
 
 import ast
@@ -60,6 +63,18 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules that a module's source imports by an
+    ``import`` or absolute ``from ... import`` statement."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add((node.module or "").partition(".")[0])
+    return names
+
+
 def test_package_source_imports_no_scipy():
     modules = sorted(SOURCE.glob("*.py"))
     assert modules
@@ -87,6 +102,25 @@ def test_names_that_only_contain_scipy_pass():
         "from .scipy_free import x\n"
     )
     assert scipy_imports(source) == []
+
+
+def test_only_nn_imports_ctypes():
+    modules = sorted(SOURCE.glob("*.py"))
+    assert modules
+    assert [p.name for p in modules if "ctypes" in imported_modules(p.read_text())] == ["nn.py"]
+
+
+@pytest.mark.parametrize(
+    "source, modules",
+    [
+        ("import ctypes\n", {"ctypes"}),
+        ("def f():\n    from ctypes.util import find_library\n", {"ctypes"}),
+        ("import os.path, numpy as np\n", {"os", "numpy"}),
+        ("from . import ctypes\nfrom .nn import Network\n", set()),
+    ],
+)
+def test_imported_modules_are_found(source, modules):
+    assert imported_modules(source) == modules
 
 
 def test_package_source_uses_every_import():
