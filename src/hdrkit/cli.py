@@ -489,6 +489,8 @@ def _cmd_infer_tonemap(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if args.size < 1:
         raise ParameterError(f"size must be >= 1, got {args.size}")
+    if args.seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     if args.arch == "ldr2hdr":
         spec = build_ldr2hdr_net("R", args.seed, dropout_p=0.0)

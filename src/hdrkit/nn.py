@@ -1,8 +1,9 @@
 """Minimal CNN engine on NCHW numpy arrays with hand-written gradients.
 
 The engine knows exactly three layer kinds: 3x3 convolution (zero padding 1),
-1x1 convolution, and a bare 1x1 output convolution.  Hidden layers may carry
-spatial batch normalization (before ReLU) and inverted dropout (after ReLU).
+1x1 convolution, and a bare 1x1 output convolution.  Only layer 0 may be
+3x3, as in the paper's nets.  Hidden layers may carry spatial batch
+normalization (before ReLU) and inverted dropout (after ReLU).
 Everything runs in float32 for training or float64 for gradient checking.
 A forward runs in one of two modes: train, with batchnorm on the batch's
 statistics and the spec's dropout, or eval, on the running statistics and
@@ -14,7 +15,8 @@ shifted inputs into one column buffer first (im2col, as in Chellapilla, Puri
 output in place; an eval forward folds it into the conv weights instead
 (Jacob et al. 2018, section 3.2).  A block caches one bool mask, dropout
 keep AND ReLU gate, and applies it with the 1/(1-p) factor in each
-direction.  The first layer skips its input gradient, which no caller reads.
+direction.  The first layer, the only one that may be 3x3, skips its input
+gradient, which no caller reads.
 
 A network's forward and backward split the batch into contiguous N-slices
 on one thread each.  Every per-sample result is computed as on the whole
@@ -175,6 +177,9 @@ class NetworkSpec:
                 raise ValidationError(
                     f"layer {i} out_depth {a.out_depth} != layer {i + 1} in_depth {b.in_depth}"
                 )
+        for i, ls in enumerate(self.layers[1:], 1):
+            if ls.kind == "conv3x3":
+                raise ValidationError(f"only layer 0 may be conv3x3, layer {i} is")
         last = self.layers[-1]
         if last.kind != "output1x1" or last.out_depth != 1:
             raise ValidationError("final layer must be output1x1 with out_depth 1")
@@ -288,22 +293,22 @@ class Conv:
     """Cross-correlation with stride 1; 3x3 uses zero padding 1, 1x1 none.
 
     The 3x3 column buffer is (N, 9C, H*W); row c*9 + 3*di + dj matches
-    ``w.reshape(O, 9C)``, so both sizes are one ``matmul`` per sample each
-    way.  dW is summed from per-sample products in n order, db over the
-    whole batch.  Without ``bias`` there is no ``b`` or ``db``: batchnorm's
-    mean subtraction would cancel it.
+    ``w.reshape(O, 9C)``, so both sizes are one ``matmul`` per sample.  dW
+    is summed from per-sample products in n order, db over the whole batch.
+    Without ``bias`` there is no ``b`` or ``db``: batchnorm's mean
+    subtraction would cancel it.
 
     With ``input_grad`` false, backward fills dW and db only and returns
-    None; a :class:`Network` sets that on its first layer.  Only train
-    passes run this layer; an eval forward runs :func:`_eval_chunk`.
+    None.  It is false for 3x3, which :class:`NetworkSpec` allows only as
+    layer 0, and a :class:`Network` also clears it on a 1x1 layer 0.  Only
+    train passes run this layer; an eval forward runs :func:`_eval_chunk`.
     """
-
-    input_grad = True
 
     def __init__(self, in_ch: int, out_ch: int, ksize: int, rng, dtype, bias: bool = True) -> None:
         if ksize not in (1, 3):
             raise ParameterError(f"kernel size must be 1 or 3, got {ksize}")
         self.ksize = ksize
+        self.input_grad = ksize == 1
         fan_in = in_ch * ksize * ksize
         self.w = rng.normal(0.0, math.sqrt(2.0 / fan_in), (out_ch, in_ch, ksize, ksize)).astype(dtype)
         self.b = np.zeros(out_ch, dtype=dtype) if bias else None
@@ -344,33 +349,22 @@ class Conv:
         n, o, h, w = dy.shape
         dy = dy.reshape(n, o, h * w)
         w2 = self.w.reshape(o, -1)
-        c = self.w.shape[1]
         dws = np.empty((n,) + w2.shape, dtype=np.result_type(dy, cols))
-        dcols = dxp = None
+        dx = None
         if self.input_grad:
-            dcols = np.empty((n, w2.shape[1], h * w), dtype=np.result_type(w2, dy))
-            if self.ksize == 3:
-                dxp = np.zeros((n, c, h + 2, w + 2), dtype=dcols.dtype)
+            dx = np.empty((n, w2.shape[1], h * w), dtype=np.result_type(w2, dy))
 
         def run(sl: slice) -> None:
             np.matmul(dy[sl], cols[sl].transpose(0, 2, 1), out=dws[sl])
-            if dcols is not None:
-                np.matmul(w2.T, dy[sl], out=dcols[sl])
-            if dxp is not None:
-                d9, dp = dcols[sl].reshape(-1, c, 9, h, w), dxp[sl]
-                for k in range(9):
-                    dp[:, :, k // 3 : k // 3 + h, k % 3 : k % 3 + w] += d9[:, :, k]
+            if dx is not None:
+                np.matmul(w2.T, dy[sl], out=dx[sl])
 
         slices.run(run)
         if self.db is not None:
             self.db[...] = dy.sum(axis=(0, 2))
         self.dw.reshape(o, -1)[...] = dws.sum(axis=0)
         self._cols = None  # spent; for 1x1 this frees the layer below's output
-        if dcols is None:
-            return None
-        if dxp is None:
-            return dcols.reshape(n, c, h, w)
-        return dxp[:, :, 1 : h + 1, 1 : w + 1]
+        return None if dx is None else dx.reshape(n, -1, h, w)
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
         return [("w", self.w)] if self.b is None else [("w", self.w), ("b", self.b)]
@@ -695,10 +689,9 @@ class Network:
         ``_EVAL_PIXELS`` pixel columns through two ping-pong buffers
         (:func:`_eval_chunk`).  At 2048 columns the pair holds the widest
         paper layer, 100 channels in f32, in 1.6 MiB, so a chunk stays in a
-        2 MiB L2 cache from the first layer to the last.  A 3x3 block reads
-        neighbours across chunks, so it gathers the whole sample's im2col
-        first; one after a 1x1 block starts a new stage on the whole-sample
-        output of the stage before.
+        2 MiB L2 cache from the first layer to the last.  A 3x3 layer 0
+        reads neighbours across chunks, so it gathers the whole sample's
+        im2col first.
         """
         x = check_tensor4(x, "input").astype(self.dtype, copy=False)
         if train and any(b.spec.dropout_p > 0 for b in self.blocks):
@@ -721,38 +714,26 @@ class Network:
         hw = h * w
         chunk = min(hw, _EVAL_PIXELS)
         layers = [(*block.eval_weights(), not block.is_output) for block in blocks]
-        bounds = [i for i, block in enumerate(blocks) if i == 0 or block.conv.ksize == 3]
-        bounds.append(len(blocks))
-        stages = [(blocks[i].conv.ksize == 3, layers[i:j]) for i, j in zip(bounds, bounds[1:])]
+        gather = blocks[0].conv.ksize == 3
         # Each slice thread's scratch, made here (see _Slices): the chunk
-        # pair, one sample's im2col and the input of a stage after the first.
+        # pair and, for a 3x3 layer 0, one sample's im2col.
         widest = max(w2.shape[0] for w2, _, _ in layers)
-        col_rows = max([stage[0][0].shape[1] for gather, stage in stages if gather], default=0)
-        stage_rows = max([stage[-1][0].shape[0] for _, stage in stages[:-1]], default=0)
+        col_rows = layers[0][0].shape[1] if gather else 0
         scratch = {sl.start: (np.empty((2, widest * chunk), x.dtype),
-                              np.empty(col_rows * hw, x.dtype),
-                              np.empty(stage_rows * hw, x.dtype)) for sl in slices.parts}
-        y = np.empty((n, 1, h, w), dtype=x.dtype)
+                              np.empty((col_rows, hw), x.dtype)) for sl in slices.parts}
+        y = np.empty((n, 1, hw), dtype=x.dtype)
 
         def run(sl: slice) -> None:
-            pair, col_buf, stage_buf = scratch[sl.start]
+            pair, cols = scratch[sl.start]
             for i in range(sl.start, sl.stop):
-                a = x[i]
-                for s, (gather, stage) in enumerate(stages):
-                    c = a.shape[0]
-                    if gather:
-                        src = col_buf[: 9 * c * hw].reshape(9 * c, hw)
-                        _im2col(a, src.reshape(c, 9, h, w))
-                    else:
-                        src = a.reshape(c, hw)
-                    o = stage[-1][0].shape[0]
-                    dest = (y[i] if s == len(stages) - 1 else stage_buf[: o * hw]).reshape(o, hw)
-                    for c0 in range(0, hw, chunk):
-                        _eval_chunk(stage, src[:, c0 : c0 + chunk], dest[:, c0 : c0 + chunk], pair)
-                    a = dest.reshape(o, h, w)
+                if gather:
+                    _im2col(x[i], cols.reshape(-1, 9, h, w))
+                src = cols if gather else x[i].reshape(-1, hw)
+                for c0 in range(0, hw, chunk):
+                    _eval_chunk(layers, src[:, c0 : c0 + chunk], y[i, :, c0 : c0 + chunk], pair)
 
         slices.run(run)
-        return y
+        return y.reshape(n, 1, h, w)
 
     def backward(self, dy: np.ndarray) -> None:
         """Fill every parameter gradient from the loss gradient ``dy``, on
@@ -936,6 +917,8 @@ def grad_check(
     differences at fixed h cannot resolve relatively.  Biases and batchnorm
     parameters are checked exhaustively.
     """
+    if not 0 < tolerance < math.inf:  # also false for NaN
+        raise ParameterError(f"tolerance must be finite and > 0, got {tolerance}")
     if net.dtype != np.float64:
         raise ParameterError("grad_check requires a float64 network")
     net = _diagnostic_copy(net)
@@ -991,11 +974,13 @@ def grad_check(
 def save_checkpoint(net: Network, metadata: dict | None = None) -> bytes:
     """Serialize spec, metadata, and all state tensors (float32 LE).
 
-    A tensor holding NaN or Inf (a diverged run) is refused, as
-    :func:`load_checkpoint` would refuse it.
+    A tensor holding NaN or Inf in float32 (a diverged run, or a float64
+    value beyond float32's range) is refused, as :func:`load_checkpoint`
+    would refuse it.
     """
-    tensors = net.tensors()
-    for i, (_, arr) in enumerate(tensors):
+    with np.errstate(over="ignore"):  # an overflow to Inf is refused below
+        tensors = [arr.astype("<f4") for _, arr in net.tensors()]
+    for i, arr in enumerate(tensors):
         if not np.isfinite(arr).all():
             raise ValidationError(f"checkpoint tensor {i} {arr.shape} holds NaN or Inf")
     buf = io.BytesIO()
@@ -1017,10 +1002,10 @@ def save_checkpoint(net: Network, metadata: dict | None = None) -> bytes:
     buf.write(struct.pack("<I", len(meta)))
     buf.write(meta)
     buf.write(struct.pack("<I", len(tensors)))
-    for _, arr in tensors:
+    for arr in tensors:
         buf.write(struct.pack("<B", arr.ndim))
         buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        buf.write(arr.astype("<f4").tobytes())
+        buf.write(arr.tobytes())
     return buf.getvalue()
 
 

@@ -55,6 +55,8 @@ def synth_scenes(count: int, size: int, seed: int) -> list[RadianceMap]:
         raise ParameterError(f"count must be >= 1, got {count}")
     if size < 1:
         raise ParameterError(f"size must be >= 1, got {size}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return [
         synth_scene(SCENE_KINDS[i % len(SCENE_KINDS)], size, size, rng)

@@ -22,7 +22,7 @@ from hdrkit.image_io import (
     save_radiance,
     write_ppm,
 )
-from hdrkit.nn import LayerSpec, Network, NetworkSpec, save_checkpoint
+from hdrkit.nn import LAYER_KINDS, LayerSpec, Network, NetworkSpec, save_checkpoint
 from hdrkit.pipeline import (
     LDR2HDR_CHANNELS,
     TONEMAP_CHANNELS,
@@ -379,6 +379,12 @@ def test_bad_number_is_one_error_line(tmp_path, capsys, case):
         ["gradcheck", "--size", "0"],
         ["synth", "--size", "-5"],
         ["synth", "--size", "0"],
+        ["synth", "--seed", "-1"],
+        ["gradcheck", "--seed", "-1"],
+        ["gradcheck", "--tolerance", "nan"],
+        ["gradcheck", "--tolerance", "inf"],
+        ["gradcheck", "--tolerance", "-1"],
+        ["gradcheck", "--tolerance", "0"],
     ],
 )
 def test_bad_size_is_one_error_line(tmp_path, argv):
@@ -557,6 +563,11 @@ def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):
     hdr = b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n"
     bad_kind = bytearray(_checkpoint())
     bad_kind[6 + 8 + 4] = 9
+    # A tone-map net whose layer 1 says conv3x3: only layer 0 may be 3x3.
+    later_3x3 = bytearray(save_checkpoint(Network(build_tonemap_net("a", seed=0))))
+    kind1 = 6 + 8 + 4 + struct.calcsize("<BIIBf")  # after magic, seed, count, layer 0
+    assert later_3x3[kind1] == LAYER_KINDS.index("conv1x1")
+    later_3x3[kind1] = LAYER_KINDS.index("conv3x3")
     write("nan.exposure", "nan\n")
     cases = {}
     cases["ppm-negative"] = [*merge, write("neg.ppm", b"P6\n-2 3\n255\n" + bytes(18))], "format"
@@ -576,6 +587,7 @@ def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):
     infer_tonemap = ["infer-tonemap", "--input", "unread.pfm", "--checkpoints"]
     for name, blob, category in [
         ("ckpt-kind", bytes(bad_kind), "format"),
+        ("ckpt-3x3-later", bytes(later_3x3), "validation"),
         ("ckpt-utf8", _with_raw_metadata(b"\xff"), "format"),
         ("ckpt-list", _with_raw_metadata(b"[]"), "format"),
         ("ckpt-trailing", _checkpoint() + b"\0\0", "corrupt"),

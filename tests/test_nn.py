@@ -30,6 +30,7 @@ from hdrkit.errors import (
     ValidationError,
 )
 from hdrkit.nn import (
+    LAYER_KINDS,
     BatchNorm,
     Conv,
     LayerSpec,
@@ -83,6 +84,15 @@ class TestSpecs:
     def test_dropout_range(self):
         with pytest.raises(ValidationError):
             LayerSpec("conv1x1", 3, 4, dropout_p=1.0)
+
+    @pytest.mark.parametrize("later", [1, 2], ids=["layer1", "last_hidden"])
+    def test_conv3x3_only_as_layer_0(self, later):
+        layers = [LayerSpec("conv3x3", 3, 4), LayerSpec("conv1x1", 4, 4),
+                  LayerSpec("conv1x1", 4, 4), LayerSpec("output1x1", 4, 1)]
+        NetworkSpec(layers=tuple(layers))
+        layers[later] = LayerSpec("conv3x3", 4, 4)
+        with pytest.raises(ValidationError, match=f"only layer 0 may be conv3x3, layer {later} is"):
+            NetworkSpec(layers=tuple(layers))
 
     def test_parameter_counts_ldr2hdr(self):
         # layer-by-layer arithmetic: out*(in*k*k + 2) with batchnorm (gamma
@@ -341,7 +351,11 @@ class TestMatchesEinsumReference:
         ref = EinsumConv(c, o, k, np.random.default_rng(0), np.float64)
         conv.b[...] = ref.b[...] = rng.normal(size=o)
         assert_close(conv.forward(x, _Slices(3)), ref.forward(x))
-        assert_close(conv.backward(dy, _Slices(3)), ref.backward(dy))
+        dx, ref_dx = conv.backward(dy, _Slices(3)), ref.backward(dy)
+        if k == 1:
+            assert_close(dx, ref_dx)
+        else:  # a 3x3 conv is only ever layer 0
+            assert dx is None
         assert_close(conv.dw, ref.dw)
         assert_close(conv.db, ref.db)
 
@@ -363,8 +377,9 @@ class TestMatchesEinsumReference:
 
     @pytest.mark.parametrize("batchnorm", [True, False])
     def test_block_is_relu_then_dropout(self, batchnorm):
-        """One fused multiply per direction, bitwise the separate operations."""
-        spec = LayerSpec("conv3x3", 3, 8, batchnorm=batchnorm, dropout_p=0.4)
+        """One fused multiply per direction, bitwise the separate operations.
+        A 1x1 block, so that its conv computes the input gradient."""
+        spec = LayerSpec("conv1x1", 3, 8, batchnorm=batchnorm, dropout_p=0.4)
         block = _Block(spec, 0, np.random.default_rng(1), np.float32)
         ref = _Block(spec, 0, np.random.default_rng(1), np.float32)
         rng = np.random.default_rng(13)
@@ -390,7 +405,7 @@ class TestMatchesEinsumReference:
 SLICED_SPEC = NetworkSpec(
     layers=(
         LayerSpec("conv3x3", 3, 6, batchnorm=True, dropout_p=0.3),
-        LayerSpec("conv3x3", 6, 5, dropout_p=0.4),  # computes a 3x3 input gradient
+        LayerSpec("conv1x1", 6, 5, dropout_p=0.4),
         LayerSpec("conv1x1", 5, 4, batchnorm=True),
         LayerSpec("conv1x1", 4, 3),
         LayerSpec("output1x1", 3, 1),
@@ -631,7 +646,11 @@ class TestBatchnormCancelsConvBias:
         y = bn.forward(conv.forward(x, _Slices(3)), _Slices(3))
         assert_close(y, ref_bn.forward(ref.forward(x), train=True))
         dx = conv.backward(bn.backward(dy.copy(), _Slices(3)), _Slices(3))
-        assert_close(dx, ref.backward(ref_bn.backward(dy)))
+        ref_dx = ref.backward(ref_bn.backward(dy))
+        if k == 1:
+            assert_close(dx, ref_dx)
+        else:  # a 3x3 conv is only ever layer 0
+            assert dx is None
         assert_close(conv.dw, ref.dw)
         assert_close(bn.dgamma, ref_bn.dgamma)
         assert_close(bn.dbeta, ref_bn.dbeta)
@@ -706,8 +725,8 @@ class TestEvalFold:
             sys.setswitchinterval(switch)
 
 
-# A paper-shaped chain (3x3 layer 0, 1x1 after it), and one whose 3x3 blocks
-# follow 1x1 blocks, so that its eval pass runs three stages.
+# A paper-shaped chain (3x3 layer 0, 1x1 after it), and an all-1x1 chain,
+# whose eval pass reads each sample as it is, without an im2col gather.
 EVAL_SPECS = {
     "paper": NetworkSpec(layers=(
         LayerSpec("conv3x3", 3, 8, batchnorm=True, dropout_p=0.4),
@@ -715,11 +734,11 @@ EVAL_SPECS = {
         LayerSpec("conv1x1", 6, 4),
         LayerSpec("output1x1", 4, 1),
     ), seed=12),
-    "3x3_after_1x1": NetworkSpec(layers=(
+    "1x1_first": NetworkSpec(layers=(
         LayerSpec("conv1x1", 3, 6, batchnorm=True),
-        LayerSpec("conv3x3", 6, 5, dropout_p=0.3),
+        LayerSpec("conv1x1", 6, 5, dropout_p=0.3),
         LayerSpec("conv1x1", 5, 7, batchnorm=True),
-        LayerSpec("conv3x3", 7, 4, batchnorm=True),
+        LayerSpec("conv1x1", 7, 4, batchnorm=True),
         LayerSpec("output1x1", 4, 1),
     ), seed=13),
 }
@@ -987,6 +1006,13 @@ class TestGradCheckHarness:
             assert sizes == [cpus] * 3
         assert reports[1] == reports[2]
 
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -1.0, 0.0])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        """NaN or a tolerance <= 0 would fail every layer, and inf pass any gradient."""
+        net = Network(single_layer_net(), dtype=np.float64)
+        with pytest.raises(ParameterError, match="tolerance must be finite and > 0"):
+            grad_check(net, np.zeros((1, 3, 4, 4)), np.zeros((1, 1, 4, 4)), tolerance=tolerance)
+
     def test_requires_float64(self):
         net = Network(single_layer_net(), dtype=np.float32)
         with pytest.raises(ParameterError):
@@ -1016,8 +1042,11 @@ class TestGradCheckHarness:
 
 class TestNetwork:
     def test_first_layer_skips_input_gradient(self, rng):
-        """Parameter gradients are bitwise those of a net that also computes dx."""
-        net = Network(build_tonemap_net("L_base", seed=3), dtype=np.float32)
+        """Parameter gradients are bitwise those of a net that also computes
+        dx.  Layer 0 is 1x1 here: a 3x3 conv never computes one."""
+        spec = NetworkSpec(layers=(LayerSpec("conv1x1", 1, 8, batchnorm=True, dropout_p=0.4),
+                                   LayerSpec("conv1x1", 8, 4), LayerSpec("output1x1", 4, 1)), seed=3)
+        net = Network(spec, dtype=np.float32)
         full = net.clone()
         full.blocks[0].conv.input_grad = True
         x = rng.random((2, 1, 12, 12)).astype(np.float32)
@@ -1027,7 +1056,9 @@ class TestNetwork:
         assert net.backward(dy) is None
         full.backward(dy)
         assert [g.tobytes() for g in net.grads()] == [g.tobytes() for g in full.grads()]
-        assert [b.conv.input_grad for b in net.blocks] == [False] + [True] * (len(net.blocks) - 1)
+        assert [b.conv.input_grad for b in net.blocks] == [False, True, True]
+        paper = Network(build_tonemap_net("L_base", seed=3))
+        assert [b.conv.input_grad for b in paper.blocks] == [False] + [True] * (len(paper.blocks) - 1)
 
     def test_eval_forward_deterministic(self, rng):
         net = Network(build_ldr2hdr_net("R", seed=1), dtype=np.float32)
@@ -1160,6 +1191,17 @@ class TestCheckpoint:
         empty = struct.pack("<I", 2) + b"{}"
         return blob.replace(empty, struct.pack("<I", len(meta)) + meta)
 
+    def test_later_3x3_layer_refused(self):
+        """A checkpoint whose layer 1 is edited to conv3x3 holds an invalid spec."""
+        spec = NetworkSpec(layers=(LayerSpec("conv3x3", 3, 4), LayerSpec("conv1x1", 4, 4),
+                                   LayerSpec("output1x1", 4, 1)))
+        blob = bytearray(save_checkpoint(Network(spec), None))
+        kind1 = 6 + 8 + 4 + struct.calcsize("<BIIBf")  # after magic, seed, count, layer 0
+        assert blob[kind1] == LAYER_KINDS.index("conv1x1")
+        blob[kind1] = LAYER_KINDS.index("conv3x3")
+        with pytest.raises(ValidationError, match="only layer 0 may be conv3x3, layer 1 is"):
+            load_checkpoint(bytes(blob))
+
     def test_unknown_layer_kind(self):
         blob = bytearray(save_checkpoint(Network(single_layer_net()), None))
         blob[6 + 8 + 4] = 9  # kind byte of the first layer, after magic, seed, count
@@ -1189,6 +1231,14 @@ class TestCheckpoint:
         net.blocks[0].bn.running_var[2] = bad
         with pytest.raises(ValidationError, match=r"tensor 4 \(4,\) holds NaN or Inf"):
             load_checkpoint(save_checkpoint(net, None))
+
+    def test_float64_weight_beyond_float32_refused(self):
+        """Checkpoints store float32: a finite float64 weight that overflows
+        it would be written as Inf, which loading refuses."""
+        net = Network(two_layer_net(), dtype=np.float64)
+        net.blocks[1].conv.w[0, 1] = 1e39
+        with pytest.raises(ValidationError, match=r"tensor 2 \(1, 4, 1, 1\) holds NaN or Inf"):
+            save_checkpoint(net, None)
 
     def test_non_finite_bytes_rejected_on_load(self):
         blob = save_checkpoint(Network(single_layer_net()), None)

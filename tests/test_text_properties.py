@@ -201,6 +201,8 @@ def test_config_valid_or_one_error_line(workdir):
     @example(json.dumps({**SMALL_RUN, "seed": 2**64}).encode())
     @example(json.dumps({**SMALL_RUN, "lr": math.nan}).encode())
     @example(json.dumps({**SMALL_RUN, "lr": 1e300}).encode())  # the weights overflow
+    # f64 weights that are finite but overflow the checkpoint's float32
+    @example(json.dumps({**SMALL_RUN, "lr": 1.5169822858452182e38, "dtype": "f64"}).encode())
     @example(json.dumps({**SMALL_RUN, "momentum": 2.0}).encode())
     @example(json.dumps({**SMALL_RUN, "dropout_p": 1.5}).encode())
     @example(json.dumps({**SMALL_RUN, "seed": -1}).encode())
