@@ -58,6 +58,15 @@ from .synth import synth_scenes
 from .tmo import OPERATORS, ToneMap, apply_operator, select_best_tmo, tmqi
 
 
+# Each architecture's channels, net builder, the metadata keys that inference
+# needs every channel checkpoint to agree on, and the tags every checkpoint
+# carries.  The architecture's name prefixes its checkpoint and curve files.
+_ARCHS = {
+    "ldr2hdr": (LDR2HDR_CHANNELS, build_ldr2hdr_net, ("patch", "target_domain"), {}),
+    "tonemap": (TONEMAP_CHANNELS, build_tonemap_net, ("patch",), {"split": TONEMAP_SPLIT}),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of calling sys.exit on bad input."""
 
@@ -131,7 +140,7 @@ def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--patch", type=int)
     p.add_argument("--dropout-p", dest="dropout_p", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help="K ghost batches per SGD step, run in turn")
     p.add_argument("--dtype", choices=("f32", "f64"))
     p.add_argument("--target-domain", dest="target_domain", choices=("linear", "log1p"))
 
@@ -182,20 +191,20 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="optional CSV file")
     p.add_argument("--no-normalize", action="store_true")
 
-    p = sub.add_parser("train-ldr2hdr", help="train the 3 stack-to-radiance networks")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    _add_train_flags(p)
+    for arch, nets in (("ldr2hdr", "3 stack-to-radiance"), ("tonemap", "4 tone-map channel")):
+        p = sub.add_parser(f"train-{arch}", help=f"train the {nets} networks")
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--out", required=True)
+        _add_train_flags(p)
+        p.set_defaults(arch=arch)
 
-    p = sub.add_parser("train-tonemap", help="train the 4 tone-map channel networks")
+    p = sub.add_parser("search", help="2-epoch hyperparameter sweep",
+                       description="Trains each --lr-grid rate on the first channel's net "
+                       "for exactly 2 epochs, whatever --epochs says, and ranks the rates "
+                       "by validation MSE.")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    _add_train_flags(p)
-
-    p = sub.add_parser("search", help="2-epoch hyperparameter sweep")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--arch", choices=("ldr2hdr", "tonemap"), default="ldr2hdr")
+    p.add_argument("--arch", choices=tuple(_ARCHS), default="ldr2hdr")
     p.add_argument("--lr-grid", type=_float_list, default="1e-2,1e-3",
                    help="comma-separated learning rates to try")
     _add_train_flags(p)
@@ -215,7 +224,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-normalize", action="store_true")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--arch", choices=("ldr2hdr", "tonemap", "single"), default="single")
+    p.add_argument("--arch", choices=(*_ARCHS, "single"), default="single")
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=8)
@@ -358,13 +367,28 @@ def _read_manifest(path: str):
     return scenes, crf, ladder
 
 
-def _train_channel_nets(channels, build_net, sample_sets, cfg, out, prefix, tags):
-    """Train and save one net per channel; ``tags`` go into every checkpoint's metadata."""
+def _samples(arch: str, scenes, crf, ladder, cfg):
+    """Per-channel (inputs, targets) patch arrays of ``scenes`` for ``arch``,
+    and the tone-map builder's operator selections (none for ldr2hdr)."""
+    if arch == "ldr2hdr":
+        return build_ldr2hdr_samples(scenes, crf, cfg, mode=ladder), []
+    return build_tonemap_samples(scenes, cfg, crf=crf)
+
+
+def _cmd_train(args) -> int:
+    """Train and save one net per channel of ``args.arch``."""
+    out = _out_dir(args)
+    cfg = _train_config(args)
+    scenes, crf, ladder = _read_manifest(args.manifest)
+    if not scenes["train"]:
+        raise ValidationError("manifest has no train scenes")
+    samples, selections = _samples(args.arch, scenes["train"], crf, ladder, cfg)
+    if selections:
+        print(f"selected operators: {','.join(op for op, _ in selections)}")
+    channels, build_net, _, tags = _ARCHS[args.arch]
     for ch in channels:
-        x, y = sample_sets[ch]
-        spec = build_net(ch, cfg.seed, cfg.dropout_p)
-        net = Network(spec, dtype=cfg.numpy_dtype())
-        state = train(net, (x, y), cfg)
+        net = Network(build_net(ch, cfg.seed, cfg.dropout_p), dtype=cfg.numpy_dtype())
+        state = train(net, samples[ch], cfg)
         meta = {
             "channel": ch,
             "target_domain": cfg.target_domain,
@@ -372,37 +396,10 @@ def _train_channel_nets(channels, build_net, sample_sets, cfg, out, prefix, tags
             "final_loss": state.curve[-1][1],
             **tags,
         }
-        (out / f"{prefix}_{ch}.ckpt").write_bytes(save_checkpoint(net, meta))
-        (out / f"curve_{prefix}_{ch}.csv").write_text(curve_csv(state.curve))
-        print(f"{prefix}/{ch}: epochs={cfg.epochs} final_loss={state.curve[-1][1]:.6g}")
+        (out / f"{args.arch}_{ch}.ckpt").write_bytes(save_checkpoint(net, meta))
+        (out / f"curve_{args.arch}_{ch}.csv").write_text(curve_csv(state.curve))
+        print(f"{args.arch}/{ch}: epochs={cfg.epochs} final_loss={state.curve[-1][1]:.6g}")
     return 0
-
-
-def _cmd_train_ldr2hdr(args) -> int:
-    out = _out_dir(args)
-    cfg = _train_config(args)
-    scenes, crf, ladder = _read_manifest(args.manifest)
-    if not scenes["train"]:
-        raise ValidationError("manifest has no train scenes")
-    samples = build_ldr2hdr_samples(scenes["train"], crf, cfg, mode=ladder)
-    return _train_channel_nets(
-        LDR2HDR_CHANNELS, build_ldr2hdr_net, samples, cfg, out, "ldr2hdr", {}
-    )
-
-
-def _cmd_train_tonemap(args) -> int:
-    out = _out_dir(args)
-    cfg = _train_config(args)
-    scenes, crf, _ = _read_manifest(args.manifest)
-    if not scenes["train"]:
-        raise ValidationError("manifest has no train scenes")
-    samples, selections = build_tonemap_samples(scenes["train"], cfg, crf=crf)
-    ops = ",".join(op for op, _ in selections)
-    print(f"selected operators: {ops}")
-    return _train_channel_nets(
-        TONEMAP_CHANNELS, build_tonemap_net, samples, cfg, out, "tonemap",
-        {"split": TONEMAP_SPLIT},
-    )
 
 
 def _cmd_search(args) -> int:
@@ -411,19 +408,13 @@ def _cmd_search(args) -> int:
     scenes, crf, ladder = _read_manifest(args.manifest)
     if not scenes["train"] or not scenes["val"]:
         raise ValidationError("search needs both train and val scenes in the manifest")
-    if args.arch == "ldr2hdr":
-        train_sets = build_ldr2hdr_samples(scenes["train"], crf, cfg, mode=ladder)
-        val_sets = build_ldr2hdr_samples(scenes["val"], crf, cfg, mode=ladder)
-        channel = LDR2HDR_CHANNELS[0]
-        spec = build_ldr2hdr_net(channel, cfg.seed, cfg.dropout_p)
-    else:
-        train_sets, _ = build_tonemap_samples(scenes["train"], cfg, crf=crf)
-        val_sets, _ = build_tonemap_samples(scenes["val"], cfg, crf=crf)
-        channel = TONEMAP_CHANNELS[0]
-        spec = build_tonemap_net(channel, cfg.seed, cfg.dropout_p)
+    train_sets, _ = _samples(args.arch, scenes["train"], crf, ladder, cfg)
+    val_sets, _ = _samples(args.arch, scenes["val"], crf, ladder, cfg)
+    channels, build_net = _ARCHS[args.arch][:2]
+    spec = build_net(channels[0], cfg.seed, cfg.dropout_p)
 
     configs = [(spec, dataclasses.replace(cfg, lr=lr)) for lr in args.lr_grid]
-    results = hyperparam_search(configs, train_sets[channel], val_sets[channel])
+    results = hyperparam_search(configs, train_sets[channels[0]], val_sets[channels[0]])
     rows = ["rank,config_id,lr,val_error"]
     for rank, r in enumerate(results):
         rows.append(f"{rank},{r.config_id},{configs[r.config_id][1].lr!r},{r.val_error!r}")
@@ -433,13 +424,14 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _load_channel_nets(directory: str, prefix: str, channels, keys, tags) -> tuple[dict, TrainConfig]:
-    """The channel nets and the ``patch``/``target_domain`` they were trained
-    with.  Every channel's checkpoint must agree on the ``keys`` inference
-    reads, and carry each of the ``tags`` with the value given."""
+def _load_channel_nets(directory: str, arch: str) -> tuple[dict, TrainConfig]:
+    """The channel nets of ``arch`` and the ``patch``/``target_domain`` they
+    were trained with.  Every channel's checkpoint must agree on the keys
+    that inference reads, and carry each of the architecture's tags."""
+    channels, _, keys, tags = _ARCHS[arch]
     nets, first = {}, None
     for ch in channels:
-        path = Path(directory) / f"{prefix}_{ch}.ckpt"
+        path = Path(directory) / f"{arch}_{ch}.ckpt"
         if not path.exists():
             raise ValidationError(f"missing checkpoint {path}")
         nets[ch], meta = load_checkpoint(path.read_bytes())
@@ -464,8 +456,7 @@ def _load_channel_nets(directory: str, prefix: str, channels, keys, tags) -> tup
 
 def _cmd_infer_ldr2hdr(args) -> int:
     out = _out_dir(args)
-    nets, cfg = _load_channel_nets(args.checkpoints, "ldr2hdr", LDR2HDR_CHANNELS,
-                                   ("patch", "target_domain"), {})
+    nets, cfg = _load_channel_nets(args.checkpoints, "ldr2hdr")
     stack = _load_stack(args.inputs)
     predicted = infer_ldr2hdr(
         nets, stack, patch=cfg.patch, scale=args.scale, target_domain=cfg.target_domain
@@ -477,8 +468,7 @@ def _cmd_infer_ldr2hdr(args) -> int:
 
 def _cmd_infer_tonemap(args) -> int:
     out = _out_dir(args)
-    nets, cfg = _load_channel_nets(args.checkpoints, "tonemap", TONEMAP_CHANNELS, ("patch",),
-                                   {"split": TONEMAP_SPLIT})
+    nets, cfg = _load_channel_nets(args.checkpoints, "tonemap")
     m = _load_input_map(args.input, not args.no_normalize)
     tm = infer_tonemap(nets, m, patch=cfg.patch)
     (out / args.name).write_bytes(write_ppm(_tonemap_to_ldr(tm)))
@@ -492,12 +482,11 @@ def _cmd_gradcheck(args) -> int:
     if args.seed < 0:
         raise ParameterError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
-    if args.arch == "ldr2hdr":
-        spec = build_ldr2hdr_net("R", args.seed, dropout_p=0.0)
-    elif args.arch == "tonemap":
-        spec = build_tonemap_net("L_base", args.seed, dropout_p=0.0)
-    else:
+    if args.arch == "single":
         spec = NetworkSpec(layers=(LayerSpec("output1x1", 3, 1),), seed=args.seed)
+    else:
+        channels, build_net = _ARCHS[args.arch][:2]
+        spec = build_net(channels[0], args.seed, dropout_p=0.0)
     net = Network(spec, dtype=np.float64)
     x = rng.normal(size=(2, spec.layers[0].in_depth, args.size, args.size))
     target = rng.normal(size=(2, 1, args.size, args.size))
@@ -517,8 +506,8 @@ _COMMANDS = {
     "tmo": _cmd_tmo,
     "select-tmo": _cmd_select_tmo,
     "tmqi": _cmd_tmqi,
-    "train-ldr2hdr": _cmd_train_ldr2hdr,
-    "train-tonemap": _cmd_train_tonemap,
+    "train-ldr2hdr": _cmd_train,
+    "train-tonemap": _cmd_train,
     "search": _cmd_search,
     "infer-ldr2hdr": _cmd_infer_ldr2hdr,
     "infer-tonemap": _cmd_infer_tonemap,

@@ -226,14 +226,6 @@ class ChannelPlanes:
     name: str
     input: np.ndarray
     target: np.ndarray
-    offset: float
-    divisor: float
-
-    def scaled_input(self) -> np.ndarray:
-        return _scale_plane(self.input, self.offset, self.divisor)
-
-    def scaled_target(self) -> np.ndarray:
-        return _scale_plane(self.target, self.offset, self.divisor)
 
 
 def _scale_plane(plane: np.ndarray, offset: float, divisor: float) -> np.ndarray:
@@ -282,10 +274,7 @@ def decompose_tonemap_channels(m: RadianceMap, tm: ToneMap) -> list[ChannelPlane
         raise ValidationError("map and tone map dimensions differ")
     inputs = _lab_planes(m.data)
     targets = _lab_planes(tm.data)
-    return [
-        ChannelPlanes(name, inputs[name], targets[name], *CHANNEL_SCALINGS[name])
-        for name in TONEMAP_CHANNELS
-    ]
+    return [ChannelPlanes(name, inputs[name], targets[name]) for name in TONEMAP_CHANNELS]
 
 
 def recompose_tonemap(planes: dict[str, np.ndarray]) -> ToneMap:
@@ -376,7 +365,9 @@ def build_tonemap_samples(
             tm, op, score, _ = select_best_tmo(norm, crf=crf)
             selections.append((op, score))
             for channel in decompose_tonemap_channels(norm, tm):
-                yield channel.name, channel.scaled_input()[None], channel.scaled_target()[None]
+                scaling = CHANNEL_SCALINGS[channel.name]
+                yield (channel.name, _scale_plane(channel.input, *scaling)[None],
+                       _scale_plane(channel.target, *scaling)[None])
 
     return _patch_samples(planes(), TONEMAP_CHANNELS, cfg.patch), selections
 

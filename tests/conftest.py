@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hdrkit.camera import gamma_crf
 from hdrkit.image_io import LdrImage, RadianceMap
 from hdrkit.nn import BatchNorm, _blas_thread_control, mse_loss
 from hdrkit.pipeline import dropout_stream, normalize_hdr
 from hdrkit.synth import synth_scenes
+
+# The property tests replay the same examples on every run, so a fresh
+# checkout cannot fail on an input that no earlier run drew.  A separate CI
+# step explores with ``--hypothesis-profile=explore``: fresh random examples,
+# each test's own max_examples, and the blob that reproduces a failure.
+settings.register_profile("replay", derandomize=True)
+settings.register_profile("explore", derandomize=False, print_blob=True)
+settings.load_profile("replay")
 
 
 def ldr_image(data, exposure: float = 1.0) -> LdrImage:

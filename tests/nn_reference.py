@@ -206,16 +206,9 @@ class WholeBatchConv(Conv):
             self.db[...] = dy.sum(axis=(0, 2))
         self.dw.reshape(o, -1)[...] = np.matmul(dy, cols.transpose(0, 2, 1)).sum(axis=0)
         self._cols = None  # spent; for 1x1 this frees the layer below's output
-        if not self.input_grad:
+        if not self.input_grad:  # every 3x3 conv, as in the engine
             return None
-        dcols = np.matmul(self.w.reshape(o, -1).T, dy)
-        if self.ksize == 1:
-            return dcols.reshape(n, -1, h, w)
-        dcols = dcols.reshape(n, -1, 9, h, w)
-        dxp = np.zeros((n, dcols.shape[1], h + 2, w + 2), dtype=dy.dtype)
-        for k in range(9):
-            dxp[:, :, k // 3 : k // 3 + h, k % 3 : k % 3 + w] += dcols[:, :, k]
-        return dxp[:, :, 1 : h + 1, 1 : w + 1]
+        return np.matmul(self.w.reshape(o, -1).T, dy).reshape(n, -1, h, w)
 
 
 class WholeBatchBatchNorm(BatchNorm):

@@ -167,6 +167,13 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "max_rel_err" in out
 
+    @pytest.mark.parametrize("arch, layers", [("ldr2hdr", 6), ("tonemap", 5)])
+    def test_paper_architecture_passes(self, capsys, arch, layers):
+        assert run(["gradcheck", "--arch", arch, "--size", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == layers
+        assert all(line.endswith(" PASS") for line in lines), lines
+
 
 class TestTrainInferCommands:
     def test_tonemap_train_and_infer(self, tmp_path):

@@ -39,7 +39,7 @@ from hdrkit.pipeline import (
     train,
 )
 from hdrkit.synth import synth_scenes
-from hdrkit.tmo import reinhard_global
+from hdrkit.tmo import reinhard_global, select_best_tmo
 
 
 class TestTrainConfig:
@@ -191,13 +191,21 @@ class TestDecompose:
         rec = recompose_tonemap(preds)
         assert np.abs(rec.data - tm.data).max() < 2e-3
 
-    def test_scalings_recorded(self, small_scene):
-        tm = reinhard_global(small_scene)
-        chans = {c.name: c for c in decompose_tonemap_channels(small_scene, tm)}
-        assert (chans["L_base"].offset, chans["L_base"].divisor) == (0.0, 100.0)
-        assert (chans["a"].offset, chans["a"].divisor) == (128.0, 255.0)
-        scaled = chans["L_base"].scaled_input()
-        assert np.allclose(scaled * 100.0, chans["L_base"].input, rtol=1e-6)
+    def test_samples_are_the_scaled_planes(self, small_scene):
+        """Training scales a plane as inference does: ``_scale_plane`` with
+        ``CHANNEL_SCALINGS``, /100 for L_base and +128 then /255 for a."""
+        crf = gamma_crf(2.2)
+        samples, _ = build_tonemap_samples([small_scene], TrainConfig(patch=16), crf=crf)
+        norm, _ = normalize_hdr(small_scene)
+        tm = select_best_tmo(norm, crf=crf)[0]
+        chans = {c.name: c for c in decompose_tonemap_channels(norm, tm)}
+        assert pipeline.CHANNEL_SCALINGS["L_base"] == (0.0, 100.0)
+        assert pipeline.CHANNEL_SCALINGS["a"] == (128.0, 255.0)
+        for name in ("L_base", "a"):
+            scaling = pipeline.CHANNEL_SCALINGS[name]
+            for got, plane in zip(samples[name], (chans[name].input, chans[name].target)):
+                want = extract_patches(pipeline._scale_plane(plane, *scaling)[None], 16)[1]
+                assert got.tobytes() == want.astype(np.float32).tobytes()
 
     def test_split_exactness_on_adversarial_plane(self, rng):
         # tiny values beside huge ones force the snap path
