@@ -427,7 +427,8 @@ def _cmd_search(args) -> int:
 def _load_channel_nets(directory: str, arch: str) -> tuple[dict, TrainConfig]:
     """The channel nets of ``arch`` and the ``patch``/``target_domain`` they
     were trained with.  Every channel's checkpoint must agree on the keys
-    that inference reads, and carry each of the architecture's tags."""
+    that inference reads, carry each of the architecture's tags, and name
+    its file's channel if it names one."""
     channels, _, keys, tags = _ARCHS[arch]
     nets, first = {}, None
     for ch in channels:
@@ -435,6 +436,9 @@ def _load_channel_nets(directory: str, arch: str) -> tuple[dict, TrainConfig]:
         if not path.exists():
             raise ValidationError(f"missing checkpoint {path}")
         nets[ch], meta = load_checkpoint(path.read_bytes())
+        if meta.get("channel", ch) != ch:
+            raise ValidationError(
+                f"checkpoint {path} is for channel {meta['channel']!r}, not {ch!r}")
         if "final_loss" not in meta:
             print(f"warning: checkpoint {path} carries no training record", file=sys.stderr)
         trained_with = {k: meta[k] for k in ("patch", "target_domain") if k in meta}

@@ -366,15 +366,6 @@ class Conv:
         self._cols = None  # spent; for 1x1 this frees the layer below's output
         return None if dx is None else dx.reshape(n, -1, h, w)
 
-    def tensors(self) -> list[tuple[str, np.ndarray]]:
-        return [("w", self.w)] if self.b is None else [("w", self.w), ("b", self.b)]
-
-    def params(self) -> list[np.ndarray]:
-        return [arr for _, arr in self.tensors()]
-
-    def grads(self) -> list[np.ndarray]:
-        return [self.dw] if self.db is None else [self.dw, self.db]
-
 
 class BatchNorm:
     """Spatial batch normalization over (N, H, W) per channel, on the batch's
@@ -463,20 +454,6 @@ class BatchNorm:
         slices.run(run)
         return dy3.reshape(dy.shape)
 
-    def tensors(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            ("gamma", self.gamma),
-            ("beta", self.beta),
-            ("running_mean", self.running_mean),
-            ("running_var", self.running_var),
-        ]
-
-    def params(self) -> list[np.ndarray]:
-        return [self.gamma, self.beta]
-
-    def grads(self) -> list[np.ndarray]:
-        return [self.dgamma, self.dbeta]
-
 
 _DRAW_CHUNK = 1 << 16  # 16-bit lanes per draw: 128 KiB, which stays in cache
 
@@ -551,14 +528,24 @@ class _Block:
 
     A batchnormed block's conv has no bias.  A train forward normalizes on
     the batch's statistics.
+
+    ``state`` names each array the block owns once, with its gradient, in
+    checkpoint order: ``(name, array, gradient)``, where the running
+    statistics have gradient None.  :class:`Network` and :func:`grad_check`
+    read the parameters from it.
     """
 
     def __init__(self, spec: LayerSpec, index: int, rng, dtype) -> None:
         self.spec = spec
         self.name = f"{index}:{spec.kind}({spec.in_depth}->{spec.out_depth})"
         ksize = 3 if spec.kind == "conv3x3" else 1
-        self.conv = Conv(spec.in_depth, spec.out_depth, ksize, rng, dtype, bias=not spec.batchnorm)
-        self.bn = BatchNorm(spec.out_depth, dtype) if spec.batchnorm else None
+        self.conv = conv = Conv(spec.in_depth, spec.out_depth, ksize, rng, dtype,
+                                bias=not spec.batchnorm)
+        self.bn = bn = BatchNorm(spec.out_depth, dtype) if spec.batchnorm else None
+        self.state = [("w", conv.w, conv.dw)] + (
+            [("b", conv.b, conv.db)] if bn is None else
+            [("gamma", bn.gamma, bn.dgamma), ("beta", bn.beta, bn.dbeta),
+             ("running_mean", bn.running_mean, None), ("running_var", bn.running_var, None)])
         self.is_output = spec.kind == "output1x1"
         self._mask: np.ndarray | None = None
         self._scale = None
@@ -626,9 +613,6 @@ class _Block:
             if self.bn is not None:
                 dy = self.bn.backward(dy, slices)
         return self.conv.backward(dy, slices)
-
-    def modules(self):
-        return [self.conv] if self.bn is None else [self.conv, self.bn]
 
 
 def _eval_chunk(layers, src: np.ndarray, dest: np.ndarray, pair: np.ndarray) -> None:
@@ -748,19 +732,16 @@ class Network:
                 dy = block.backward(dy, slices)
 
     def params(self) -> list[np.ndarray]:
-        return [p for blk in self.blocks for mod in blk.modules() for p in mod.params()]
+        """The arrays that SGD updates: the state entries with a gradient."""
+        return [arr for blk in self.blocks for _, arr, grad in blk.state if grad is not None]
 
     def grads(self) -> list[np.ndarray]:
-        return [g for blk in self.blocks for mod in blk.modules() for g in mod.grads()]
+        """The gradient of each of :meth:`params`, in the same order."""
+        return [grad for blk in self.blocks for _, _, grad in blk.state if grad is not None]
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
-        """All state arrays (parameters plus BN running stats), in order."""
-        out = []
-        for blk in self.blocks:
-            for mod in blk.modules():
-                for name, arr in mod.tensors():
-                    out.append((f"{blk.name}.{name}", arr))
-        return out
+        """All state arrays (parameters plus BN running stats), in checkpoint order."""
+        return [(f"{blk.name}.{name}", arr) for blk in self.blocks for name, arr, _ in blk.state]
 
     def load_tensors(self, arrays: list[np.ndarray]) -> None:
         own = self.tensors()
@@ -911,11 +892,12 @@ def grad_check(
     frozen-gate passes itself, block by block, under one BLAS cap and one
     set of slices, cut by the rule :meth:`Network.forward` uses.
 
-    Each weight tensor is checked at its ``max_samples`` largest-gradient
-    entries, where the comparison is well conditioned; a structural backward
-    bug shifts those at least as much as the near-zero ones, which finite
-    differences at fixed h cannot resolve relatively.  Biases and batchnorm
-    parameters are checked exhaustively.
+    A conv's ``w`` and a batchnorm's ``gamma`` are checked at their
+    ``max_samples`` largest-gradient entries when they have more, where the
+    comparison is well conditioned; a structural backward bug shifts those
+    at least as much as the near-zero ones, which finite differences at
+    fixed h cannot resolve relatively.  A bias ``b`` and a batchnorm's
+    ``beta`` are checked in full.
     """
     if not 0 < tolerance < math.inf:  # also false for NaN
         raise ParameterError(f"tolerance must be finite and > 0, got {tolerance}")
@@ -941,27 +923,25 @@ def grad_check(
         for block in net.blocks:
             worst = 0.0
             checked = 0
-            for mod in block.modules():
-                for param, grad, exhaustive in zip(
-                    mod.params(), mod.grads(), (False, True)
-                ):
-                    analytic = grad.copy().reshape(-1)
-                    flat = param.reshape(-1)
-                    size = flat.size
-                    if exhaustive or size <= max_samples:
-                        indices = np.arange(size)
-                    else:
-                        indices = np.argsort(np.abs(analytic))[-max_samples:]
-                    for idx in indices:
-                        old = flat[idx]
-                        flat[idx] = old + h
-                        f_plus = loss_only()
-                        flat[idx] = old - h
-                        f_minus = loss_only()
-                        flat[idx] = old
-                        numeric = (f_plus - f_minus) / (2.0 * h)
-                        worst = max(worst, _rel_err(analytic[idx], numeric))
-                        checked += 1
+            for name, param, grad in block.state:
+                if grad is None:
+                    continue
+                analytic = grad.copy().reshape(-1)
+                flat = param.reshape(-1)
+                if name in ("w", "gamma") and flat.size > max_samples:
+                    indices = np.argsort(np.abs(analytic))[-max_samples:]
+                else:
+                    indices = np.arange(flat.size)
+                for idx in indices:
+                    old = flat[idx]
+                    flat[idx] = old + h
+                    f_plus = loss_only()
+                    flat[idx] = old - h
+                    f_minus = loss_only()
+                    flat[idx] = old
+                    numeric = (f_plus - f_minus) / (2.0 * h)
+                    worst = max(worst, _rel_err(analytic[idx], numeric))
+                    checked += 1
             reports.append(LayerGradReport(layer=block.name, max_rel_err=worst, checked=checked))
     return GradCheckReport(layers=reports, tolerance=tolerance)
 

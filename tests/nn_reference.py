@@ -35,7 +35,15 @@ import math
 import numpy as np
 
 from hdrkit.errors import ParameterError, ValidationError
-from hdrkit.nn import BatchNorm, Conv, Network, _Block, check_tensor4
+from hdrkit.nn import (
+    _EVAL_PIXELS,
+    BatchNorm,
+    Conv,
+    Network,
+    _blas_one_thread,
+    _Block,
+    check_tensor4,
+)
 
 
 class EinsumConv(Conv):
@@ -168,13 +176,19 @@ def dropout(x: np.ndarray, p: float, train: bool, rng=None) -> tuple[np.ndarray,
 # ---------------------------------------------------------------------------
 # The whole-batch GEMM engine that the N-sliced engine replaced: the bitwise
 # f32 oracle.  The bodies below are the earlier ``hdrkit.nn`` layers and
-# ``Network.forward``/``backward`` verbatim, each on the whole batch in the
-# calling thread.
+# ``Network.forward``/``backward``, each on the whole batch in the calling
+# thread, with two changes that give each GEMM the engine's shape and BLAS
+# thread count, so that they round alike on any OpenBLAS kernel (the
+# engine's own AVX-512 ones and the AVX2 ones that ``OPENBLAS_CORETYPE=Zen``
+# selects): an eval conv runs each sample's GEMM in chunks of
+# ``_EVAL_PIXELS`` columns, as the engine's eval pass does, and the network's
+# passes run BLAS on one thread, as the engine's do.  A train conv keeps the
+# whole-sample GEMMs, which are the engine's train shapes.
 # ---------------------------------------------------------------------------
 
 
 class WholeBatchConv(Conv):
-    def forward(self, x: np.ndarray, weight=None, bias=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, weight=None, bias=None) -> np.ndarray:
         n, c, h, w = x.shape
         if c != self.w.shape[1]:
             raise ValidationError(
@@ -191,7 +205,14 @@ class WholeBatchConv(Conv):
         self._cols = cols
         weight = self.w if weight is None else weight
         bias = self.b if bias is None else bias
-        y = np.matmul(weight.reshape(weight.shape[0], -1), cols)
+        w2 = weight.reshape(weight.shape[0], -1)
+        if train:
+            y = np.matmul(w2, cols)
+        else:
+            y = np.empty((n, w2.shape[0], h * w), dtype=np.result_type(w2, cols))
+            for c0 in range(0, h * w, _EVAL_PIXELS):
+                chunk = slice(c0, c0 + _EVAL_PIXELS)
+                np.matmul(w2, cols[..., chunk], out=y[..., chunk])
         if bias is not None:
             y += bias[:, None]
         return y.reshape(n, -1, h, w)
@@ -255,11 +276,11 @@ class WholeBatchBlock(_Block):
         bn = self.bn
         if bn is not None and not train and not bn_train:  # the eval fold
             s = bn.gamma / np.sqrt(bn.running_var + bn.eps)
-            y = self.conv.forward(x, self.conv.w * s[:, None, None, None],
+            y = self.conv.forward(x, train, self.conv.w * s[:, None, None, None],
                                   bn.beta - bn.running_mean * s)
             bn = None
         else:
-            y = self.conv.forward(x)
+            y = self.conv.forward(x, train)
         if self.is_output:
             return y
         if bn is not None:
@@ -314,10 +335,12 @@ class WholeBatchNetwork(Network):
         if train and apply_dropout and rng is None:
             if any(b.spec.dropout_p > 0 for b in self.blocks):
                 raise ParameterError("train-mode forward with dropout needs an rng")
-        for block in self.blocks:
-            x = block.forward(x, train, rng, bn_train, apply_dropout, frozen_gates)
+        with _blas_one_thread():
+            for block in self.blocks:
+                x = block.forward(x, train, rng, bn_train, apply_dropout, frozen_gates)
         return x
 
     def backward(self, dy):
-        for block in reversed(self.blocks):
-            dy = block.backward(dy)
+        with _blas_one_thread():
+            for block in reversed(self.blocks):
+                dy = block.backward(dy)

@@ -484,6 +484,41 @@ def test_tonemap_checkpoint_of_another_split_is_refused(tmp_path, capsys, split)
     assert not (tmp_path / "out" / "predicted.ppm").exists()
 
 
+@pytest.mark.parametrize("arch, channels", [("ldr2hdr", LDR2HDR_CHANNELS),
+                                             ("tonemap", TONEMAP_CHANNELS)],
+                         ids=["ldr2hdr", "tonemap"])
+def test_checkpoint_of_another_channel_is_refused(tmp_path, capsys, arch, channels):
+    """Each channel's file must hold that channel's net: two checkpoints
+    swapped between channels end in one error line that names the file and
+    both channels, and no output.  A checkpoint that names no channel, as
+    the other tests here write, loads as its file's."""
+    depth = 5 if arch == "ldr2hdr" else 1
+    net = Network(NetworkSpec(layers=(LayerSpec("output1x1", depth, 1),)))
+    named = dict(zip(channels, channels))
+    named[channels[0]], named[channels[1]] = channels[1], channels[0]
+    for ch in channels:
+        meta = {"channel": named[ch], "patch": 32, "final_loss": 0.1}
+        if arch == "tonemap":
+            meta["split"] = TONEMAP_SPLIT
+        (tmp_path / f"{arch}_{ch}.ckpt").write_bytes(save_checkpoint(net, meta))
+    if arch == "ldr2hdr":
+        inputs = []
+        for k in range(5):
+            inputs.append(str(tmp_path / f"shot{k}.ppm"))
+            save_ldr(inputs[-1], ldr_image(np.full((8, 8, 3), 40 * k, np.uint8), 2.0**k))
+        argv = ["infer-ldr2hdr", "--inputs", *inputs]
+    else:
+        argv = ["infer-tonemap", "--input", str(write_scene(tmp_path)[0])]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = run([*argv, "--checkpoints", str(tmp_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error:validation:") and err.count("\n") == 1, err
+    want = f"{arch}_{channels[0]}.ckpt is for channel {channels[1]!r}, not {channels[0]!r}"
+    assert want in err, err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("scale, category", [
     ("0", "parameter"), ("-1", "parameter"), ("nan", "parameter"), ("inf", "parameter"),
     ("1e39", "validation"),

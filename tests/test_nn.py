@@ -7,6 +7,7 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import nn_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -663,7 +664,8 @@ class TestBatchnormCancelsConvBias:
         names = [name for name, _ in net.tensors()]
         for block in net.blocks:
             assert (f"{block.name}.b" in names) == (block.bn is None), block.name
-            assert len(block.conv.params()) == len(block.conv.grads()) == (1 if block.bn is not None else 2)
+            assert [name for name, _, grad in block.state if grad is not None] == (
+                ["w", "gamma", "beta"] if block.bn is not None else ["w", "b"])
 
 
 class TestEvalFold:
@@ -771,11 +773,13 @@ class TestEvalPass:
 
     @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-13)], ids=["f32", "f64"])
     @pytest.mark.parametrize("spec", list(EVAL_SPECS.values()), ids=list(EVAL_SPECS))
-    def test_ragged_chunk_of_odd_width_within_rounding(self, spec, dtype, rtol):
+    def test_ragged_chunk_of_odd_width_within_rounding(self, spec, dtype, rtol, monkeypatch):
         """A last chunk whose width is not a multiple of 16 columns (here
         2500 - 2048 = 452) can take other OpenBLAS kernels than the whole
         sample's GEMM, which round otherwise: a 50x50 f32 sample of the
-        ldr2hdr net read up to 1.8e-7 apart."""
+        ldr2hdr net read up to 1.8e-7 apart.  The oracle runs whole-sample
+        GEMMs here, with its eval chunk wider than the sample."""
+        monkeypatch.setattr(nn_reference, "_EVAL_PIXELS", 1 << 30)
         net, ref = _eval_pair(spec, dtype, 4)
         x = np.random.default_rng(4).normal(size=(2, 3, 50, 50)).astype(dtype)
         assert_close(net.forward(x), ref.forward(x), rtol=rtol)
@@ -982,6 +986,23 @@ class TestGradCheckHarness:
         assert not report.passed
         failing = [r.layer for r in report.layers if r.max_rel_err >= report.tolerance]
         assert failing == [net.blocks[0].name]
+
+    def test_sampled_and_full_tensors(self):
+        """``w`` and ``gamma`` are checked at their ``max_samples``
+        largest-gradient entries when they have more, and in full when they
+        have fewer; ``b`` and ``beta`` in full, whatever their size."""
+        spec = NetworkSpec(layers=(
+            LayerSpec("conv3x3", 2, 6, batchnorm=True),  # w 108, gamma 6, beta 6
+            LayerSpec("conv1x1", 6, 5),  # w 30, b 5
+            LayerSpec("conv1x1", 5, 3, batchnorm=True),  # w 15, gamma 3, beta 3
+            LayerSpec("output1x1", 3, 1),  # w 3, b 1
+        ), seed=4)
+        net = Network(spec, dtype=np.float64)
+        data = np.random.default_rng(10)
+        x, t = data.normal(size=(2, 2, 5, 5)), data.normal(size=(2, 1, 5, 5))
+        report = grad_check(net, x, t, max_samples=4)
+        assert report.passed
+        assert [r.checked for r in report.layers] == [4 + 4 + 6, 4 + 5, 4 + 3 + 3, 3 + 1]
 
     def test_same_report_on_one_and_two_slices(self, monkeypatch):
         """Every frozen-gate pass runs on the slices of one pool, cut as
