@@ -1,9 +1,10 @@
 """Minimal CNN engine on NCHW numpy arrays with hand-written gradients.
 
 The engine knows exactly three layer kinds: 3x3 convolution (zero padding 1),
-1x1 convolution, and a bare 1x1 output convolution.  Only layer 0 may be
-3x3, as in the paper's nets.  Hidden layers may carry spatial batch
-normalization (before ReLU) and inverted dropout (after ReLU).
+1x1 convolution, and a bare 1x1 output convolution, only as the last
+layer.  Only layer 0 may be 3x3, as in the paper's nets.  Hidden layers may
+carry spatial batch normalization (before ReLU) and inverted dropout (after
+ReLU).
 Everything runs in float32 for training or float64 for gradient checking.
 A forward runs in one of two modes: train, with batchnorm on the batch's
 statistics and the spec's dropout, or eval, on the running statistics and
@@ -13,10 +14,10 @@ Convolutions are GEMMs on (N, C, H*W) views: a 3x3 layer gathers its nine
 shifted inputs into one column buffer first (im2col, as in Chellapilla, Puri
 & Simard 2006).  Batchnorm works on the same views and centres the conv
 output in place; an eval forward folds it into the conv weights instead
-(Jacob et al. 2018, section 3.2).  A block caches one bool mask, dropout
-keep AND ReLU gate, and applies it with the 1/(1-p) factor in each
-direction.  The first layer, the only one that may be 3x3, skips its input
-gradient, which no caller reads.
+(Jacob et al. 2018, section 3.2).  Layers return what their backward
+needs, and the block keeps it, with one bool mask, dropout keep AND ReLU
+gate, that it applies with the 1/(1-p) factor in each direction.  The
+first layer, the only one that may be 3x3, skips its input gradient.
 
 A network's forward and backward split the batch into contiguous N-slices
 on one thread each.  Every per-sample result is computed as on the whole
@@ -177,9 +178,11 @@ class NetworkSpec:
                 raise ValidationError(
                     f"layer {i} out_depth {a.out_depth} != layer {i + 1} in_depth {b.in_depth}"
                 )
-        for i, ls in enumerate(self.layers[1:], 1):
-            if ls.kind == "conv3x3":
+        for i, ls in enumerate(self.layers):
+            if ls.kind == "conv3x3" and i > 0:
                 raise ValidationError(f"only layer 0 may be conv3x3, layer {i} is")
+            if ls.kind == "output1x1" and i < len(self.layers) - 1:
+                raise ValidationError(f"only the last layer may be output1x1, layer {i} is")
         last = self.layers[-1]
         if last.kind != "output1x1" or last.out_depth != 1:
             raise ValidationError("final layer must be output1x1 with out_depth 1")
@@ -298,6 +301,7 @@ class Conv:
     Without ``bias`` there is no ``b`` or ``db``: batchnorm's mean
     subtraction would cancel it.
 
+    ``forward`` also returns the columns, 1x1's a view of x, for ``backward``.
     With ``input_grad`` false, backward fills dW and db only and returns
     None.  It is false for 3x3, which :class:`NetworkSpec` allows only as
     layer 0, and a :class:`Network` also clears it on a 1x1 layer 0.  Only
@@ -314,13 +318,12 @@ class Conv:
         self.b = np.zeros(out_ch, dtype=dtype) if bias else None
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b) if bias else None
-        self._cols: np.ndarray | None = None
 
     def check_channels(self, c: int) -> None:
         if c != self.w.shape[1]:
             raise ValidationError(f"conv expects {self.w.shape[1]} input channels, got {c}")
 
-    def forward(self, x: np.ndarray, slices: _Slices) -> np.ndarray:
+    def forward(self, x: np.ndarray, slices: _Slices) -> tuple[np.ndarray, np.ndarray]:
         n, c, h, w = x.shape
         self.check_channels(c)
         w2 = self.w.reshape(self.w.shape[0], -1)
@@ -339,13 +342,9 @@ class Conv:
                 ys += self.b[:, None]
 
         slices.run(run)
-        self._cols = cols
-        return y.reshape(n, -1, h, w)
+        return y.reshape(n, -1, h, w), cols
 
-    def backward(self, dy: np.ndarray, slices: _Slices) -> np.ndarray | None:
-        cols = self._cols
-        if cols is None:
-            raise ValidationError("conv backward before forward")
+    def backward(self, dy: np.ndarray, cols: np.ndarray, slices: _Slices) -> np.ndarray | None:
         n, o, h, w = dy.shape
         dy = dy.reshape(n, o, h * w)
         w2 = self.w.reshape(o, -1)
@@ -363,7 +362,6 @@ class Conv:
         if self.db is not None:
             self.db[...] = dy.sum(axis=(0, 2))
         self.dw.reshape(o, -1)[...] = dws.sum(axis=0)
-        self._cols = None  # spent; for 1x1 this frees the layer below's output
         return None if dx is None else dx.reshape(n, -1, h, w)
 
 
@@ -372,9 +370,10 @@ class BatchNorm:
     own statistics.
 
     The batch statistics are per-sample sums added in n order, and blend
-    into the running statistics.  The input gradient reuses ``dbeta`` and
-    ``dgamma`` as its means.  An eval forward never runs this layer: it folds
-    the running statistics into the conv (:meth:`_Block.eval_weights`).
+    into the running statistics.  ``forward`` also returns ``(xc, istd)``
+    for ``backward``.  The input gradient reuses ``dbeta`` and ``dgamma`` as
+    its means.  An eval forward never runs this layer: it folds the running
+    statistics into the conv (:meth:`_Block.eval_weights`).
     """
 
     eps = 1e-5
@@ -387,11 +386,10 @@ class BatchNorm:
         self.running_var = np.ones(channels, dtype=dtype)
         self.dgamma = np.zeros_like(self.gamma)
         self.dbeta = np.zeros_like(self.beta)
-        self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray, slices: _Slices) -> np.ndarray:
+    def forward(self, x: np.ndarray, slices: _Slices) -> tuple[np.ndarray, tuple]:
         """Normalize x, centring it in place (a block's fresh conv output):
-        the centred x is the cached ``xc``."""
+        the centred x is the returned ``xc``."""
         shape = x.shape
         x = x.reshape(shape[0], shape[1], -1)
         m = x.shape[0] * x.shape[2]
@@ -410,7 +408,6 @@ class BatchNorm:
         self.running_mean[...] = (1.0 - mom) * self.running_mean + mom * mu
         self.running_var[...] = (1.0 - mom) * self.running_var + mom * var
         istd = 1.0 / np.sqrt(var + self.eps)
-        self._cache = (x, istd)
         scale = self.gamma * istd
         y = np.empty(x.shape, dtype=np.result_type(x, scale))
 
@@ -419,15 +416,12 @@ class BatchNorm:
             ys += self.beta[:, None]
 
         slices.run(normalize)
-        return y.reshape(shape)
+        return y.reshape(shape), (x, istd)
 
-    def backward(self, dy: np.ndarray, slices: _Slices) -> np.ndarray:
-        """Input gradient, written over dy.  Backward spends the forward
-        cache, and its ``xc`` holds the mean-correction term."""
-        if self._cache is None:
-            raise ValidationError("batchnorm backward before forward")
-        xc, istd = self._cache  # xhat = xc * istd
-        self._cache = None
+    def backward(self, dy: np.ndarray, saved: tuple, slices: _Slices) -> np.ndarray:
+        """Input gradient, written over dy, from the forward's ``saved``
+        pair; backward writes the mean-correction term over its ``xc``."""
+        xc, istd = saved  # xhat = xc * istd
         dy3 = dy.reshape(xc.shape)
         rows = np.empty(xc.shape[:2], dtype=dy3.dtype)
         dots = np.empty(xc.shape[:2], dtype=np.result_type(dy3, xc))
@@ -515,16 +509,18 @@ def _keep_drawer(shape, p: float, rng: np.random.Generator, slices: _Slices):
 class _Block:
     """conv -> [batchnorm] -> relu -> [dropout]; the output block is conv only.
 
-    ``forward`` is the train-mode forward.  It caches one bool mask: the
-    ReLU gate ``y > 0``, AND the dropout keep mask when dropout runs, in
-    which case ``_scale`` holds 1/(1-p).  ``y *= mask; y *= scale`` and,
-    backward, ``dy *= mask`` then ``*= scale`` are bitwise a ReLU followed
-    by inverted dropout (the ``relu`` and ``dropout`` oracles in
+    ``forward`` is the train-mode forward, and the block alone keeps what
+    it saves: ``_saved = (cols, bn_saved, mask, scale)``, what its conv and
+    batchnorm returned and one bool mask, the ReLU gate ``y > 0`` AND the
+    dropout keep mask when dropout runs, in which case ``scale`` is
+    1/(1-p).  ``backward`` spends the record.  ``y *= mask; y *= scale``
+    and, backward, ``dy *= mask`` then ``*= scale`` are bitwise a ReLU
+    followed by inverted dropout (the ``relu`` and ``dropout`` oracles in
     ``tests/nn_reference.py``).  A frozen-gate pass, which only
-    :func:`grad_check` runs, reuses the mask of the dropout-free train pass
-    before it as its gate.  ``forward`` and ``backward`` run on the
-    caller's :class:`_Slices`.  An eval forward runs neither: it reads the
-    block's conv through :meth:`eval_weights`.
+    :func:`grad_check` runs, takes the mask of the dropout-free train pass
+    before it as ``gate``.  ``forward`` and ``backward`` run on the caller's
+    :class:`_Slices`.  An eval forward runs neither: it reads the block's
+    conv through :meth:`eval_weights`.
 
     A batchnormed block's conv has no bias.  A train forward normalizes on
     the batch's statistics.
@@ -547,8 +543,7 @@ class _Block:
             [("gamma", bn.gamma, bn.dgamma), ("beta", bn.beta, bn.dbeta),
              ("running_mean", bn.running_mean, None), ("running_var", bn.running_var, None)])
         self.is_output = spec.kind == "output1x1"
-        self._mask: np.ndarray | None = None
-        self._scale = None
+        self._saved: tuple | None = None
 
     def eval_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """The eval conv as (O, C*k*k) weights and an (O, 1) bias.
@@ -568,13 +563,14 @@ class _Block:
             w, b = conv.w * s[:, None, None, None], bn.beta - bn.running_mean * s
         return w.reshape(w.shape[0], -1), b[:, None]
 
-    def forward(self, x, rng, slices: _Slices, frozen_gates: bool = False):
-        y = self.conv.forward(x, slices)
+    def forward(self, x, rng, slices: _Slices, gate: np.ndarray | None = None):
+        y, cols = self.conv.forward(x, slices)
         if self.is_output:
+            self._saved = (cols, None, None, None)
             return y
-        if self.bn is not None:
-            y = self.bn.forward(y, slices)
-        gate = self._mask if frozen_gates else np.empty(y.shape, dtype=bool)
+        y, bn_saved = (y, None) if self.bn is None else self.bn.forward(y, slices)
+        fresh = gate is None
+        gate = np.empty(y.shape, dtype=bool) if fresh else gate
         p = self.spec.dropout_p
         keep = scale = None
         if p > 0.0:
@@ -583,7 +579,7 @@ class _Block:
 
         def run(sl: slice) -> None:
             ys, mask = y[sl], gate[sl]
-            if not frozen_gates:
+            if fresh:
                 np.greater(ys, 0, out=mask)
             if keep is not None:
                 draw(sl)
@@ -593,17 +589,16 @@ class _Block:
                 ys *= scale
 
         slices.run(run)
-        self._mask = gate if keep is None else keep
-        self._scale = scale
+        self._saved = (cols, bn_saved, gate if keep is None else keep, scale)
         return y
 
     def backward(self, dy, slices: _Slices):
         """Input gradient; a hidden block's mask multiply overwrites dy."""
+        if self._saved is None:
+            raise ValidationError("block backward before a train-mode forward")
+        cols, bn_saved, mask, scale = self._saved
+        self._saved = None
         if not self.is_output:
-            mask, scale = self._mask, self._scale
-            if mask is None:
-                raise ValidationError("block backward before a train-mode forward")
-
             def run(sl: slice) -> None:
                 ds = np.multiply(dy[sl], mask[sl], out=dy[sl])
                 if scale is not None:
@@ -611,8 +606,9 @@ class _Block:
 
             slices.run(run)
             if self.bn is not None:
-                dy = self.bn.backward(dy, slices)
-        return self.conv.backward(dy, slices)
+                dy = self.bn.backward(dy, bn_saved, slices)
+            bn_saved = mask = None  # frees the centred conv output before the GEMMs
+        return self.conv.backward(dy, cols, slices)
 
 
 def _eval_chunk(layers, src: np.ndarray, dest: np.ndarray, pair: np.ndarray) -> None:
@@ -691,9 +687,7 @@ class Network:
         blocks = self.blocks
         blocks[0].conv.check_channels(x.shape[1])
         for block in blocks:  # an eval forward keeps nothing for backward
-            block.conv._cols = block._mask = block._scale = None
-            if block.bn is not None:
-                block.bn._cache = None
+            block._saved = None
         n, _, h, w = x.shape
         hw = h * w
         chunk = min(hw, _EVAL_PIXELS)
@@ -880,7 +874,9 @@ def grad_check(
     tolerance: float = 1e-4,
     max_samples: int = 200,
 ) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
+    """Compare analytic gradients against the finite difference ``(f(-2h) -
+    8f(-h) + 8f(h) - f(2h)) / 12h``, whose error is O(h**4); the two-point
+    one's O(h**2) exceeded 1e-4 on batchnorm's curvature at h=1e-3.
 
     Runs in 64-bit, in train mode on the fixed batch, on a dropout-free
     copy of ``net`` (:func:`_diagnostic_copy`), so ``net`` is left as it
@@ -888,9 +884,11 @@ def grad_check(
     differencing: the network is piecewise linear in its gates, and the
     analytic gradient is the derivative of exactly that local smooth piece,
     so the difference quotient must be taken on the same piece (batchnorm
-    statistics stay live and are verified in full).  The check runs these
-    frozen-gate passes itself, block by block, under one BLAS cap and one
-    set of slices, cut by the rule :meth:`Network.forward` uses.
+    statistics stay live and are verified in full).  The gates are the
+    blocks' saved masks, taken before the reference backward spends them.
+    The check runs the frozen-gate passes itself, block by block, under one
+    BLAS cap and one set of slices, cut by the rule :meth:`Network.forward`
+    uses.
 
     A conv's ``w`` and a batchnorm's ``gamma`` are checked at their
     ``max_samples`` largest-gradient entries when they have more, where the
@@ -908,16 +906,18 @@ def grad_check(
     target = np.asarray(target, dtype=np.float64)
 
     pred = net.forward(x, train=True)
+    gates = [blk._saved[2] for blk in net.blocks]
     _, dpred = mse_loss(pred, target)
     net.backward(dpred)
 
     reports = []
     with _blas_one_thread(), _Slices(x.shape[0], _slice_threads(x)) as slices:
 
-        def loss_only() -> float:
+        def loss_with(flat: np.ndarray, idx, value) -> float:
+            flat[idx] = value
             y = x
-            for blk in net.blocks:
-                y = blk.forward(y, None, slices, frozen_gates=True)
+            for blk, gate in zip(net.blocks, gates):
+                y = blk.forward(y, None, slices, gate)
             return mse_loss(y, target)[0]
 
         for block in net.blocks:
@@ -934,12 +934,9 @@ def grad_check(
                     indices = np.arange(flat.size)
                 for idx in indices:
                     old = flat[idx]
-                    flat[idx] = old + h
-                    f_plus = loss_only()
-                    flat[idx] = old - h
-                    f_minus = loss_only()
+                    f = [loss_with(flat, idx, old + step) for step in (-2.0 * h, -h, h, 2.0 * h)]
                     flat[idx] = old
-                    numeric = (f_plus - f_minus) / (2.0 * h)
+                    numeric = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
                     worst = max(worst, _rel_err(analytic[idx], numeric))
                     checked += 1
             reports.append(LayerGradReport(layer=block.name, max_rel_err=worst, checked=checked))

@@ -95,6 +95,17 @@ class TestSpecs:
         with pytest.raises(ValidationError, match=f"only layer 0 may be conv3x3, layer {later} is"):
             NetworkSpec(layers=tuple(layers))
 
+    @pytest.mark.parametrize("earlier", [0, 1], ids=["layer0", "hidden"])
+    def test_output1x1_only_as_the_last_layer(self, earlier):
+        """A bare output conv in a hidden place would run as a linear block."""
+        layers = [LayerSpec("conv1x1", 3, 4, batchnorm=True), LayerSpec("conv1x1", 4, 4),
+                  LayerSpec("output1x1", 4, 1)]
+        NetworkSpec(layers=tuple(layers))
+        layers[earlier] = dataclasses.replace(layers[earlier], kind="output1x1", batchnorm=False)
+        with pytest.raises(ValidationError,
+                           match=f"only the last layer may be output1x1, layer {earlier} is"):
+            NetworkSpec(layers=tuple(layers))
+
     def test_parameter_counts_ldr2hdr(self):
         # layer-by-layer arithmetic: out*(in*k*k + 2) with batchnorm (gamma
         # and beta, no bias), out*(in*k*k + 1) without (a bias)
@@ -122,7 +133,9 @@ class TestConv:
         conv.w[...] = np.eye(3)[:, :, None, None]
         conv.b[...] = 0
         x = rng.normal(size=(2, 3, 5, 5))
-        assert np.array_equal(conv.forward(x, _Slices(2)), x)
+        y, cols = conv.forward(x, _Slices(2))
+        assert np.array_equal(y, x)
+        assert np.shares_memory(cols, x)  # a 1x1 conv's columns are its input
 
     def test_3x3_box_kernel_counts(self):
         rng = np.random.default_rng(0)
@@ -130,7 +143,8 @@ class TestConv:
         conv.w[...] = 1.0
         conv.b[...] = 0.0
         c = 2.5
-        y = conv.forward(np.full((1, 1, 4, 4), c), _Slices(1))
+        y, cols = conv.forward(np.full((1, 1, 4, 4), c), _Slices(1))
+        assert cols.shape == (1, 9, 16)  # the nine taps of one channel
         assert y[0, 0, 1, 1] == pytest.approx(9 * c)  # interior
         assert y[0, 0, 0, 0] == pytest.approx(4 * c)  # corner (zero padding)
         assert y[0, 0, 0, 1] == pytest.approx(6 * c)  # edge
@@ -153,13 +167,14 @@ class TestConv:
 class TestBatchNorm:
     def test_constant_input_maps_to_zero(self):
         bn = BatchNorm(2, np.float64)
-        y = bn.forward(np.full((2, 2, 4, 4), 7.0), _Slices(2))
+        y, (xc, istd) = bn.forward(np.full((2, 2, 4, 4), 7.0), _Slices(2))
         assert np.all(np.abs(y) < 1e-3)
+        assert not xc.any() and istd.shape == (2,)
 
     def test_train_mode_normalizes(self, rng):
         bn = BatchNorm(3, np.float64)
         x = rng.normal(2.0, 3.0, size=(4, 3, 16, 16))
-        y = bn.forward(x, _Slices(4))
+        y, _ = bn.forward(x, _Slices(4))
         assert np.all(np.abs(y.mean(axis=(0, 2, 3))) < 1e-5)
         assert np.all(np.abs(y.var(axis=(0, 2, 3)) - 1.0) < 1e-2)
 
@@ -238,7 +253,7 @@ class TestDropout:
         with pytest.raises(ParameterError, match="PCG64"):
             net.forward(x, train=True, rng=np.random.Generator(bitgen(23)))
         assert [arr.tobytes() for _, arr in net.tensors()] == before  # BN running stats too
-        assert all(b.conv._cols is None and b._mask is None for b in net.blocks)
+        assert all(b._saved is None for b in net.blocks)
 
     def test_keep_fraction(self):
         """Each element drops with probability p rounded up to a multiple of
@@ -258,7 +273,7 @@ class TestDropout:
             block.conv.w[...] = 1.0
         y = net.forward(np.ones((4, 1, 100, 100), np.float32), train=True,
                         rng=np.random.default_rng(26))
-        assert not net.blocks[0]._mask.any()
+        assert not net.blocks[0]._saved[2].any()  # the mask
         assert np.isfinite(y).all() and not y.any()
 
     @pytest.mark.parametrize("size", [0, 1, 2, 3, 65535, 65536, 65537, 3 * 65536 + 5])
@@ -351,8 +366,9 @@ class TestMatchesEinsumReference:
         conv = Conv(c, o, k, np.random.default_rng(0), np.float64)
         ref = EinsumConv(c, o, k, np.random.default_rng(0), np.float64)
         conv.b[...] = ref.b[...] = rng.normal(size=o)
-        assert_close(conv.forward(x, _Slices(3)), ref.forward(x))
-        dx, ref_dx = conv.backward(dy, _Slices(3)), ref.backward(dy)
+        y, cols = conv.forward(x, _Slices(3))
+        assert_close(y, ref.forward(x))
+        dx, ref_dx = conv.backward(dy, cols, _Slices(3)), ref.backward(dy)
         if k == 1:
             assert_close(dx, ref_dx)
         else:  # a 3x3 conv is only ever layer 0
@@ -371,8 +387,9 @@ class TestMatchesEinsumReference:
             layer.running_mean[...] = np.linspace(-0.3, 0.4, 6)
             layer.running_var[...] = np.linspace(0.8, 1.7, 6)
         # the engine centres x and writes its input gradient over dy
-        assert_close(bn.forward(x.copy(), _Slices(3)), ref.forward(x, train=True))
-        assert_close(bn.backward(dy.copy(), _Slices(3)), ref.backward(dy))
+        y, saved = bn.forward(x.copy(), _Slices(3))
+        assert_close(y, ref.forward(x, train=True))
+        assert_close(bn.backward(dy.copy(), saved, _Slices(3)), ref.backward(dy))
         for name in ("dgamma", "dbeta", "running_mean", "running_var"):
             assert_close(getattr(bn, name), getattr(ref, name))
 
@@ -388,18 +405,19 @@ class TestMatchesEinsumReference:
         dy = rng.normal(size=(2, 8, 9, 6)).astype(np.float32)
 
         y = block.forward(x, np.random.default_rng(5), _Slices(2))
-        pre = ref.conv.forward(x, _Slices(2))
+        pre, cols = ref.conv.forward(x, _Slices(2))
         if batchnorm:
-            pre = ref.bn.forward(pre, _Slices(2))
+            pre, saved = ref.bn.forward(pre, _Slices(2))
         y_ref, gate = relu(pre)
         y_ref, scale = dropout(y_ref, 0.4, train=True, rng=np.random.default_rng(5))
         assert y.tobytes() == y_ref.tobytes()
 
         dx = block.backward(dy.copy(), _Slices(2))
+        assert block._saved is None  # spent
         d = relu_backward(dy * scale, gate)
         if batchnorm:
-            d = ref.bn.backward(d, _Slices(2))
-        assert dx.tobytes() == ref.conv.backward(d, _Slices(2)).tobytes()
+            d = ref.bn.backward(d, saved, _Slices(2))
+        assert dx.tobytes() == ref.conv.backward(d, cols, _Slices(2)).tobytes()
         assert block.conv.dw.tobytes() == ref.conv.dw.tobytes()
 
 
@@ -462,6 +480,8 @@ class TestSlicedEngine:
         if mode == "eval":
             return [net.forward(x, train=False)]
         out = [net.forward(x, train=True, rng=rng)]
+        if not isinstance(net, WholeBatchNetwork):  # the gates, before backward spends them
+            gates = [block._saved[2] for block in net.blocks]
         net.backward(dy)
         if mode == "frozen":  # a frozen-gate pass on nudged weights
             net.blocks[2].conv.w += np.float32(0.01)
@@ -470,8 +490,8 @@ class TestSlicedEngine:
             else:  # block by block under one set of slices, as grad_check runs it
                 y = x
                 with _Slices(x.shape[0], nn._slice_threads(x)) as slices:
-                    for block in net.blocks:
-                        y = block.forward(y, None, slices, frozen_gates=True)
+                    for block, gate in zip(net.blocks, gates):
+                        y = block.forward(y, None, slices, gate)
                 out.append(y)
             net.backward(dy)
         return out
@@ -512,9 +532,7 @@ class TestSlicedEngine:
         x = np.random.default_rng(4).normal(size=(2, 3, 5, 5)).astype(np.float32)
         net.forward(x, train=True, rng=np.random.default_rng(1))
         net.forward(x, train=False)
-        for block in net.blocks:
-            assert block.conv._cols is None and block._mask is None
-            assert block.bn is None or block.bn._cache is None
+        assert all(block._saved is None for block in net.blocks)
         with pytest.raises(ValidationError, match="backward before"):
             net.backward(np.ones((2, 1, 5, 5), np.float32))
         with pytest.raises(ValidationError, match="block backward before"):
@@ -644,9 +662,10 @@ class TestBatchnormCancelsConvBias:
             layer.gamma[...] = np.linspace(0.5, 2.0, o)
             layer.beta[...] = np.linspace(-1.0, 1.0, o)
         # the engine's batchnorm centres its input and writes over dy
-        y = bn.forward(conv.forward(x, _Slices(3)), _Slices(3))
+        pre, cols = conv.forward(x, _Slices(3))
+        y, saved = bn.forward(pre, _Slices(3))
         assert_close(y, ref_bn.forward(ref.forward(x), train=True))
-        dx = conv.backward(bn.backward(dy.copy(), _Slices(3)), _Slices(3))
+        dx = conv.backward(bn.backward(dy.copy(), saved, _Slices(3)), cols, _Slices(3))
         ref_dx = ref.backward(ref_bn.backward(dy))
         if k == 1:
             assert_close(dx, ref_dx)
@@ -689,14 +708,14 @@ class TestEvalFold:
     def test_skips_batchnorm(self, monkeypatch):
         net = _with_stats(Network(SLICED_SPEC), 1)
         x = np.random.default_rng(2).normal(size=(2, 3, 6, 5)).astype(np.float32)
-        net.forward(x, train=True, rng=np.random.default_rng(3))  # leaves batchnorm caches
+        net.forward(x, train=True, rng=np.random.default_rng(3))  # leaves saved records
 
         def refuse(*args, **kwargs):
             raise AssertionError("BatchNorm.forward ran in an eval forward")
 
         monkeypatch.setattr(BatchNorm, "forward", refuse)
         net.forward(x, train=False)
-        assert all(b.bn._cache is None for b in net.blocks if b.bn is not None)
+        assert all(b._saved is None for b in net.blocks)
 
     def test_leaves_every_tensor_unchanged(self):
         net = _with_stats(Network(build_tonemap_net("L_base", seed=4)), 7)

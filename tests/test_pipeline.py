@@ -283,6 +283,28 @@ class TestTrainEpoch:
         with pytest.raises(ValidationError, match="diverged"):
             train(net, (x, y), cfg, epochs=1)
 
+    def test_trained_net_holds_only_its_state_table(self, rng):
+        """A backward spends what its train forward saved: after training,
+        the arrays reachable from the blocks, convs and batchnorms are the
+        state table's arrays and gradients, and no mask or cache."""
+        x, y = tiny_samples(rng, n=8)
+        cfg = TrainConfig(lr=1e-2, momentum=0.9, batch_size=4, dropout_p=0.4, seed=2, workers=2)
+        net = Network(tiny_spec(p=0.4, seed=3))
+        train(net, (x, y), cfg, epochs=2)
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+
+        held = {id(arr) for block in net.blocks for owner in (block, block.conv, block.bn)
+                if owner is not None for value in vars(owner).values() for arr in arrays(value)}
+        state = {id(arr) for block in net.blocks for _, param, grad in block.state
+                 for arr in (param, grad) if arr is not None}
+        assert held == state
+
     def test_loss_decreases_on_learnable_problem(self, rng):
         x, y = tiny_samples(rng, n=12)
         cfg = TrainConfig(lr=1e-2, momentum=0.9, batch_size=6, dropout_p=0.0, seed=3, dtype="f64")
@@ -444,7 +466,7 @@ class TestBlasThreads:
         seen = []
         trainer, x, y = self._trainer(rng)
 
-        def backward(conv, dy, slices):
+        def backward(conv, dy, cols, slices):
             seen.append(get())
             raise MemoryError("shard backward")
 
