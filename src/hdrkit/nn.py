@@ -12,27 +12,30 @@ without dropout.  ``grad_check`` also runs train passes with the ReLU gates
 frozen, block by block; no other caller does.
 Convolutions are GEMMs on (N, C, H*W) views: a 3x3 layer gathers its nine
 shifted inputs into one column buffer first (im2col, as in Chellapilla, Puri
-& Simard 2006).  Batchnorm works on the same views and centres the conv
-output in place; an eval forward folds it into the conv weights instead
-(Jacob et al. 2018, section 3.2).  Layers return what their backward
-needs, and the block keeps it, with one bool mask, dropout keep AND ReLU
-gate, that it applies with the 1/(1-p) factor in each direction.  The
-first layer, the only one that may be 3x3, skips its input gradient.
+& Simard 2006), for any run of pixel columns.  Batchnorm works on the same
+views and centres the conv output in place; an eval forward folds it into
+the conv weights instead (Jacob et al. 2018, section 3.2).  Layers return
+what their backward needs, and the block keeps it, with one bool mask,
+dropout keep AND ReLU gate, that it applies with the 1/(1-p) factor in each
+direction.  The first layer, the only one that may be 3x3, skips its input
+gradient.
 
-A network's forward and backward split the batch into contiguous N-slices
-on one thread each.  Every per-sample result is computed as on the whole
-batch; the sums across samples (batchnorm statistics, dW) add per-sample
-partials in n order, as numpy's whole-batch reductions do, and each slice
-draws its part of the dropout stream from a PCG64 copy advanced to its
-offset.  So the result is bitwise the same on any number of threads.
+A network's train forward and backward split the batch into contiguous
+N-slices on one thread each.  Every per-sample result is computed as on the
+whole batch; the sums across samples (batchnorm statistics, dW) add
+per-sample partials in n order, as numpy's whole-batch reductions do, and
+each slice draws its part of the dropout stream from a PCG64 copy advanced
+to its offset.  So the result is bitwise the same on any number of threads.
 Each keep-mask element reads one 16-bit lane, a quarter of a raw PCG64
 output, and drops with probability p rounded up to a multiple of 2**-16.
 
 A train pass runs block by block over the whole batch.  An eval pass has no
-sums across samples, so it runs depth-first (Alwani et al., MICRO 2016):
-each slice thread takes its samples through every block in chunks of
-``_EVAL_PIXELS`` pixel columns, in two ping-pong buffers that fit a core's
-L2 cache, and its memory does not grow with N.
+sums across samples, so it runs depth-first (Alwani et al., MICRO 2016) in
+chunks of ``_EVAL_PIXELS`` pixel columns of a sample, cut at the same
+columns whatever the thread count.  Each slice thread takes a contiguous
+run of chunks through every block, in two ping-pong buffers that fit a
+core's L2 cache, so one large sample uses every CPU, and its memory grows
+neither with N nor with H*W.
 
 The one process-wide state is BLAS's thread count, which every engine call
 caps at one thread (``_blas_one_thread``).
@@ -68,12 +71,13 @@ CHECKPOINT_MAGIC = b"HDRNN2"
 # than the second thread saves.
 _SLICE_PIXELS = 64 * 64
 
-# An eval forward runs each sample through every block in chunks of at most
-# this many pixel columns.  Two chunk buffers of the widest paper layer (100
-# channels) in f32 take 1.6 MiB, so a chunk stays in a 2 MiB L2 per core
-# from the first layer to the last.  The 7 paper nets over 6 tiles of 64x64
-# on a 2-CPU x86-64 VM took 46-56 ms in chunks of 2048 px, 53-60 in 1024,
-# 58-67 in 512 and 59-60 in whole tiles.
+# An eval forward cuts each sample into chunks of this many pixel columns,
+# the last one narrower, and runs each chunk through every block; a chunk
+# is also its unit of work on the slice threads.  Two chunk buffers of the
+# widest paper layer (100 channels) in f32 take 1.6 MiB, so a chunk stays in
+# a 2 MiB L2 per core from the first layer to the last.  The 7 paper nets
+# over 6 tiles of 64x64 on a 2-CPU x86-64 VM took 46-56 ms in chunks of 2048
+# px, 53-60 in 1024, 58-67 in 512 and 59-60 in whole tiles.
 _EVAL_PIXELS = 2048
 
 
@@ -276,20 +280,29 @@ def _channel_total(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return x.sum(axis=(0, 2)) if x.shape[1] == 1 else rows.sum(axis=0)
 
 
-def _im2col(x: np.ndarray, cols9: np.ndarray) -> None:
-    """Gather the zero-padded 3x3 neighbourhoods of (..., C, H, W) ``x`` into
-    (..., C, 9, H, W) ``cols9``: tap 3*di + dj holds x shifted by (di - 1,
-    dj - 1), zero where that falls outside x."""
-    h, w = x.shape[-2:]
+def _im2col(x: np.ndarray, width: int, start: int, cols9: np.ndarray) -> None:
+    """Gather the zero-padded 3x3 neighbourhoods of the pixel columns
+    ``start`` to ``start + m`` of (..., C, H*W) ``x``, rows of ``width``
+    pixels, into (..., C, 9, m) ``cols9``: tap 3*di + dj holds x shifted by
+    (di - 1, dj - 1), zero where that falls outside x.
+
+    A tap is one run of the flat pixels, so a run of columns reads only its
+    own rows and one row on either side.  Its ends are zero where the run
+    leaves the first or last row; a column shift also wraps from one row
+    into the next, and those entries are zeroed too.
+    """
+    hw, m = x.shape[-1], cols9.shape[-1]
     for k in range(9):
         di, dj = k // 3 - 1, k % 3 - 1
-        tap = cols9[..., k, :, :]
-        tap[..., max(-di, 0) : h - max(di, 0), max(-dj, 0) : w - max(dj, 0)] = (
-            x[..., max(di, 0) : h - max(-di, 0), max(dj, 0) : w - max(-dj, 0)])
-        if di:
-            tap[..., 0 if di < 0 else h - 1, :] = 0
+        tap = cols9[..., k, :]
+        src = start + di * width + dj  # the flat pixel that column 0 reads
+        a = min(m, max(0, -src))
+        b = max(a, min(m, hw - src))
+        tap[..., :a] = 0
+        tap[..., b:] = 0
+        tap[..., a:b] = x[..., src + a : src + b]
         if dj:
-            tap[..., :, 0 if dj < 0 else w - 1] = 0
+            tap[..., (-start if dj < 0 else width - 1 - start) % width :: width] = 0
 
 
 class Conv:
@@ -327,16 +340,17 @@ class Conv:
         n, c, h, w = x.shape
         self.check_channels(c)
         w2 = self.w.reshape(self.w.shape[0], -1)
+        x = x.reshape(n, c, h * w)
         if self.ksize == 1:
-            cols = x.reshape(n, c, h * w)
+            cols = x
         else:
-            cols9 = np.empty((n, c, 9, h, w), dtype=x.dtype)
+            cols9 = np.empty((n, c, 9, h * w), dtype=x.dtype)
             cols = cols9.reshape(n, c * 9, h * w)
         y = np.empty((n, w2.shape[0], h * w), dtype=np.result_type(w2, cols))
 
         def run(sl: slice) -> None:
             if self.ksize == 3:
-                _im2col(x[sl], cols9[sl])
+                _im2col(x[sl], w, 0, cols9[sl])
             ys = np.matmul(w2, cols[sl], out=y[sl])
             if self.b is not None:
                 ys += self.b[:, None]
@@ -619,12 +633,12 @@ def _eval_chunk(layers, src: np.ndarray, dest: np.ndarray, pair: np.ndarray) -> 
     on hidden layers, the ReLU ``max(y, 0)``, all in place; the last layer
     writes into ``dest``.  On the SkylakeX (AVX-512) kernels of numpy's
     OpenBLAS, a column's sums are those of the whole-sample GEMM when each
-    chunk is a multiple of 16 columns wide, as in 64x64 tiles; a last chunk
-    of another width can take other kernels, which round otherwise.  On its
-    Haswell (AVX2) kernels, which ``OPENBLAS_CORETYPE=Zen`` also selects,
-    even such chunks can round otherwise.  ``max`` gives +0 where
-    the train-mode gate-and-multiply gives -0, which adds the same to every
-    later sum.
+    chunk is a multiple of 16 columns wide, as in 64x64 tiles and in
+    inference's plane of tiles; a last chunk of another width can take
+    other kernels, which round otherwise.  On its Haswell (AVX2) kernels,
+    which ``OPENBLAS_CORETYPE=Zen`` also selects, even such chunks can round
+    otherwise.  ``max`` gives +0 where the train-mode gate-and-multiply
+    gives -0, which adds the same to every later sum.
     """
     last = len(layers) - 1
     m = src.shape[1]
@@ -652,65 +666,76 @@ class Network:
         self.blocks[0].conv.input_grad = False
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
-        """Run the network on ``min(N, CPUs)`` slices of the batch, one
-        thread each, with at least ``_SLICE_PIXELS`` pixels per slice.  The
-        result does not depend on the number of slices.  BLAS runs on one
-        thread.
+        """Run the network on up to one thread per CPU, with at least
+        ``_SLICE_PIXELS`` pixels per thread.  The result does not depend on
+        the number of threads.  BLAS runs on one thread.
 
         A train forward runs the blocks one after another over the whole
-        batch: it normalizes on the batch's statistics and applies the
-        spec's dropout, drawn from ``rng``, a PCG64 or PCG64DXSM Generator.
+        batch, each on ``min(N, threads)`` slices of samples: it normalizes
+        on the batch's statistics and applies the spec's dropout, drawn from
+        ``rng``, a PCG64 or PCG64DXSM Generator.
 
         An eval forward uses the running statistics (:meth:`_Block.eval_weights`)
         and no dropout, and keeps nothing for backward.  It has no sums
         across samples, so it is depth-first (Alwani et al., "Fused-Layer
-        CNN Accelerators", MICRO 2016): each slice thread takes its samples
-        one at a time through every block, in chunks of at most
-        ``_EVAL_PIXELS`` pixel columns through two ping-pong buffers
-        (:func:`_eval_chunk`).  At 2048 columns the pair holds the widest
-        paper layer, 100 channels in f32, in 1.6 MiB, so a chunk stays in a
-        2 MiB L2 cache from the first layer to the last.  A 3x3 layer 0
-        reads neighbours across chunks, so it gathers the whole sample's
-        im2col first.
+        CNN Accelerators", MICRO 2016): its unit of work is one chunk of at
+        most ``_EVAL_PIXELS`` pixel columns of one sample, and each slice
+        thread takes a contiguous run of chunks through every block, in two
+        ping-pong buffers (:func:`_eval_chunk`).  Chunks start at multiples
+        of ``_EVAL_PIXELS`` in each sample, so the bytes do not depend on
+        the thread count, and a one-sample plane uses every CPU.  At 2048
+        columns the pair holds the widest paper layer, 100 channels in f32,
+        in 1.6 MiB, so a chunk stays in a 2 MiB L2 cache from the first
+        layer to the last.  A 3x3 layer 0 gathers each chunk's im2col from
+        the chunk's rows and one row on either side, so a thread's scratch
+        does not grow with the sample.
         """
         x = check_tensor4(x, "input").astype(self.dtype, copy=False)
         if train and any(b.spec.dropout_p > 0 for b in self.blocks):
             _check_dropout_rng(rng)
-        with _blas_one_thread(), _Slices(x.shape[0], _slice_threads(x)) as slices:
+        with _blas_one_thread():
             if not train:
-                return self._eval_forward(x, slices)
-            for block in self.blocks:
-                x = block.forward(x, rng, slices)
+                return self._eval_forward(x)
+            with _Slices(x.shape[0], _slice_threads(x)) as slices:
+                for block in self.blocks:
+                    x = block.forward(x, rng, slices)
         return x
 
-    def _eval_forward(self, x: np.ndarray, slices: _Slices) -> np.ndarray:
+    def _eval_forward(self, x: np.ndarray) -> np.ndarray:
         blocks = self.blocks
         blocks[0].conv.check_channels(x.shape[1])
         for block in blocks:  # an eval forward keeps nothing for backward
             block._saved = None
-        n, _, h, w = x.shape
+        n, c, h, w = x.shape
         hw = h * w
         chunk = min(hw, _EVAL_PIXELS)
+        per_sample = -(-hw // chunk)
         layers = [(*block.eval_weights(), not block.is_output) for block in blocks]
-        gather = blocks[0].conv.ksize == 3
-        # Each slice thread's scratch, made here (see _Slices): the chunk
-        # pair and, for a 3x3 layer 0, one sample's im2col.
         widest = max(w2.shape[0] for w2, _, _ in layers)
-        col_rows = layers[0][0].shape[1] if gather else 0
-        scratch = {sl.start: (np.empty((2, widest * chunk), x.dtype),
-                              np.empty((col_rows, hw), x.dtype)) for sl in slices.parts}
+        gather = blocks[0].conv.ksize == 3
+        pixels = x.reshape(n, c, hw)
         y = np.empty((n, 1, hw), dtype=x.dtype)
+        # Unit u of the slices is chunk u % per_sample of sample u // per_sample.
+        with _Slices(n * per_sample, _slice_threads(x)) as slices:
+            # Each slice thread's scratch, made here (see _Slices): the chunk
+            # pair and, for a 3x3 layer 0, one chunk's im2col.
+            scratch = {sl.start: (np.empty((2, widest * chunk), x.dtype),
+                                  np.empty(9 * c * chunk if gather else 0, x.dtype))
+                       for sl in slices.parts}
 
-        def run(sl: slice) -> None:
-            pair, cols = scratch[sl.start]
-            for i in range(sl.start, sl.stop):
-                if gather:
-                    _im2col(x[i], cols.reshape(-1, 9, h, w))
-                src = cols if gather else x[i].reshape(-1, hw)
-                for c0 in range(0, hw, chunk):
-                    _eval_chunk(layers, src[:, c0 : c0 + chunk], y[i, :, c0 : c0 + chunk], pair)
+            def run(sl: slice) -> None:
+                pair, cols = scratch[sl.start]
+                for u in range(sl.start, sl.stop):
+                    i, c0 = u // per_sample, u % per_sample * chunk
+                    m = min(chunk, hw - c0)
+                    src = pixels[i, :, c0 : c0 + m]
+                    if gather:
+                        src = cols[: 9 * c * m]
+                        _im2col(pixels[i], w, c0, src.reshape(c, 9, m))
+                        src = src.reshape(9 * c, m)
+                    _eval_chunk(layers, src, y[i, :, c0 : c0 + m], pair)
 
-        slices.run(run)
+            slices.run(run)
         return y.reshape(n, 1, h, w)
 
     def backward(self, dy: np.ndarray) -> None:

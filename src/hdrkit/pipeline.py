@@ -4,8 +4,8 @@ Images become network inputs along one path per architecture, shared by the
 sample builders and by inference: ``stack_channel_planes`` for the ldr2hdr
 nets, and for the tone-map nets ``_lab_planes`` (Lab split plus bilateral
 base/detail) followed by ``_scale_plane``, with ``_unscale_plane`` undoing
-the scaling on predictions.  ``extract_patches`` tiles those planes for both
-training and inference.
+the scaling on predictions.  ``extract_patches`` tiles those planes for
+training, and inference runs the same tiles as one plane (``_forward_tiled``).
 
 Training regresses 64x64 patches with mini-batch SGD along a single path:
 ``train`` (``hyperparam_search`` runs it too) shuffles the samples once per
@@ -20,6 +20,7 @@ forward and backward splits its shard over the CPUs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -543,10 +544,45 @@ def hyperparam_search(
 
 
 def _forward_tiled(net: Network, planes: np.ndarray, patch: int) -> np.ndarray:
-    """Eval-mode forward of (C, H, W) planes through patch tiling, every tile
-    in one forward: the eval pass's memory does not grow with the tiles."""
-    grid, patches = extract_patches(planes.astype(net.dtype, copy=False), patch)
-    return reassemble(grid, net.forward(patches, train=False)[:, 0])
+    """Eval-mode forward of (C, H, W) planes as ``patch`` x ``patch`` tiles,
+    each with the zero padding of its own 3x3 conv, as the nets were trained:
+    the (H, W) output of :func:`extract_patches`, a forward of the tiles and
+    :func:`reassemble`, computing only the plane's pixels.
+
+    The tiles are laid out as one plane, one sample of one forward, with one
+    zero row or column between neighbouring tiles.  Past a ragged bottom or
+    right edge comes the one reflected row or column that the edge pixels
+    see in their reflect-padded tile, and zero columns up to 15 make the
+    plane's size a multiple of 16, so that every eval chunk is too
+    (:func:`hdrkit.nn._eval_chunk`).  Pixels in no tile are never computed.
+    """
+    if patch < 8:
+        raise ParameterError(f"patch must be >= 8, got {patch}")
+    h, w = planes.shape[-2:]
+
+    def at(i: int) -> int:  # the plane's row or column for the planes' i
+        return i + i // patch
+
+    # Up to the last pixel, and one reflected pixel past a ragged edge.
+    rows, cols = (at(n - 1) + 1 + (n % patch > 0) for n in (h, w))
+    step = 16 // math.gcd(rows, 16)
+    plane = np.zeros((planes.shape[0], rows, -(-cols // step) * step), net.dtype)
+    # Each tile's (planes, plane) slices along one axis.
+    bands = [[(slice(i, i + patch), slice(at(i), at(i) + min(patch, n - i)))
+              for i in range(0, n, patch)] for n in (h, w)]
+    for (ri, rp), (ci, cp) in itertools.product(*bands):
+        plane[:, rp, cp] = planes[:, ri, ci]
+    # The reflected column, then the reflected row, which reflects the
+    # corner both ways, as np.pad's reflect mode does.
+    if w % patch:
+        plane[:, :, at(w)] = plane[:, :, at(max(w - 2, 0))]
+    if h % patch:
+        plane[:, at(h)] = plane[:, at(max(h - 2, 0))]
+    y = net.forward(plane[None], train=False)[0, 0]
+    out = np.empty((h, w), y.dtype)
+    for (ri, rp), (ci, cp) in itertools.product(*bands):
+        out[ri, ci] = y[rp, cp]
+    return out
 
 
 def infer_ldr2hdr(

@@ -558,13 +558,16 @@ def test_bad_scale_is_one_error_line(tmp_path, scale, category):
 @pytest.mark.parametrize("command", ["train-ldr2hdr", "infer-tonemap"])
 def test_request_too_large_for_memory_is_one_error_line(tmp_path, capsys, monkeypatch, command):
     """``--patch 200000`` on 16x16 scenes asks numpy for 745 GiB of padded
-    planes, and a checkpoint's ``patch`` does the same for inference.  The
-    MemoryError is raised here, not provoked: an overcommitting kernel may
-    grant that allocation and then kill the process when it is touched."""
+    planes in training.  Inference lays its tiles out as one plane of about
+    the image's size, whatever the checkpoint's ``patch``; a large image can
+    still exhaust memory there.  The MemoryError is raised where each path
+    allocates its planes, not provoked: an overcommitting kernel may grant
+    such an allocation and then kill the process when it is touched."""
     data = tmp_path / "data"
     run(["synth", "--out", str(data), "--count", "1", "--size", "16", "--seed", "2"])
     if command == "train-ldr2hdr":
         argv = ["--manifest", str(data), "--patch", "200000", "--epochs", "1"]
+        allocates = "extract_patches"
     else:
         ckpts = tmp_path / "ckpt"
         ckpts.mkdir()
@@ -573,11 +576,12 @@ def test_request_too_large_for_memory_is_one_error_line(tmp_path, capsys, monkey
                                    {"patch": 200000, "final_loss": 0.0, "split": TONEMAP_SPLIT})
             (ckpts / f"tonemap_{ch}.ckpt").write_bytes(blob)
         argv = ["--checkpoints", str(ckpts), "--input", str(data / "scene_000.pfm")]
+        allocates = "_forward_tiled"
 
-    def refuse(planes, patch):
-        raise MemoryError(f"Unable to allocate planes padded to {patch}x{patch}")
+    def refuse(*args):
+        raise MemoryError(f"Unable to allocate the planes of {allocates}")
 
-    monkeypatch.setattr(pipeline, "extract_patches", refuse)
+    monkeypatch.setattr(pipeline, allocates, refuse)
     capsys.readouterr()
     code = run([command, *argv, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err

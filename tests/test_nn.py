@@ -627,6 +627,25 @@ class TestSameBytesOnAnySliceCount:
         monkeypatch.setattr(nn, "_cpu_count", lambda: cpus)
         assert self._passes(spec, x, dy) == want
 
+    @pytest.mark.parametrize("cpus", [2, 5], indirect=True)
+    def test_one_plane_of_many_chunks_matches_one_slice(self, cpus, monkeypatch):
+        """An eval forward of one sample, 12 chunks of a 181x129 plane, runs
+        its chunks on every slice thread, with the bytes of one thread."""
+        net = _with_stats(Network(build_ldr2hdr_net("R", seed=5)), 6)
+        x = np.random.default_rng(52).random((1, 5, 181, 129)).astype(np.float32)
+        monkeypatch.setattr(nn, "_cpu_count", lambda: 1)
+        want = net.forward(x).tobytes()
+        monkeypatch.setattr(nn, "_cpu_count", lambda: cpus)
+        threads, real_chunk = set(), nn._eval_chunk
+
+        def chunk(*args):
+            threads.add(threading.get_ident())
+            return real_chunk(*args)
+
+        monkeypatch.setattr(nn, "_eval_chunk", chunk)
+        assert net.forward(x).tobytes() == want
+        assert len(threads) == cpus
+
 
 def _with_stats(net, seed):
     """Non-zero biases where a conv has one, and gamma, beta and running
@@ -811,14 +830,16 @@ class TestEvalPass:
 
     def test_memory_does_not_grow_with_the_tiles(self, monkeypatch):
         """The traced peak of an eval forward, less its output, over 64 tiles
-        of 64x64 stays within what 4 tiles take: each slice thread holds its
-        chunk pair and one sample's im2col, whatever N.  A whole-batch
-        forward of 64 tiles peaks at about 200 MiB."""
+        of 64x64 stays within what 4 tiles take, and over one 1024x1024
+        plane within what one 256x256 plane takes: each slice thread holds
+        its chunk pair and one chunk's im2col, whatever N, H and W.  A
+        whole-batch forward of 64 tiles peaks at about 200 MiB, and a
+        whole-sample im2col of the 1024x1024 plane takes 36 MiB."""
         monkeypatch.setattr(nn, "_cpu_count", lambda: 2)
         net = _with_stats(Network(build_tonemap_net("L_base", seed=1)), 2)
 
-        def scratch(n):
-            x = np.random.default_rng(n).random((n, 1, 64, 64)).astype(np.float32)
+        def scratch(shape):
+            x = np.random.default_rng(shape[0]).random(shape).astype(np.float32)
             tracemalloc.start()
             try:
                 y = net.forward(x)
@@ -827,7 +848,8 @@ class TestEvalPass:
                 tracemalloc.stop()
             return peak - y.nbytes
 
-        assert scratch(64) <= 1.1 * scratch(4)
+        assert scratch((64, 1, 64, 64)) <= 1.1 * scratch((4, 1, 64, 64))
+        assert scratch((1, 1, 1024, 1024)) <= 1.1 * scratch((1, 1, 256, 256))
 
 
 class TestBlasCap:

@@ -1,3 +1,4 @@
+import ctypes
 import os
 import subprocess
 import sys
@@ -430,26 +431,34 @@ class TestBlasThreads:
     @pytest.mark.parametrize("cpus", [None, 1, 4])
     def test_capped_during_eval_forwards(self, rng, monkeypatch, threads, cpus):
         """The count read inside the eval pass, at every chunk of a tiled
-        forward and 2 validation forwards.  A tile or sample of 8x8 or 16x16
-        px is one chunk through the net's one stage."""
+        forward and 2 validation forwards: one chunk per ``_EVAL_PIXELS``
+        columns of each sample, the tiles' one plane or a 16x16 sample."""
         if cpus is not None:
             monkeypatch.setattr(nn, "_cpu_count", lambda: cpus)
         get, _ = _blas_thread_control()
         net = Network(tiny_spec(), dtype=np.float32)
-        seen = []
-        real_chunk = nn._eval_chunk
+        seen, shapes = [], []
+        real_chunk, real_forward = nn._eval_chunk, Network.forward
 
         def chunk(*args):
             seen.append(get())
             return real_chunk(*args)
 
+        def forward(self, x, **kwargs):
+            shapes.append(x.shape)
+            return real_forward(self, x, **kwargs)
+
         monkeypatch.setattr(nn, "_eval_chunk", chunk)
-        planes = rng.random((2, 20, 20))
-        pipeline._forward_tiled(net, planes, 8)
-        tiles = pipeline.extract_patches(planes, 8)[0].count
+        monkeypatch.setattr(Network, "forward", forward)
+        pipeline._forward_tiled(net, rng.random((2, 70, 90)), 8)
+        # 70 rows, 8 zero gutters and one reflected row; 90 columns, 11
+        # gutters, one reflected column and 10 zeros, for 79 * 112 = 8848.
+        assert shapes == [(1, 2, 79, 112)]
         x, y = tiny_samples(rng, n=3)
         eval_mse(net, (x, y), batch_size=2)
-        assert seen == [1] * (tiles + x.shape[0])
+        chunks = sum(n * -(-h * w // nn._EVAL_PIXELS) for n, _, h, w in shapes)
+        assert chunks == 5 + 3
+        assert seen == [1] * chunks
         assert get() == threads
 
     def test_restored_after_diverged_shard(self, rng, threads):
@@ -571,6 +580,57 @@ class TestHyperparamSearch:
         assert res.curve == state.curve
 
 
+def _openblas_core() -> str | None:
+    """The kernel family that numpy's OpenBLAS runs, e.g. ``SkylakeX``, or
+    None when it does not say."""
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    get = getattr(lib, "scipy_openblas_get_corename64_", None)
+    if get is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    return get().decode()
+
+
+def tiled_oracle(net, planes, patch):
+    """The tiled inference that ``_forward_tiled`` replaced: reflect-padded
+    tiles, one eval forward of all of them, and the tiles put back together."""
+    grid, tiles = extract_patches(planes.astype(net.dtype, copy=False), patch)
+    return reassemble(grid, net.forward(tiles, train=False)[:, 0])
+
+
+class TestForwardTiled:
+    """``_forward_tiled`` runs the tiles as one plane with zero gutters and
+    gives each real pixel what the tiled oracle does.  On the SkylakeX
+    (AVX-512) kernels of numpy's OpenBLAS the bytes are the same, since
+    every eval chunk of either is a multiple of 16 columns; on other
+    kernels, such as the AVX2 ones that ``OPENBLAS_CORETYPE=Zen`` selects,
+    sums can round otherwise: these cases read up to 7.2e-7 apart there."""
+
+    @pytest.mark.parametrize("hw", [(1, 1), (7, 5), (63, 64), (64, 64), (65, 130), (150, 110),
+                                    (181, 97)], ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    @pytest.mark.parametrize("patch", [8, 16, 64])
+    @pytest.mark.parametrize("channels", [1, 5])
+    def test_matches_the_tiled_oracle(self, hw, patch, channels):
+        spec = build_tonemap_net("a", seed=4) if channels == 1 else build_ldr2hdr_net("G", seed=4)
+        net = Network(spec)
+        data = np.random.default_rng(hw[0] * patch + channels)
+        for block in net.blocks:  # running statistics away from 0 and 1
+            if block.bn is not None:
+                block.bn.running_mean[...] = data.normal(0.0, 0.3, block.bn.gamma.size)
+                block.bn.running_var[...] = data.uniform(0.2, 3.0, block.bn.gamma.size)
+        planes = data.random((channels,) + hw)
+        got, want = pipeline._forward_tiled(net, planes, patch), tiled_oracle(net, planes, patch)
+        assert got.shape == want.shape == hw and got.dtype == want.dtype
+        if _openblas_core() == "SkylakeX":
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+
+    def test_patch_minimum(self):
+        with pytest.raises(ParameterError, match="patch must be >= 8"):
+            pipeline._forward_tiled(Network(build_tonemap_net("a", seed=0)), np.zeros((1, 9, 9)), 4)
+
+
 class TestInference:
     def test_ldr2hdr_output_dims(self, identity_crf):
         scene = synth_scenes(1, 80, seed=31)[0]  # 80x80: patching needs padding
@@ -606,6 +666,14 @@ class TestInference:
         tm = infer_tonemap(nets, small_scene, patch=16)
         assert (tm.width, tm.height) == (small_scene.width, small_scene.height)
         assert tm.data.min() >= 0 and tm.data.max() <= 1
+
+    def test_tonemap_patch_beyond_the_plane_is_one_ragged_tile(self):
+        """A 16x16 plane is one ragged tile at patch 32 and at patch 200000,
+        and inference allocates by the plane, not by the patch."""
+        m = synth_scenes(1, 16, seed=5)[0]
+        nets = {ch: Network(build_tonemap_net(ch, seed=2)) for ch in TONEMAP_CHANNELS}
+        want = infer_tonemap(nets, m, patch=32)
+        assert infer_tonemap(nets, m, patch=200000).data.tobytes() == want.data.tobytes()
 
     def test_tonemap_nets_see_their_training_inputs(self, monkeypatch):
         # Bitwise: each channel net gets at inference exactly the planes that
