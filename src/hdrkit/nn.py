@@ -37,8 +37,8 @@ run of chunks through every block, in two ping-pong buffers that fit a
 core's L2 cache, so one large sample uses every CPU, and its memory grows
 neither with N nor with H*W.
 
-The one process-wide state is BLAS's thread count, which every engine call
-caps at one thread (``_blas_one_thread``).
+The process-wide state is the slice pool (``_new_pool``) and BLAS's thread
+count, which every engine call caps at one thread (``_blas_one_thread``).
 """
 
 from __future__ import annotations
@@ -66,9 +66,11 @@ _KIND_CODE = {k: i for i, k in enumerate(LAYER_KINDS)}
 
 CHECKPOINT_MAGIC = b"HDRNN2"
 
-# Each slice pass hands work to another thread and back, 0.05-0.25 ms on a
-# 2-CPU x86-64 VM; below one 64x64 patch per slice the hand-offs cost more
-# than the second thread saves.
+# Each slice pass hands work to a pool thread and back, 20-50 us for a
+# trivial task on a 2-CPU x86-64 VM.  Below one 64x64 patch per slice a
+# second thread costs more than it saves: the R and L_base nets' train
+# forward and backward of two 32x32 samples took 7.7 and 12.2 ms on two
+# slices, 5.1 and 9.7 on one.
 _SLICE_PIXELS = 64 * 64
 
 # An eval forward cuts each sample into chunks of this many pixel columns,
@@ -211,40 +213,23 @@ class NetworkSpec:
 class _Slices:
     """Contiguous N-slices of one batch, run on ``min(N, threads)`` threads.
 
-    Used as a context manager it owns a pool for every slice but the first,
-    which the calling thread runs.  A task writes only its own slice of each
+    The calling thread runs the first slice and the slice pool
+    (:func:`_new_pool`) the others.  A task writes only its own slice of each
     output, so a result that crosses slices is a per-sample partial that the
-    caller reduces in n order.  Tasks run plain numpy kernels, never wait
-    on one another, and write into buffers the calling thread made: glibc
-    keeps what a short-lived thread frees in that thread's malloc arena,
-    and slice-local scratch raised the train benchmark's peak RSS by up to
-    40%.  Outside a ``with`` block the slices run one after another on the
-    calling thread.
+    caller reduces in n order.  Tasks run plain numpy kernels, never wait on
+    one another, and write into buffers the calling thread made: glibc keeps
+    what another thread frees in that thread's malloc arena, and slice-local
+    scratch raised the train benchmark's peak RSS by up to 40%.
     """
 
     def __init__(self, n: int, threads: int = 1) -> None:
         k = max(1, min(n, threads))
         bounds = [n * i // k for i in range(k + 1)]
         self.parts = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-        self._pool: ThreadPoolExecutor | None = None
-
-    def __enter__(self) -> "_Slices":
-        if len(self.parts) > 1:
-            self._pool = ThreadPoolExecutor(len(self.parts) - 1)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
 
     def run(self, task) -> None:
         """Call ``task(sl)`` for every slice and return when all are done."""
-        if self._pool is None:
-            for sl in self.parts:
-                task(sl)
-            return
-        futures = [self._pool.submit(task, sl) for sl in self.parts[1:]]
+        futures = [_pool.submit(task, sl) for sl in self.parts[1:]]
         try:
             task(self.parts[0])
         finally:
@@ -266,6 +251,19 @@ def _slice_threads(x: np.ndarray) -> int:
     """Slice threads for an (N, C, H, W) batch: one per CPU, but at most one
     per ``_SLICE_PIXELS`` pixels of the batch."""
     return min(_cpu_count(), x.shape[0] * x.shape[2] * x.shape[3] // _SLICE_PIXELS)
+
+
+def _new_pool() -> None:
+    """Make the process's slice pool: a thread per CPU beside the caller's,
+    each started on first use.  A forked child makes its own, because its
+    copy of the parent's counts threads as idle that the child lacks."""
+    global _pool
+    _pool = ThreadPoolExecutor(max(1, _cpu_count() - 1))
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _channel_total(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -696,9 +694,9 @@ class Network:
         with _blas_one_thread():
             if not train:
                 return self._eval_forward(x)
-            with _Slices(x.shape[0], _slice_threads(x)) as slices:
-                for block in self.blocks:
-                    x = block.forward(x, rng, slices)
+            slices = _Slices(x.shape[0], _slice_threads(x))
+            for block in self.blocks:
+                x = block.forward(x, rng, slices)
         return x
 
     def _eval_forward(self, x: np.ndarray) -> np.ndarray:
@@ -716,26 +714,26 @@ class Network:
         pixels = x.reshape(n, c, hw)
         y = np.empty((n, 1, hw), dtype=x.dtype)
         # Unit u of the slices is chunk u % per_sample of sample u // per_sample.
-        with _Slices(n * per_sample, _slice_threads(x)) as slices:
-            # Each slice thread's scratch, made here (see _Slices): the chunk
-            # pair and, for a 3x3 layer 0, one chunk's im2col.
-            scratch = {sl.start: (np.empty((2, widest * chunk), x.dtype),
-                                  np.empty(9 * c * chunk if gather else 0, x.dtype))
-                       for sl in slices.parts}
+        slices = _Slices(n * per_sample, _slice_threads(x))
+        # Each slice thread's scratch, made here (see _Slices): the chunk
+        # pair and, for a 3x3 layer 0, one chunk's im2col.
+        scratch = {sl.start: (np.empty((2, widest * chunk), x.dtype),
+                              np.empty(9 * c * chunk if gather else 0, x.dtype))
+                   for sl in slices.parts}
 
-            def run(sl: slice) -> None:
-                pair, cols = scratch[sl.start]
-                for u in range(sl.start, sl.stop):
-                    i, c0 = u // per_sample, u % per_sample * chunk
-                    m = min(chunk, hw - c0)
-                    src = pixels[i, :, c0 : c0 + m]
-                    if gather:
-                        src = cols[: 9 * c * m]
-                        _im2col(pixels[i], w, c0, src.reshape(c, 9, m))
-                        src = src.reshape(9 * c, m)
-                    _eval_chunk(layers, src, y[i, :, c0 : c0 + m], pair)
+        def run(sl: slice) -> None:
+            pair, cols = scratch[sl.start]
+            for u in range(sl.start, sl.stop):
+                i, c0 = u // per_sample, u % per_sample * chunk
+                m = min(chunk, hw - c0)
+                src = pixels[i, :, c0 : c0 + m]
+                if gather:
+                    src = cols[: 9 * c * m]
+                    _im2col(pixels[i], w, c0, src.reshape(c, 9, m))
+                    src = src.reshape(9 * c, m)
+                _eval_chunk(layers, src, y[i, :, c0 : c0 + m], pair)
 
-            slices.run(run)
+        slices.run(run)
         return y.reshape(n, 1, h, w)
 
     def backward(self, dy: np.ndarray) -> None:
@@ -746,7 +744,8 @@ class Network:
         ``dy`` itself is only read, by the output conv; each hidden block's
         mask multiply overwrites the fresh input gradient of the conv above it.
         """
-        with _blas_one_thread(), _Slices(dy.shape[0], _slice_threads(dy)) as slices:
+        slices = _Slices(dy.shape[0], _slice_threads(dy))
+        with _blas_one_thread():
             for block in reversed(self.blocks):
                 dy = block.backward(dy, slices)
 
@@ -912,8 +911,8 @@ def grad_check(
     statistics stay live and are verified in full).  The gates are the
     blocks' saved masks, taken before the reference backward spends them.
     The check runs the frozen-gate passes itself, block by block, under one
-    BLAS cap and one set of slices, cut by the rule :meth:`Network.forward`
-    uses.
+    BLAS cap, on one set of slices cut by the rule :meth:`Network.forward`
+    uses and run on the process's slice pool.
 
     A conv's ``w`` and a batchnorm's ``gamma`` are checked at their
     ``max_samples`` largest-gradient entries when they have more, where the
@@ -936,7 +935,8 @@ def grad_check(
     net.backward(dpred)
 
     reports = []
-    with _blas_one_thread(), _Slices(x.shape[0], _slice_threads(x)) as slices:
+    slices = _Slices(x.shape[0], _slice_threads(x))
+    with _blas_one_thread():
 
         def loss_with(flat: np.ndarray, idx, value) -> float:
             flat[idx] = value

@@ -20,7 +20,6 @@ forward and backward splits its shard over the CPUs.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -559,30 +558,19 @@ def _forward_tiled(net: Network, planes: np.ndarray, patch: int) -> np.ndarray:
     if patch < 8:
         raise ParameterError(f"patch must be >= 8, got {patch}")
     h, w = planes.shape[-2:]
+    ragged = [(0, 0)] + [(0, int(n % patch > 0)) for n in (h, w)]
+    plane = np.pad(planes.astype(net.dtype, copy=False), ragged, mode="reflect")
+    for axis, n in ((1, h), (2, w)):
+        plane = np.insert(plane, range(patch, n, patch), 0, axis)
+    step = 16 // math.gcd(plane.shape[1], 16)
+    plane = np.pad(plane, [(0, 0), (0, 0), (0, -plane.shape[2] % step)])
+    y = net.forward(plane[None], train=False)[0, 0]
 
-    def at(i: int) -> int:  # the plane's row or column for the planes' i
+    def at(n: int) -> np.ndarray:  # the plane's rows or columns for the planes' n
+        i = np.arange(n)
         return i + i // patch
 
-    # Up to the last pixel, and one reflected pixel past a ragged edge.
-    rows, cols = (at(n - 1) + 1 + (n % patch > 0) for n in (h, w))
-    step = 16 // math.gcd(rows, 16)
-    plane = np.zeros((planes.shape[0], rows, -(-cols // step) * step), net.dtype)
-    # Each tile's (planes, plane) slices along one axis.
-    bands = [[(slice(i, i + patch), slice(at(i), at(i) + min(patch, n - i)))
-              for i in range(0, n, patch)] for n in (h, w)]
-    for (ri, rp), (ci, cp) in itertools.product(*bands):
-        plane[:, rp, cp] = planes[:, ri, ci]
-    # The reflected column, then the reflected row, which reflects the
-    # corner both ways, as np.pad's reflect mode does.
-    if w % patch:
-        plane[:, :, at(w)] = plane[:, :, at(max(w - 2, 0))]
-    if h % patch:
-        plane[:, at(h)] = plane[:, at(max(h - 2, 0))]
-    y = net.forward(plane[None], train=False)[0, 0]
-    out = np.empty((h, w), y.dtype)
-    for (ri, rp), (ci, cp) in itertools.product(*bands):
-        out[ri, ci] = y[rp, cp]
-    return out
+    return y[np.ix_(at(h), at(w))]
 
 
 def infer_ldr2hdr(

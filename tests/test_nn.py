@@ -1,9 +1,12 @@
 import copy
 import dataclasses
 import math
+import os
+import signal
 import struct
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -260,9 +263,9 @@ class TestDropout:
         2**-16: the keep fraction is within 4 sigma of 1 - T / 2**16."""
         for p in (2.0**-20, 0.4, 0.9):
             kept = 1.0 - math.ceil(p * 2**16) / 2**16
-            with _Slices(4, 2) as slices:
-                keep, draw = _keep_drawer((4, 1, 1000, 1000), p, np.random.default_rng(25), slices)
-                slices.run(draw)
+            slices = _Slices(4, 2)
+            keep, draw = _keep_drawer((4, 1, 1000, 1000), p, np.random.default_rng(25), slices)
+            slices.run(draw)
             assert abs(keep.mean() - kept) < 4 * math.sqrt(kept * (1.0 - kept) / keep.size)
 
     def test_drops_everything_above_the_last_lane(self):
@@ -316,17 +319,17 @@ class TestDropout:
         for g in (sliced, whole):
             g.integers(0, 2**32, dtype=np.uint32)
         per_sample = int(np.prod(shape[1:]))
-        with _Slices(shape[0], threads) as slices:
-            assert len(slices.parts) == 1 or any(
-                sl.start * per_sample % _DRAW_CHUNK for sl in slices.parts)
-            if bitgen in (np.random.MT19937, np.random.Philox):
-                with pytest.raises(ParameterError, match="PCG64"):
-                    _keep_drawer(shape, 0.4, sliced, slices)
-                np.testing.assert_equal(sliced.bit_generator.state, whole.bit_generator.state)
-                assert sliced.random() == whole.random()
-                return
-            keep, draw = _keep_drawer(shape, 0.4, sliced, slices)
-            slices.run(draw)
+        slices = _Slices(shape[0], threads)
+        assert len(slices.parts) == 1 or any(
+            sl.start * per_sample % _DRAW_CHUNK for sl in slices.parts)
+        if bitgen in (np.random.MT19937, np.random.Philox):
+            with pytest.raises(ParameterError, match="PCG64"):
+                _keep_drawer(shape, 0.4, sliced, slices)
+            np.testing.assert_equal(sliced.bit_generator.state, whole.bit_generator.state)
+            assert sliced.random() == whole.random()
+            return
+        keep, draw = _keep_drawer(shape, 0.4, sliced, slices)
+        slices.run(draw)
         assert keep.tobytes() == keep_mask(shape, 0.4, whole).tobytes()
         np.testing.assert_equal(sliced.bit_generator.state, whole.bit_generator.state)
         assert sliced.integers(0, 2**32, dtype=np.uint32) == whole.integers(0, 2**32, dtype=np.uint32)
@@ -344,9 +347,9 @@ class TestDropout:
         advanced = copy.deepcopy(rng.bit_generator)
         advanced.advance(-(-math.prod(shape) // 4))
         buffered = rng.bit_generator.state["uinteger"]
-        with _Slices(shape[0], threads) as slices:
-            _, draw = _keep_drawer(shape, 0.4, rng, slices)
-            slices.run(draw)
+        slices = _Slices(shape[0], threads)
+        _, draw = _keep_drawer(shape, 0.4, rng, slices)
+        slices.run(draw)
         assert rng.bit_generator.state == {**advanced.state, "has_uint32": 1, "uinteger": buffered}
 
 def assert_close(actual, reference, rtol=1e-12):
@@ -444,16 +447,18 @@ def _tensor_bytes(net):
 @pytest.fixture
 def cpus(request, monkeypatch):
     """The CPU count for the test, with tiny batches sliced as large ones
-    are, and every slice of a pooled pass held until all of them can
-    start.  Without the hold the calling thread mostly finishes slice 0
-    before a pool thread wakes, so the slices run in order; with it,
-    pool slices mostly start first."""
+    are, on a slice pool of that many threads, and every slice of a pooled
+    pass held until all of them can start.  Without the hold the calling
+    thread mostly finishes slice 0 before a pool thread wakes, so the slices
+    run in order; with it, pool slices mostly start first."""
+    pool = ThreadPoolExecutor(request.param)
+    monkeypatch.setattr(nn, "_pool", pool)
     monkeypatch.setattr(nn, "_cpu_count", lambda: request.param)
     monkeypatch.setattr(nn, "_SLICE_PIXELS", 1)
     real_run = _Slices.run
 
     def run_together(self, task):
-        if self._pool is None:
+        if len(self.parts) == 1:
             return real_run(self, task)
         start = threading.Barrier(len(self.parts))
 
@@ -468,6 +473,7 @@ def cpus(request, monkeypatch):
     sys.setswitchinterval(1e-6)  # interleave the slice threads as often as possible
     yield request.param
     sys.setswitchinterval(switch)
+    pool.shutdown()
 
 
 class TestSlicedEngine:
@@ -489,9 +495,9 @@ class TestSlicedEngine:
                 out.append(net.forward(x, train=True, frozen_gates=True))
             else:  # block by block under one set of slices, as grad_check runs it
                 y = x
-                with _Slices(x.shape[0], nn._slice_threads(x)) as slices:
-                    for block, gate in zip(net.blocks, gates):
-                        y = block.forward(y, None, slices, gate)
+                slices = _Slices(x.shape[0], nn._slice_threads(x))
+                for block, gate in zip(net.blocks, gates):
+                    y = block.forward(y, None, slices, gate)
                 out.append(y)
             net.backward(dy)
         return out
@@ -546,10 +552,13 @@ class TestSlicedEngine:
                 raise ValueError("first slice")
             finished.append(sl.start)
 
-        with _Slices(6, 3) as slices:
-            with pytest.raises(ValueError, match="first slice"):
-                slices.run(task)
-            assert sorted(finished) == [2, 4]
+        slices = _Slices(6, 3)
+        with pytest.raises(ValueError, match="first slice"):
+            slices.run(task)
+        assert sorted(finished) == [2, 4]
+        finished.clear()  # the pool outlives the error
+        slices.run(lambda sl: finished.append(sl.start))
+        assert sorted(finished) == [0, 2, 4]
 
     @settings(max_examples=300, deadline=None)
     @given(dtype=st.sampled_from([np.float32, np.float64]), n=st.integers(1, 300),
@@ -645,6 +654,61 @@ class TestSameBytesOnAnySliceCount:
         monkeypatch.setattr(nn, "_eval_chunk", chunk)
         assert net.forward(x).tobytes() == want
         assert len(threads) == cpus
+
+
+class TestSlicePool:
+    """The process's slice pool, sized by the engine's rule for two CPUs (one
+    thread), so that a 96x96 plane takes two slices on one CPU too."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(nn, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(nn, "_pool", None)  # the module's pool comes back after
+        nn._new_pool()
+        yield
+        nn._pool.shutdown()
+
+    @staticmethod
+    def _net_and_plane():
+        x = np.random.default_rng(60).normal(size=(1, 3, 96, 96)).astype(np.float32)
+        return _with_stats(Network(SLICED_SPEC), 61), x
+
+    def test_forwards_share_the_pool_thread(self, monkeypatch):
+        net, x = self._net_and_plane()
+        caller, names, real_chunk = threading.current_thread(), set(), nn._eval_chunk
+
+        def chunk(*args):
+            if threading.current_thread() is not caller:
+                names.add(threading.current_thread().name)
+            return real_chunk(*args)
+
+        monkeypatch.setattr(nn, "_eval_chunk", chunk)
+        for _ in range(20):
+            net.forward(x)
+        assert len(names) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+    def test_forked_child_runs_a_forward(self):
+        """A forked child's copy of the pool counts the parent's idle thread,
+        which the child does not have; the child's forward must not wait on
+        it."""
+        net, x = self._net_and_plane()
+        want = net.forward(x).tobytes()  # the pool now has an idle thread
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if net.forward(x).tobytes() == want else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 20
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid, "the child's forward did not finish in 20 s"
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def _with_stats(net, seed):
@@ -1046,7 +1110,7 @@ class TestGradCheckHarness:
         assert [r.checked for r in report.layers] == [4 + 4 + 6, 4 + 5, 4 + 3 + 3, 3 + 1]
 
     def test_same_report_on_one_and_two_slices(self, monkeypatch):
-        """Every frozen-gate pass runs on the slices of one pool, cut as
+        """Every frozen-gate pass runs on one set of slices, cut as
         :meth:`Network.forward` cuts them, and gives the same bytes as on one
         slice."""
         data = np.random.default_rng(9)
