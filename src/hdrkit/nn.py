@@ -629,10 +629,10 @@ def _eval_chunk(layers, src: np.ndarray, dest: np.ndarray, pair: np.ndarray) -> 
 
     Each layer is one GEMM into the free half of ``pair``, the bias add and,
     on hidden layers, the ReLU ``max(y, 0)``, all in place; the last layer
-    writes into ``dest``.  On the SkylakeX (AVX-512) kernels of numpy's
-    OpenBLAS, a column's sums are those of the whole-sample GEMM when each
-    chunk is a multiple of 16 columns wide, as in 64x64 tiles and in
-    inference's plane of tiles; a last chunk of another width can take
+    writes into ``dest``.  Every chunk is a multiple of 16 columns wide
+    (:meth:`Network._eval_forward` rounds each sample's columns up to one):
+    on the SkylakeX (AVX-512) kernels of numpy's OpenBLAS a column's sums
+    are then the same in any chunk, while a chunk of another width can take
     other kernels, which round otherwise.  On its Haswell (AVX2) kernels,
     which ``OPENBLAS_CORETYPE=Zen`` also selects, even such chunks can round
     otherwise.  ``max`` gives +0 where the train-mode gate-and-multiply
@@ -680,13 +680,13 @@ class Network:
         most ``_EVAL_PIXELS`` pixel columns of one sample, and each slice
         thread takes a contiguous run of chunks through every block, in two
         ping-pong buffers (:func:`_eval_chunk`).  Chunks start at multiples
-        of ``_EVAL_PIXELS`` in each sample, so the bytes do not depend on
-        the thread count, and a one-sample plane uses every CPU.  At 2048
-        columns the pair holds the widest paper layer, 100 channels in f32,
-        in 1.6 MiB, so a chunk stays in a 2 MiB L2 cache from the first
-        layer to the last.  A 3x3 layer 0 gathers each chunk's im2col from
-        the chunk's rows and one row on either side, so a thread's scratch
-        does not grow with the sample.
+        of ``_EVAL_PIXELS`` in each sample and span its columns rounded up
+        to a multiple of 16, so the bytes do not depend on the thread count,
+        and a one-sample plane uses every CPU.  At 2048 columns the pair
+        holds the widest paper layer, 100 channels in f32, in 1.6 MiB, so a
+        chunk stays in a 2 MiB L2 cache from the first layer to the last.  A
+        3x3 layer 0 gathers a chunk's im2col from its rows and one row on
+        either side, so a thread's scratch does not grow with the sample.
         """
         x = check_tensor4(x, "input").astype(self.dtype, copy=False)
         if train and any(b.spec.dropout_p > 0 for b in self.blocks):
@@ -706,13 +706,16 @@ class Network:
             block._saved = None
         n, c, h, w = x.shape
         hw = h * w
-        chunk = min(hw, _EVAL_PIXELS)
-        per_sample = -(-hw // chunk)
+        span = -(-hw // 16) * 16  # see _eval_chunk
+        chunk = min(span, _EVAL_PIXELS)
+        per_sample = -(-span // chunk)
         layers = [(*block.eval_weights(), not block.is_output) for block in blocks]
         widest = max(w2.shape[0] for w2, _, _ in layers)
         gather = blocks[0].conv.ksize == 3
         pixels = x.reshape(n, c, hw)
-        y = np.empty((n, 1, hw), dtype=x.dtype)
+        if not gather and span > hw:  # _im2col gathers zeros past the last pixel
+            pixels = np.pad(pixels, [(0, 0), (0, 0), (0, span - hw)])
+        y = np.empty((n, 1, span), dtype=x.dtype)
         # Unit u of the slices is chunk u % per_sample of sample u // per_sample.
         slices = _Slices(n * per_sample, _slice_threads(x))
         # Each slice thread's scratch, made here (see _Slices): the chunk
@@ -725,7 +728,7 @@ class Network:
             pair, cols = scratch[sl.start]
             for u in range(sl.start, sl.stop):
                 i, c0 = u // per_sample, u % per_sample * chunk
-                m = min(chunk, hw - c0)
+                m = min(chunk, span - c0)
                 src = pixels[i, :, c0 : c0 + m]
                 if gather:
                     src = cols[: 9 * c * m]
@@ -734,7 +737,7 @@ class Network:
                 _eval_chunk(layers, src, y[i, :, c0 : c0 + m], pair)
 
         slices.run(run)
-        return y.reshape(n, 1, h, w)
+        return y[..., :hw].reshape(n, 1, h, w)
 
     def backward(self, dy: np.ndarray) -> None:
         """Fill every parameter gradient from the loss gradient ``dy``, on

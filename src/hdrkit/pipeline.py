@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import (
+    STACK_SIZE,
     Crf,
     ExposureStack,
     adaptive_stack,
@@ -152,7 +153,7 @@ def build_ldr2hdr_net(channel: str, seed: int, dropout_p: float = 0.4) -> Networ
     if channel not in LDR2HDR_CHANNELS:
         raise ParameterError(f"channel must be one of {LDR2HDR_CHANNELS}, got {channel!r}")
     offset = LDR2HDR_CHANNELS.index(channel)
-    return NetworkSpec(layers=_chain(5, _LDR2HDR_DEPTHS, dropout_p), seed=seed + offset)
+    return NetworkSpec(layers=_chain(STACK_SIZE, _LDR2HDR_DEPTHS, dropout_p), seed=seed + offset)
 
 
 def build_tonemap_net(channel: str, seed: int, dropout_p: float = 0.4) -> NetworkSpec:
@@ -551,9 +552,7 @@ def _forward_tiled(net: Network, planes: np.ndarray, patch: int) -> np.ndarray:
     The tiles are laid out as one plane, one sample of one forward, with one
     zero row or column between neighbouring tiles.  Past a ragged bottom or
     right edge comes the one reflected row or column that the edge pixels
-    see in their reflect-padded tile, and zero columns up to 15 make the
-    plane's size a multiple of 16, so that every eval chunk is too
-    (:func:`hdrkit.nn._eval_chunk`).  Pixels in no tile are never computed.
+    see in their reflect-padded tile.  Pixels in no tile are never computed.
     """
     if patch < 8:
         raise ParameterError(f"patch must be >= 8, got {patch}")
@@ -562,8 +561,6 @@ def _forward_tiled(net: Network, planes: np.ndarray, patch: int) -> np.ndarray:
     plane = np.pad(planes.astype(net.dtype, copy=False), ragged, mode="reflect")
     for axis, n in ((1, h), (2, w)):
         plane = np.insert(plane, range(patch, n, patch), 0, axis)
-    step = 16 // math.gcd(plane.shape[1], 16)
-    plane = np.pad(plane, [(0, 0), (0, 0), (0, -plane.shape[2] % step)])
     y = net.forward(plane[None], train=False)[0, 0]
 
     def at(n: int) -> np.ndarray:  # the plane's rows or columns for the planes' n

@@ -181,10 +181,16 @@ def dropout(x: np.ndarray, p: float, train: bool, rng=None) -> tuple[np.ndarray,
 # thread count, so that they round alike on any OpenBLAS kernel (the
 # engine's own AVX-512 ones and the AVX2 ones that ``OPENBLAS_CORETYPE=Zen``
 # selects): an eval conv runs each sample's GEMM in chunks of
-# ``_EVAL_PIXELS`` columns, as the engine's eval pass does, and the network's
-# passes run BLAS on one thread, as the engine's do.  A train conv keeps the
-# whole-sample GEMMs, which are the engine's train shapes.
+# ``_EVAL_PIXELS`` columns over its columns padded with zeros to a multiple
+# of 16, as the engine's eval pass does, and the network's passes run BLAS
+# on one thread, as the engine's do.  A train conv keeps the whole-sample
+# GEMMs, which are the engine's train shapes.
 # ---------------------------------------------------------------------------
+
+
+# The engine rounds each sample's eval columns up to a multiple of 16; 1
+# gives one GEMM of the sample's own width.
+_EVAL_COLUMNS = 16
 
 
 class WholeBatchConv(Conv):
@@ -209,10 +215,13 @@ class WholeBatchConv(Conv):
         if train:
             y = np.matmul(w2, cols)
         else:
-            y = np.empty((n, w2.shape[0], h * w), dtype=np.result_type(w2, cols))
-            for c0 in range(0, h * w, _EVAL_PIXELS):
+            span = -(-h * w // _EVAL_COLUMNS) * _EVAL_COLUMNS
+            cols = np.pad(cols, [(0, 0), (0, 0), (0, span - h * w)])
+            y = np.empty((n, w2.shape[0], span), dtype=np.result_type(w2, cols))
+            for c0 in range(0, span, _EVAL_PIXELS):
                 chunk = slice(c0, c0 + _EVAL_PIXELS)
                 np.matmul(w2, cols[..., chunk], out=y[..., chunk])
+            y = y[..., : h * w]
         if bias is not None:
             y += bias[:, None]
         return y.reshape(n, -1, h, w)

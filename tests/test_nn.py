@@ -861,9 +861,10 @@ class TestEvalPass:
     """The depth-first eval forward, chunk by chunk through every block,
     against the whole-batch engine's eval forward."""
 
-    # H*W below, equal to, above and three times nn._EVAL_PIXELS (2048).
-    @pytest.mark.parametrize("hw", [(20, 16), (32, 64), (48, 48), (64, 96)],
-                             ids=["below", "equal", "above", "three"])
+    # H*W below, equal to, above and three times nn._EVAL_PIXELS (2048), and
+    # two sizes whose H*W is not a multiple of 16, below and above it.
+    @pytest.mark.parametrize("hw", [(20, 16), (32, 64), (48, 48), (64, 96), (7, 5), (33, 70)],
+                             ids=["below", "equal", "above", "three", "7x5", "33x70"])
     @pytest.mark.parametrize("spec", list(EVAL_SPECS.values()), ids=list(EVAL_SPECS))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("n", [1, 5])
@@ -873,15 +874,35 @@ class TestEvalPass:
         x = np.random.default_rng(n).normal(size=(n, 3) + hw).astype(dtype)
         assert net.forward(x).tobytes() == ref.forward(x).tobytes()
 
+    @pytest.mark.parametrize("spec", list(EVAL_SPECS.values()), ids=list(EVAL_SPECS))
+    @pytest.mark.parametrize("hw", [(1, 1), (7, 5), (33, 70), (50, 50), (99, 184)],
+                             ids=["1x1", "7x5", "33x70", "50x50", "99x184"])
+    def test_every_chunk_is_a_multiple_of_16_columns(self, spec, hw, monkeypatch):
+        """Whatever the sample's H*W, each chunk's GEMMs are a multiple of
+        16 columns wide, the widths whose sums the SkylakeX kernels give
+        alike in any chunk (:func:`hdrkit.nn._eval_chunk`)."""
+        widths, real_chunk = [], nn._eval_chunk
+
+        def chunk(layers, src, dest, pair):
+            widths.append(src.shape[1])
+            return real_chunk(layers, src, dest, pair)
+
+        monkeypatch.setattr(nn, "_eval_chunk", chunk)
+        net = _with_stats(Network(spec), 3)
+        x = np.random.default_rng(3).normal(size=(2, 3) + hw).astype(np.float32)
+        assert net.forward(x).shape == (2, 1) + hw
+        assert widths and all(m % 16 == 0 for m in widths)
+
     @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-13)], ids=["f32", "f64"])
     @pytest.mark.parametrize("spec", list(EVAL_SPECS.values()), ids=list(EVAL_SPECS))
     def test_ragged_chunk_of_odd_width_within_rounding(self, spec, dtype, rtol, monkeypatch):
-        """A last chunk whose width is not a multiple of 16 columns (here
-        2500 - 2048 = 452) can take other OpenBLAS kernels than the whole
-        sample's GEMM, which round otherwise: a 50x50 f32 sample of the
-        ldr2hdr net read up to 1.8e-7 apart.  The oracle runs whole-sample
-        GEMMs here, with its eval chunk wider than the sample."""
+        """One whole-sample GEMM of a width that is not a multiple of 16
+        columns (here 2500, the oracle with its eval chunk wider than the
+        sample and no zero columns) can take other OpenBLAS kernels than the
+        engine's chunks of 2048 and 464 columns, which round otherwise: a
+        50x50 f64 sample of the ldr2hdr net read up to 3.0e-16 apart."""
         monkeypatch.setattr(nn_reference, "_EVAL_PIXELS", 1 << 30)
+        monkeypatch.setattr(nn_reference, "_EVAL_COLUMNS", 1)
         net, ref = _eval_pair(spec, dtype, 4)
         x = np.random.default_rng(4).normal(size=(2, 3, 50, 50)).astype(dtype)
         assert_close(net.forward(x), ref.forward(x), rtol=rtol)

@@ -432,7 +432,8 @@ class TestBlasThreads:
     def test_capped_during_eval_forwards(self, rng, monkeypatch, threads, cpus):
         """The count read inside the eval pass, at every chunk of a tiled
         forward and 2 validation forwards: one chunk per ``_EVAL_PIXELS``
-        columns of each sample, the tiles' one plane or a 16x16 sample."""
+        of each sample's columns, rounded up to a multiple of 16, the tiles'
+        one plane or a 16x16 sample."""
         if cpus is not None:
             monkeypatch.setattr(nn, "_cpu_count", lambda: cpus)
         get, _ = _blas_thread_control()
@@ -452,12 +453,14 @@ class TestBlasThreads:
         monkeypatch.setattr(Network, "forward", forward)
         pipeline._forward_tiled(net, rng.random((2, 70, 90)), 8)
         # 70 rows, 8 zero gutters and one reflected row; 90 columns, 11
-        # gutters, one reflected column and 10 zeros, for 79 * 112 = 8848.
-        assert shapes == [(1, 2, 79, 112)]
+        # gutters and one reflected column, for 79 * 102 = 8058, rounded up
+        # to 8064 columns in the eval pass.
+        assert shapes == [(1, 2, 79, 102)]
         x, y = tiny_samples(rng, n=3)
         eval_mse(net, (x, y), batch_size=2)
-        chunks = sum(n * -(-h * w // nn._EVAL_PIXELS) for n, _, h, w in shapes)
-        assert chunks == 5 + 3
+        spans = [(n, -(-h * w // 16) * 16) for n, _, h, w in shapes]
+        chunks = sum(n * -(-span // nn._EVAL_PIXELS) for n, span in spans)
+        assert chunks == 4 + 3
         assert seen == [1] * chunks
         assert get() == threads
 
