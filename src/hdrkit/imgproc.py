@@ -150,62 +150,88 @@ _RANGE_TAPS = _taps(2.0)
 _RANGE_REACH = len(_RANGE_TAPS) - 1
 
 
-def _corners(cells, fractions, points, origin, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices and trilinear weights, each (8, n), of the corners around
-    n points of a grid of ``shape`` that starts at cell ``origin``; ``cells``
-    and ``fractions`` hold every point's integer cells and fractions along
-    (row, column, value), and ``points`` picks the n."""
-    iy, ix, iz = (c[points] - o for c, o in zip(cells, origin))
-    fy, fx, fz = (f[points] for f in fractions)
-    _, nx, nz = shape
+def _corners(points, cells, fractions, origin, shape, work) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and trilinear weights, each (8, n) in ``work``, of the
+    corners around the n ``points`` in a grid of ``shape`` from cell
+    ``origin``; (3, N) ``cells`` and ``fractions`` hold every point's along
+    (row, column, value).  ``work[16 * n : 23 * n]`` is scratch."""
+    n = len(points)
+    index = work[: 8 * n].view(np.int64).reshape(8, n)
+    weights = work[8 * n : 16 * n].reshape(8, n)
+    scratch = work[16 * n : 23 * n].reshape(7, n)
+    iy, ix, iz = index[1:4]  # overwritten last, by the corners past the first
+    np.take(cells, points, axis=1, out=index[1:4], mode="clip")  # "clip": out unbuffered
+    np.take(fractions, points, axis=1, out=scratch[:3], mode="clip")
+    (oy, ox, oz), (_, nx, nz) = origin, shape
+    index[0] = ((iy - oy) * nx + (ix - ox)) * nz + (iz - oz)
     steps = np.array([dy * nx * nz + dx * nz + dz
                       for dy in (0, 1) for dx in (0, 1) for dz in (0, 1)])
-    index = ((iy * nx + ix) * nz + iz) + steps[:, None]
-    weights = np.empty(index.shape)
+    np.add(index[0], steps[1:, None], out=index[1:])
+    np.subtract(1.0, scratch[:3], out=scratch[3:6])
+    fy, fx, fz, gy, gx, gz, wyx = scratch
     corner = iter(weights)
-    for wy in (1.0 - fy, fy):
-        for wx in (1.0 - fx, fx):
-            wyx = wy * wx
-            for wz in (1.0 - fz, fz):
+    for wy in (gy, fy):
+        for wx in (gx, fx):
+            np.multiply(wy, wx, out=wyx)
+            for wz in (gz, fz):
                 np.multiply(wyx, wz, out=next(corner))
     return index, weights
 
 
-def _blur(grid: np.ndarray, taps: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Blur a (2, ny, nx, nz) grid along its last three axes, each with its
-    symmetric kernel's taps at offsets 0, 1, ...; the grid is zero outside."""
+def _blur(grid: np.ndarray, taps: tuple[np.ndarray, ...], scratch: np.ndarray) -> None:
+    """Blur a (2, ny, nx, nz) grid in place along its last three axes, each
+    with its symmetric kernel's taps at offsets 0, 1, ...; the grid is zero
+    outside.  ``scratch`` holds a padded copy of the grid and one term."""
     for axis, t in enumerate(taps, start=1):
         n, reach = grid.shape[axis], len(t) - 1
-        pad = [(0, 0)] * grid.ndim
-        pad[axis] = (reach, reach)
-        src = np.moveaxis(np.pad(grid, pad), axis, 0)
-        out = np.multiply(src[reach : reach + n], t[0])
-        pair = np.empty_like(out)
+        shape = grid.shape[:axis] + (n + 2 * reach,) + grid.shape[axis + 1 :]
+        size = math.prod(shape)
+        src = np.moveaxis(scratch[:size].reshape(shape), axis, 0)
+        pair = np.moveaxis(scratch[size : size + grid.size].reshape(grid.shape), axis, 0)
+        out = np.moveaxis(grid, axis, 0)
+        src[:reach] = src[reach + n :] = 0
+        src[reach : reach + n] = out
+        np.multiply(src[reach : reach + n], t[0], out=out)
         for k in range(1, reach + 1):
             np.add(src[reach - k : reach - k + n], src[reach + k : reach + k + n], out=pair)
             pair *= t[k]
             out += pair
-        grid = np.moveaxis(out, 0, axis)
-    return grid
 
 
-def _grid_pass(cells, fractions, values, offset, src, dst, taps) -> np.ndarray:
+def _grid_pass(cells, fractions, values, offset, src, dst, taps, work) -> np.ndarray:
     """Splat the points ``src`` with their ``values`` less ``offset`` into a
     grid that spans their cells, blur it with ``taps`` per axis, and slice it
-    at the points ``dst``: the filtered value, less ``offset``, of each."""
-    ends = [(at.min(), at.max()) for at in (c[src] for c in cells)]
-    origin = [lo for lo, _ in ends]
-    shape = tuple(int(hi - lo) + 2 for lo, hi in ends)
+    at the points ``dst``: the filtered value, less ``offset``, of each, a
+    view of ``work``, which holds :func:`_work_size` f64s for the grid."""
+    at = np.take(cells, src, axis=1)
+    origin = at.min(axis=1)
+    shape = tuple(int(m) + 2 for m in at.max(axis=1) - origin)
+    size, d = math.prod(shape), len(dst)
+    grid = work[: 2 * size].reshape((2,) + shape)
+    work = work[2 * size :]
+    index, weights = _corners(src, cells, fractions, origin, shape, work)
+    grid[...] = 0
+    np.add.at(grid[1].ravel(), index.ravel(), weights.ravel())
+    weights *= values[src] - offset
+    np.add.at(grid[0].ravel(), index.ravel(), weights.ravel())
+    _blur(grid, taps, work)
+    index, weights = _corners(dst, cells, fractions, origin, shape, work)
+    terms = work[16 * d : 24 * d].reshape(8, d)
+    num, den = work[24 * d : 25 * d], work[25 * d : 26 * d]
+    for total, channel in ((num, grid[0]), (den, grid[1])):
+        np.take(channel.ravel(), index, out=terms, mode="clip")
+        terms *= weights
+        terms.sum(axis=0, out=total)
+    num /= den
+    return num
+
+
+def _work_size(n: int, d: int, shape: tuple[int, ...], taps) -> int:
+    """The f64s :func:`_grid_pass` takes for n splatted and d sliced points on
+    a grid of ``shape``: the grid, then the corners or the blur's scratch."""
     size = math.prod(shape)
-    index, weights = _corners(cells, fractions, src, origin, shape)
-    index = index.ravel()
-    grid = np.stack([np.bincount(index, (weights * (values[src] - offset)).ravel(), size),
-                     np.bincount(index, weights.ravel(), size)])
-    grid = _blur(grid.reshape((2,) + shape), taps).reshape(2, size)
-    index, weights = _corners(cells, fractions, dst, origin, shape)
-    num = (weights * np.take(grid[0], index)).sum(axis=0)
-    den = (weights * np.take(grid[1], index)).sum(axis=0)
-    return num / den
+    padded = max(size // m * (m + 2 * (len(t) - 1)) for m, t in zip(shape, taps))
+    return 2 * size + max(23 * n, 2 * (padded + size), 26 * d)
 
 
 def bilateral_filter(plane: np.ndarray, sigma_s: float, sigma_r: float) -> np.ndarray:
@@ -223,11 +249,16 @@ def bilateral_filter(plane: np.ndarray, sigma_s: float, sigma_r: float) -> np.nd
 
     The range axis runs in bands of ``_BAND_CELLS`` cells, so the memory
     used grows with the plane's size and not with its range: a band's grid
-    covers the cells of the pixels it needs and no others.  Both sigmas must
-    be finite and positive, the plane's values finite, and sigma_r large
-    enough that (max - min) / (sigma_r / 2) stays under ``_MAX_CELLS``.  The
-    work runs on one thread in a fixed order, so the output is the same
-    bytes on any number of CPUs.
+    covers the cells of the pixels it needs and no others.  The pixels'
+    cells and fractions and each band's corners, splat products, grid and
+    blur buffers share one block per call: freeing a mapped block of up to
+    32 MiB raises glibc's mmap threshold to its size (mallopt(3)), so later
+    calls and network passes reuse resident heap pages, where each call
+    faulted in 3,000 fresh ones on the benchmark's planes.  Both sigmas
+    must be finite and positive, the plane's values finite, and sigma_r
+    large enough that (max - min) / (sigma_r / 2) stays under
+    ``_MAX_CELLS``.  The work runs on one thread in a fixed order, so the
+    output is the same bytes on any number of CPUs.
     """
     if not (0.0 < sigma_s < math.inf and 0.0 < sigma_r < math.inf):
         raise ParameterError(f"sigmas must be finite and > 0, got ({sigma_s}, {sigma_r})")
@@ -242,20 +273,25 @@ def bilateral_filter(plane: np.ndarray, sigma_s: float, sigma_r: float) -> np.nd
     if not math.isfinite(span):
         raise ParameterError(f"plane values must be finite with a finite span, got {low}..{high}")
     # Values above the minimum: a constant plane splats zeros and comes back exact.
-    values = (padded - low).ravel()
+    values = np.subtract(padded, low, out=padded).ravel()
     cell_s, cell_r = max(sigma_s / 2.0, 1.0), sigma_r / 2.0
     if not span / cell_r < _MAX_CELLS:
         raise ParameterError(f"sigma_r = {sigma_r} is too small for plane values spanning {span}")
     taps = (_taps(sigma_s / cell_s),) * 2 + (_RANGE_TAPS,)
 
-    # Each padded pixel's cell and fraction along (row, column, value).
-    rows, cols = np.indices(padded.shape).reshape(2, -1) / cell_s
-    coords = (rows, cols, values / cell_r)
-    cells = [c.astype(np.int64) for c in coords]  # floor: every coordinate is >= 0
-    fractions = [c - i for c, i in zip(coords, cells)]
-    out_at = np.full(padded.shape, -1, dtype=np.int64)  # -1 in the padding
-    out_at[r : r + h, r : r + w] = np.arange(h * w).reshape(h, w)
-    out_at = out_at.ravel()
+    # Every padded pixel's cell and fraction along (row, column, value), then
+    # the work of a band that could hold every pixel, in one block.
+    n, (ny, nx) = len(values), (int((m - 1) / cell_s) + 2 for m in padded.shape)
+    nz = min(int(span / cell_r), _BAND_CELLS + 2 * _RANGE_REACH + 1) + 2
+    block = np.empty(6 * n + _work_size(n, h * w, (ny, nx, nz), taps))
+    cells = block[: 3 * n].view(np.int64).reshape(3, n)
+    fractions = block[3 * n : 6 * n].reshape(3, n)
+    np.divide(np.indices(padded.shape).reshape(2, -1), cell_s, out=fractions[:2])
+    np.divide(values, cell_r, out=fractions[2])
+    np.copyto(cells, fractions, casting="unsafe")  # floor: every coordinate is >= 0
+    fractions -= cells
+    out_at = np.full(n, -1, dtype=np.int64)  # -1 in the padding
+    out_at.reshape(padded.shape)[r : r + h, r : r + w] = np.arange(h * w).reshape(h, w)
     band = cells[2] // _BAND_CELLS
     order = np.argsort(band, kind="stable")
     bands = np.unique(band)
@@ -276,5 +312,5 @@ def bilateral_filter(plane: np.ndarray, sigma_s: float, sigma_r: float) -> np.nd
         # Values from the band's start keep their precision far above the minimum.
         offset = z0 * cell_r
         out[out_at[dst]] = (low + offset) + _grid_pass(cells, fractions, values, offset,
-                                                       src, dst, taps)
+                                                       src, dst, taps, block[6 * n :])
     return out.reshape(h, w).astype(plane.dtype)

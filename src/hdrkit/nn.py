@@ -35,7 +35,8 @@ chunks of ``_EVAL_PIXELS`` pixel columns of a sample, cut at the same
 columns whatever the thread count.  Each slice thread takes a contiguous
 run of chunks through every block, in two ping-pong buffers that fit a
 core's L2 cache, so one large sample uses every CPU, and its memory grows
-neither with N nor with H*W.
+neither with N nor with H*W.  An eval layer is one GEMM, its bias a last
+weight column against a last row of ones in its source, and a ReLU.
 
 The process-wide state is the slice pool (``_new_pool``) and BLAS's thread
 count, which every engine call caps at one thread (``_blas_one_thread``).
@@ -557,8 +558,8 @@ class _Block:
         self.is_output = spec.kind == "output1x1"
         self._saved: tuple | None = None
 
-    def eval_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """The eval conv as (O, C*k*k) weights and an (O, 1) bias.
+    def eval_weights(self) -> np.ndarray:
+        """The eval conv as (O, C*k*k + 1) weights, the bias in the last column.
 
         Batchnorm on the running statistics folds into the conv (Jacob et
         al. 2018, section 3.2): ``s*(W*x - mu) + beta`` is the conv with
@@ -573,7 +574,7 @@ class _Block:
         else:
             s = bn.gamma / np.sqrt(bn.running_var + bn.eps)
             w, b = conv.w * s[:, None, None, None], bn.beta - bn.running_mean * s
-        return w.reshape(w.shape[0], -1), b[:, None]
+        return np.concatenate([w.reshape(w.shape[0], -1), b[:, None]], axis=1)
 
     def forward(self, x, rng, slices: _Slices, gate: np.ndarray | None = None):
         y, cols = self.conv.forward(x, slices)
@@ -624,29 +625,29 @@ class _Block:
 
 
 def _eval_chunk(layers, src: np.ndarray, dest: np.ndarray, pair: np.ndarray) -> None:
-    """Run the (C, m) pixel columns ``src`` through ``layers``, (weights,
-    bias, relu) triples of :meth:`_Block.eval_weights`, into ``dest``.
+    """Run the (K + 1, m) pixel columns ``src``, whose last row is ones,
+    through ``layers`` (:meth:`_Block.eval_weights`) into ``dest``.
 
-    Each layer is one GEMM into the free half of ``pair``, the bias add and,
-    on hidden layers, the ReLU ``max(y, 0)``, all in place; the last layer
-    writes into ``dest``.  Every chunk is a multiple of 16 columns wide
-    (:meth:`Network._eval_forward` rounds each sample's columns up to one):
-    on the SkylakeX (AVX-512) kernels of numpy's OpenBLAS a column's sums
-    are then the same in any chunk, while a chunk of another width can take
-    other kernels, which round otherwise.  On its Haswell (AVX2) kernels,
-    which ``OPENBLAS_CORETYPE=Zen`` also selects, even such chunks can round
-    otherwise.  ``max`` gives +0 where the train-mode gate-and-multiply
-    gives -0, which adds the same to every later sum.
+    Each layer is one GEMM, its bias column against the source's row of
+    ones; a hidden layer writes into the free half of ``pair``, takes the
+    ReLU ``max(y, 0)`` in place and adds a row of ones under it.  Chunks are
+    multiples of 16 columns (:meth:`Network._eval_forward`): on the SkylakeX
+    (AVX-512) kernels of numpy's OpenBLAS a column's sums are then the same
+    in any chunk, and the bias column rounds as a bias add, while other
+    widths can take other kernels, which round otherwise.  Its Haswell
+    (AVX2) kernels, which ``OPENBLAS_CORETYPE=Zen`` also selects, can round
+    either otherwise.  ``max`` gives +0 where the train-mode
+    gate-and-multiply gives -0, which adds the same to every later sum.
     """
-    last = len(layers) - 1
     m = src.shape[1]
-    for j, (w2, b, relu) in enumerate(layers):
-        out = dest if j == last else pair[j % 2, : w2.shape[0] * m].reshape(-1, m)
-        np.matmul(w2, src, out=out)
-        out += b
-        if relu:
-            np.maximum(out, 0, out=out)
+    for j, w2 in enumerate(layers[:-1]):
+        o = w2.shape[0]
+        out = pair[j % 2, : (o + 1) * m].reshape(o + 1, m)
+        np.matmul(w2, src, out=out[:o])
+        np.maximum(out[:o], 0, out=out[:o])
+        out[o] = 1
         src = out
+    np.matmul(layers[-1], src, out=dest)
 
 
 class Network:
@@ -686,7 +687,9 @@ class Network:
         holds the widest paper layer, 100 channels in f32, in 1.6 MiB, so a
         chunk stays in a 2 MiB L2 cache from the first layer to the last.  A
         3x3 layer 0 gathers a chunk's im2col from its rows and one row on
-        either side, so a thread's scratch does not grow with the sample.
+        either side, and a 1x1 layer 0 copies its columns, so a thread's
+        scratch does not grow with the sample.  Each source ends in a row of
+        ones, so a layer's bias column adds its bias inside the GEMM.
         """
         x = check_tensor4(x, "input").astype(self.dtype, copy=False)
         if train and any(b.spec.dropout_p > 0 for b in self.blocks):
@@ -709,19 +712,18 @@ class Network:
         span = -(-hw // 16) * 16  # see _eval_chunk
         chunk = min(span, _EVAL_PIXELS)
         per_sample = -(-span // chunk)
-        layers = [(*block.eval_weights(), not block.is_output) for block in blocks]
-        widest = max(w2.shape[0] for w2, _, _ in layers)
+        layers = [block.eval_weights() for block in blocks]
+        widest = max(w2.shape[0] for w2 in layers)
         gather = blocks[0].conv.ksize == 3
+        rows = layers[0].shape[1]  # layer 0's inputs and the row of ones
         pixels = x.reshape(n, c, hw)
-        if not gather and span > hw:  # _im2col gathers zeros past the last pixel
-            pixels = np.pad(pixels, [(0, 0), (0, 0), (0, span - hw)])
         y = np.empty((n, 1, span), dtype=x.dtype)
         # Unit u of the slices is chunk u % per_sample of sample u // per_sample.
         slices = _Slices(n * per_sample, _slice_threads(x))
         # Each slice thread's scratch, made here (see _Slices): the chunk
-        # pair and, for a 3x3 layer 0, one chunk's im2col.
-        scratch = {sl.start: (np.empty((2, widest * chunk), x.dtype),
-                              np.empty(9 * c * chunk if gather else 0, x.dtype))
+        # pair and one chunk of layer 0's source.
+        scratch = {sl.start: (np.empty((2, (widest + 1) * chunk), x.dtype),
+                              np.empty(rows * chunk, x.dtype))
                    for sl in slices.parts}
 
         def run(sl: slice) -> None:
@@ -729,11 +731,13 @@ class Network:
             for u in range(sl.start, sl.stop):
                 i, c0 = u // per_sample, u % per_sample * chunk
                 m = min(chunk, span - c0)
-                src = pixels[i, :, c0 : c0 + m]
-                if gather:
-                    src = cols[: 9 * c * m]
-                    _im2col(pixels[i], w, c0, src.reshape(c, 9, m))
-                    src = src.reshape(9 * c, m)
+                src = cols[: rows * m].reshape(rows, m)
+                if gather:  # _im2col gathers zeros past the last pixel
+                    _im2col(pixels[i], w, c0, src[:-1].reshape(c, 9, m))
+                else:  # the same zeros, past hw - c0 > 0 columns
+                    src[:-1, : hw - c0] = pixels[i, :, c0 : c0 + m]
+                    src[:-1, hw - c0 :] = 0
+                src[-1] = 1
                 _eval_chunk(layers, src, y[i, :, c0 : c0 + m], pair)
 
         slices.run(run)

@@ -10,6 +10,10 @@ product of the colors and then clip it into another (``scale_colors``).
 ``encode_hdr`` scales, floors and clips the map into fresh f64 arrays and
 zeroes the sub-threshold pixels with ``np.where``.
 
+``bilateral_filter`` is the bilateral grid that allocated each band's
+arrays as it went: every pixel's cells and fractions on all three axes,
+each band's corners, splat products, grid and padded blur copies, fresh.
+
 ``format_crf`` writes the ``index r g b`` text that ``load_crf`` parses;
 hdrkit itself only reads that format.  ``rgb_to_lab`` is the CIELAB
 conversion, less its clamp warning, that computed the cube root of Y twice:
@@ -24,12 +28,17 @@ from hdrkit.camera import _CODE_GRID, Crf, ExposureStack, inverse_lut
 from hdrkit.errors import ParameterError, ValidationError
 from hdrkit.image_io import RGBE_ZERO_THRESHOLD, LdrImage, RadianceMap
 from hdrkit.imgproc import (
+    _BAND_CELLS,
     _LAB_DELTA3,
     _LAB_KAPPA,
+    _MAX_CELLS,
+    _RANGE_REACH,
+    _RANGE_TAPS,
     _RGB_TO_XYZ,
     D65_WHITE,
     LabImage,
     _lab_f,
+    _taps,
     luminance,
     round_half_up,
 )
@@ -252,3 +261,133 @@ def rgb_to_lab(rgb: np.ndarray) -> LabImage:
     a = 500.0 * (fx - fy)
     b = 200.0 * (fy - fz)
     return LabImage(L=L.astype(np.float32), a=a.astype(np.float32), b=b.astype(np.float32))
+
+
+def _corners(cells, fractions, points, origin, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and trilinear weights, each (8, n), of the corners around
+    n points of a grid of ``shape`` that starts at cell ``origin``; ``cells``
+    and ``fractions`` hold every point's integer cells and fractions along
+    (row, column, value), and ``points`` picks the n."""
+    iy, ix, iz = (c[points] - o for c, o in zip(cells, origin))
+    fy, fx, fz = (f[points] for f in fractions)
+    _, nx, nz = shape
+    steps = np.array([dy * nx * nz + dx * nz + dz
+                      for dy in (0, 1) for dx in (0, 1) for dz in (0, 1)])
+    index = ((iy * nx + ix) * nz + iz) + steps[:, None]
+    weights = np.empty(index.shape)
+    corner = iter(weights)
+    for wy in (1.0 - fy, fy):
+        for wx in (1.0 - fx, fx):
+            wyx = wy * wx
+            for wz in (1.0 - fz, fz):
+                np.multiply(wyx, wz, out=next(corner))
+    return index, weights
+
+
+def _blur(grid: np.ndarray, taps: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Blur a (2, ny, nx, nz) grid along its last three axes, each with its
+    symmetric kernel's taps at offsets 0, 1, ...; the grid is zero outside."""
+    for axis, t in enumerate(taps, start=1):
+        n, reach = grid.shape[axis], len(t) - 1
+        pad = [(0, 0)] * grid.ndim
+        pad[axis] = (reach, reach)
+        src = np.moveaxis(np.pad(grid, pad), axis, 0)
+        out = np.multiply(src[reach : reach + n], t[0])
+        pair = np.empty_like(out)
+        for k in range(1, reach + 1):
+            np.add(src[reach - k : reach - k + n], src[reach + k : reach + k + n], out=pair)
+            pair *= t[k]
+            out += pair
+        grid = np.moveaxis(out, 0, axis)
+    return grid
+
+
+def _grid_pass(cells, fractions, values, offset, src, dst, taps) -> np.ndarray:
+    """Splat the points ``src`` with their ``values`` less ``offset`` into a
+    grid that spans their cells, blur it with ``taps`` per axis, and slice it
+    at the points ``dst``: the filtered value, less ``offset``, of each."""
+    ends = [(at.min(), at.max()) for at in (c[src] for c in cells)]
+    origin = [lo for lo, _ in ends]
+    shape = tuple(int(hi - lo) + 2 for lo, hi in ends)
+    size = math.prod(shape)
+    index, weights = _corners(cells, fractions, src, origin, shape)
+    index = index.ravel()
+    grid = np.stack([np.bincount(index, (weights * (values[src] - offset)).ravel(), size),
+                     np.bincount(index, weights.ravel(), size)])
+    grid = _blur(grid.reshape((2,) + shape), taps).reshape(2, size)
+    index, weights = _corners(cells, fractions, dst, origin, shape)
+    num = (weights * np.take(grid[0], index)).sum(axis=0)
+    den = (weights * np.take(grid[1], index)).sum(axis=0)
+    return num / den
+
+
+def bilateral_filter(plane: np.ndarray, sigma_s: float, sigma_r: float) -> np.ndarray:
+    """Gaussian-in-space, Gaussian-in-range filter on a bilateral grid.
+
+    The plane is reflect-padded by ceil(3 * sigma_s), splatted trilinearly
+    (value and weight) into a grid of (row, column, value) cells, blurred
+    there, and sliced back trilinearly at the plane's pixels: output =
+    blurred value sum / blurred weight sum.  Each output is a convex
+    combination of the plane's values, so it stays inside the input's range
+    up to rounding; a constant plane comes back unchanged.  It approximates
+    the brute-force filter over a window of radius ceil(3 * sigma_s): at
+    sigma_s = 8, sigma_r = 10 on the L* planes of the benchmark's scenes,
+    within 1.25 L* at most and 0.1 L* rms (measured: 1.22 and 0.084).
+
+    The range axis runs in bands of ``_BAND_CELLS`` cells, so the memory
+    used grows with the plane's size and not with its range: a band's grid
+    covers the cells of the pixels it needs and no others.  Both sigmas must
+    be finite and positive, the plane's values finite, and sigma_r large
+    enough that (max - min) / (sigma_r / 2) stays under ``_MAX_CELLS``.  The
+    work runs on one thread in a fixed order, so the output is the same
+    bytes on any number of CPUs.
+    """
+    if not (0.0 < sigma_s < math.inf and 0.0 < sigma_r < math.inf):
+        raise ParameterError(f"sigmas must be finite and > 0, got ({sigma_s}, {sigma_r})")
+    plane = np.asarray(plane)
+    if plane.ndim != 2:
+        raise ParameterError(f"plane must be 2-D, got shape {plane.shape}")
+    r = math.ceil(3.0 * sigma_s)
+    h, w = plane.shape
+    padded = np.pad(plane.astype(np.float64), r, mode="reflect")
+    low, high = float(padded.min()), float(padded.max())
+    span = high - low
+    if not math.isfinite(span):
+        raise ParameterError(f"plane values must be finite with a finite span, got {low}..{high}")
+    # Values above the minimum: a constant plane splats zeros and comes back exact.
+    values = (padded - low).ravel()
+    cell_s, cell_r = max(sigma_s / 2.0, 1.0), sigma_r / 2.0
+    if not span / cell_r < _MAX_CELLS:
+        raise ParameterError(f"sigma_r = {sigma_r} is too small for plane values spanning {span}")
+    taps = (_taps(sigma_s / cell_s),) * 2 + (_RANGE_TAPS,)
+
+    # Each padded pixel's cell and fraction along (row, column, value).
+    rows, cols = np.indices(padded.shape).reshape(2, -1) / cell_s
+    coords = (rows, cols, values / cell_r)
+    cells = [c.astype(np.int64) for c in coords]  # floor: every coordinate is >= 0
+    fractions = [c - i for c, i in zip(coords, cells)]
+    out_at = np.full(padded.shape, -1, dtype=np.int64)  # -1 in the padding
+    out_at[r : r + h, r : r + w] = np.arange(h * w).reshape(h, w)
+    out_at = out_at.ravel()
+    band = cells[2] // _BAND_CELLS
+    order = np.argsort(band, kind="stable")
+    bands = np.unique(band)
+    # Where bands k - 1, k, k + 1 and k + 2 start in that order, for each k.
+    band_ends = np.searchsorted(band[order], np.arange(-1, 3)[:, None] + bands)
+
+    out = np.empty(h * w)
+    # Reflect padding copies plane values, so every band holds plane pixels.
+    for k, (below, first, last, above) in zip(bands, band_ends.T):
+        z0 = int(k) * _BAND_CELLS
+        # A band's pixels read the blurred cells z0 .. z0 + _BAND_CELLS, which
+        # sum the splats of pixels up to the blur's reach beyond them.
+        near = order[below:above]
+        lift = cells[2][near] - z0
+        src = near[(lift >= -_RANGE_REACH - 1) & (lift <= _BAND_CELLS + _RANGE_REACH)]
+        dst = order[first:last]
+        dst = dst[out_at[dst] >= 0]
+        # Values from the band's start keep their precision far above the minimum.
+        offset = z0 * cell_r
+        out[out_at[dst]] = (low + offset) + _grid_pass(cells, fractions, values, offset,
+                                                       src, dst, taps)
+    return out.reshape(h, w).astype(plane.dtype)

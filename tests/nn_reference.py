@@ -182,9 +182,12 @@ def dropout(x: np.ndarray, p: float, train: bool, rng=None) -> tuple[np.ndarray,
 # engine's own AVX-512 ones and the AVX2 ones that ``OPENBLAS_CORETYPE=Zen``
 # selects): an eval conv runs each sample's GEMM in chunks of
 # ``_EVAL_PIXELS`` columns over its columns padded with zeros to a multiple
-# of 16, as the engine's eval pass does, and the network's passes run BLAS
-# on one thread, as the engine's do.  A train conv keeps the whole-sample
-# GEMMs, which are the engine's train shapes.
+# of 16, with the bias as the weights' last column against a last row of
+# ones, as the engine's eval pass does, and the network's passes run BLAS
+# on one thread, as the engine's do.  The AVX2 kernels round that bias
+# column otherwise than a GEMM followed by a bias add.  A train conv keeps
+# the whole-sample GEMMs, and their bias add, which are the engine's train
+# shapes.
 # ---------------------------------------------------------------------------
 
 
@@ -217,6 +220,10 @@ class WholeBatchConv(Conv):
         else:
             span = -(-h * w // _EVAL_COLUMNS) * _EVAL_COLUMNS
             cols = np.pad(cols, [(0, 0), (0, 0), (0, span - h * w)])
+            if bias is not None:
+                w2 = np.concatenate([w2, bias[:, None]], axis=1)
+                cols = np.concatenate([cols, np.ones((n, 1, span), cols.dtype)], axis=1)
+                bias = None
             y = np.empty((n, w2.shape[0], span), dtype=np.result_type(w2, cols))
             for c0 in range(0, span, _EVAL_PIXELS):
                 chunk = slice(c0, c0 + _EVAL_PIXELS)

@@ -1,5 +1,7 @@
 import copy
+import ctypes
 import dataclasses
+import functools
 import math
 import os
 import signal
@@ -52,7 +54,12 @@ from hdrkit.nn import (
     save_checkpoint,
     sgd_step,
 )
-from hdrkit.pipeline import build_ldr2hdr_net, build_tonemap_net
+from hdrkit.pipeline import (
+    LDR2HDR_CHANNELS,
+    TONEMAP_CHANNELS,
+    build_ldr2hdr_net,
+    build_tonemap_net,
+)
 
 
 def single_layer_net(seed=0, in_depth=3):
@@ -848,6 +855,22 @@ EVAL_SPECS = {
 }
 
 
+# The seven nets of the paper, as inference runs them.
+PAPER_SPECS = [build_ldr2hdr_net(c, seed=1) for c in LDR2HDR_CHANNELS] + \
+    [build_tonemap_net(c, seed=1) for c in TONEMAP_CHANNELS]
+
+
+@functools.cache
+def _corename() -> str:
+    """The name of the kernels that numpy's OpenBLAS runs, or "unknown"."""
+    try:
+        get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        return "unknown"
+    get.restype = ctypes.c_char_p
+    return get().decode()
+
+
 def _eval_pair(spec, dtype, seed):
     """A network with random running statistics, and the whole-batch engine
     loaded with its tensors."""
@@ -892,6 +915,62 @@ class TestEvalPass:
         x = np.random.default_rng(3).normal(size=(2, 3) + hw).astype(np.float32)
         assert net.forward(x).shape == (2, 1) + hw
         assert widths and all(m % 16 == 0 for m in widths)
+
+    @pytest.mark.parametrize("spec", list(EVAL_SPECS.values()), ids=list(EVAL_SPECS))
+    def test_every_gemm_carries_its_layer_bias(self, spec, monkeypatch):
+        """Each layer of a chunk is one GEMM whose (O, K + 1) weights end in
+        the layer's folded bias, against a source whose last row is ones."""
+        net = _with_stats(Network(spec), 3)
+        want = []  # each layer's weight columns and eval bias
+        for block in net.blocks:
+            conv, bn = block.conv, block.bn
+            if bn is None:
+                bias = conv.b
+            else:
+                bias = bn.beta - bn.running_mean * (bn.gamma / np.sqrt(bn.running_var + bn.eps))
+            want.append((conv.w[0].size + 1, bias))
+        gemms, real_matmul, real_chunk = [], np.matmul, nn._eval_chunk
+
+        def matmul(a, b, **kwargs):
+            gemms.append((a.shape, a[:, -1].copy(), b.shape[0], bool(np.all(b[-1] == 1))))
+            return real_matmul(a, b, **kwargs)
+
+        def chunk(*args):
+            with monkeypatch.context() as m:
+                m.setattr(np, "matmul", matmul)
+                return real_chunk(*args)
+
+        monkeypatch.setattr(nn, "_cpu_count", lambda: 1)  # the GEMMs in chunk order
+        monkeypatch.setattr(nn, "_eval_chunk", chunk)
+        x = np.random.default_rng(3).normal(size=(2, 3, 33, 70)).astype(np.float32)
+        net.forward(x)
+        assert len(gemms) == 2 * 2 * len(want)  # two chunks a sample
+        for j, (shape, bias, rows, ones) in enumerate(gemms):
+            columns, want_bias = want[j % len(want)]
+            assert shape == (want_bias.size, columns) and rows == columns and ones
+            assert bias.tobytes() == want_bias.tobytes()
+
+    @pytest.mark.skipif(_corename() != "SkylakeX",
+                        reason=f"OpenBLAS runs its {_corename()} kernels: only on its SkylakeX "
+                               "kernels does a bias column round as a bias add does")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_bias_column_rounds_as_a_bias_add(self, dtype):
+        """For every layer shape of the paper's nets, at chunk widths that
+        are multiples of 16 columns, the GEMM with the bias as its weights'
+        last column against a row of ones gives the bytes of the GEMM
+        followed by the bias add."""
+        shapes = {block.conv.w.reshape(block.conv.w.shape[0], -1).shape
+                  for spec in PAPER_SPECS for block in Network(spec).blocks}
+        data = np.random.default_rng(17)
+        with nn._blas_one_thread():
+            for o, k in sorted(shapes):
+                w, b = data.normal(size=(o, k)).astype(dtype), data.normal(size=(o, 1)).astype(dtype)
+                for m in (16, 32, 48, 64, 96, 128, 240, 464, 512, 1024, 2032, 2048):
+                    x = data.normal(size=(k, m)).astype(dtype)
+                    add = np.matmul(w, x)
+                    add += b
+                    column = np.matmul(np.hstack([w, b]), np.vstack([x, np.ones((1, m), dtype)]))
+                    assert column.tobytes() == add.tobytes(), (o, k, m)
 
     @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-13)], ids=["f32", "f64"])
     @pytest.mark.parametrize("spec", list(EVAL_SPECS.values()), ids=list(EVAL_SPECS))
